@@ -8,15 +8,19 @@ Exit codes: 0 success; 2 usage or domain error; 3 data-format error;
 4 I/O error.
 """
 
+import contextlib
 import functools
 import json
+import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
 import numpy as np
 
+from . import __version__
 from .errors import (
     DataFormatError,
     DegenerateInputError,
@@ -57,19 +61,61 @@ class RunConfig:
     spectrum_csv: Path | None = None
 
 
+#: Rows formatted per write by ``_write_table``: large enough that the
+#: per-chunk overhead vanishes, small enough to keep memory flat.
+_CHUNK_ROWS = 1 << 16
+
+
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _emit(output_path: str, text: str) -> None:
+@contextlib.contextmanager
+def _open_output(output_path: str):
+    """Text handle for ``--out``: standard output for ``-``, else a file
+    that appears at ``output_path`` only once everything is written.
+
+    A file is written next to its destination under a temporary name and
+    renamed into place, so a failed run leaves any earlier file untouched
+    and no partial one.  Existing targets that are not regular files, such
+    as ``/dev/null`` or a pipe, are written in place.
+    """
     if output_path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
         return
+    target = os.path.realpath(output_path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        tmp = None
+    else:
+        directory, name = os.path.split(target)
+        tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(output_path, "w") as fh:
-            fh.write(text)
+        with open(tmp or target, "w") as fh:
+            yield fh
+        if tmp is not None:
+            os.replace(tmp, target)
     except OSError as exc:
-        raise OSError(f"cannot write {output_path}: {exc}") from exc
+        raise OSError(f"cannot write {output_path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+
+
+def _emit(output_path: str, text: str) -> None:
+    with _open_output(output_path) as fh:
+        fh.write(text)
+
+
+def _write_table(output_path: str, head_lines: list[str], columns) -> None:
+    """Write ``head_lines``, then one CSV row per index of the equal-length
+    ``columns``, every value at 17 significant digits (``format(v, ".17g")``)."""
+    template = ",".join(["%.17g"] * len(columns)) + "\n"
+    with _open_output(output_path) as fh:
+        fh.write("\n".join(head_lines) + "\n")
+        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+            rows = zip(*(col[lo : lo + _CHUNK_ROWS].tolist() for col in columns))
+            fh.write("".join([template % row for row in rows]))
 
 
 def _parse_band(_ctx, _param, value: str) -> tuple[float, float]:
@@ -109,24 +155,77 @@ def _translate_errors(fn):
 
 
 def _read_rows(path, expected_header: str) -> np.ndarray:
+    """Data rows of a CSV table as a float64 array of shape (rows, columns).
+
+    ``#`` starts a comment that runs to the end of its line, so comments
+    may appear anywhere, including after the numbers of a row; blank lines
+    are skipped.  The first line with content must equal
+    ``expected_header``, and every later one must hold as many
+    comma-separated numbers.  The rows are parsed in bulk by
+    ``np.loadtxt``; a malformed file is then scanned line by line only to
+    name its first bad line.
+    """
+    n_cols = len(expected_header.split(","))
     try:
-        text = Path(path).read_text()
+        fh = open(path)
     except FileNotFoundError as exc:
         raise DataFormatError(f"input file not found: {path}") from exc
-    n_cols = len(expected_header.split(","))
-    header = None
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line
-            if header != expected_header:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: expected header "
-                    f"{expected_header!r}, got {header!r}"
-                )
+    with fh:
+        header_lineno = 0
+        header = ""
+        while not header:
+            raw = fh.readline()
+            if not raw:
+                raise DataFormatError(f"{path}: no data rows")
+            header_lineno += 1
+            header = raw.split("#", 1)[0].strip()
+        if header != expected_header:
+            raise DataFormatError(
+                f"{path}: line {header_lineno}: expected header "
+                f"{expected_header!r}, got {header!r}"
+            )
+        start = fh.tell()
+        table, reason = _parse_rows(fh, n_cols)
+        if table is None:
+            # loadtxt skips a line only if nothing precedes its comment, so
+            # retry without lines of blanks and indented comments
+            fh.seek(start)
+            content = (line for line in fh if line.split("#", 1)[0].strip())
+            table, reason = _parse_rows(content, n_cols)
+        if table is None:
+            fh.seek(0)
+            _raise_bad_row(path, fh, header_lineno, n_cols, reason)
+        return table
+
+
+def _parse_rows(lines, n_cols: int):
+    """``(table, None)`` if ``lines`` hold rows of ``n_cols`` numbers, else
+    ``(None, reason)``."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning
+            )
+            table = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
+    except ValueError as exc:
+        return None, str(exc)
+    if table.shape[0] and table.shape[1] == n_cols:
+        return table, None
+    return None, f"expected rows of {n_cols} numbers"
+
+
+def _raise_bad_row(path, fh, header_lineno: int, n_cols: int, reason: str):
+    """Raise the DataFormatError that names the first malformed data line.
+
+    Runs only after the bulk parse in ``_read_rows`` failed, and checks the
+    lines after the header one by one.  ``reason``, the bulk parser's
+    message, is the fallback for a number ``float`` reads and the bulk
+    parser does not, such as ``1_000``.
+    """
+    n_rows = 0
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if lineno <= header_lineno or not line:
             continue
         parts = line.split(",")
         if len(parts) != n_cols:
@@ -134,14 +233,15 @@ def _read_rows(path, expected_header: str) -> np.ndarray:
                 f"{path}: line {lineno}: expected {n_cols} fields, got {len(parts)}"
             )
         try:
-            rows.append([float(p) for p in parts])
+            [float(p) for p in parts]
         except ValueError as exc:
             raise DataFormatError(
                 f"{path}: line {lineno}: non-numeric field in {line!r}"
             ) from exc
-    if not rows:
+        n_rows += 1
+    if not n_rows:
         raise DataFormatError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    raise DataFormatError(f"{path}: {reason}")
 
 
 def read_sample_csv(path) -> FlucSeries:
@@ -219,7 +319,7 @@ def _estimate_spectrum(config: RunConfig, series: np.ndarray) -> PowerSpectrum:
     raise DomainError(f"unknown method {config.method!r} (use mem or welch)")
 
 
-def _spectrum_text(config: RunConfig, spectrum: PowerSpectrum) -> str:
+def _spectrum_head(config: RunConfig, spectrum: PowerSpectrum) -> list[str]:
     lines = ["# psispec spectrum"]
     for key, value in spectrum.estimator.items():
         lines.append(f"# {key}={value}")
@@ -228,9 +328,7 @@ def _spectrum_text(config: RunConfig, spectrum: PowerSpectrum) -> str:
     elif config.input_csv is None:
         lines.append(f"# x_start={config.x_start}")
     lines.append("f,P")
-    for f, p in zip(spectrum.freqs, spectrum.power):
-        lines.append(f"{_fmt(f)},{_fmt(p)}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -246,23 +344,22 @@ def cmd_sample(config: RunConfig) -> None:
     psi = psi_series(config.n_samples, x_start=config.x_start)
     smooth = smooth_part(psi.x)
     fluc = psi.values - smooth
-    lines = [
+    head = [
         "# psispec sample",
         f"# n={config.n_samples} x_start={config.x_start} dx=1",
         "x,psi,smooth,fluc",
     ]
-    xs = psi.x
-    for i in range(psi.n):
-        lines.append(
-            f"{_fmt(xs[i])},{_fmt(psi.values[i])},{_fmt(smooth[i])},{_fmt(fluc[i])}"
-        )
-    _emit(config.output_path, "\n".join(lines) + "\n")
+    _write_table(config.output_path, head, [psi.x, psi.values, smooth, fluc])
 
 
 def cmd_spectrum(config: RunConfig) -> None:
     series = _pipeline_series(config)
     spectrum = _estimate_spectrum(config, series)
-    _emit(config.output_path, _spectrum_text(config, spectrum))
+    _write_table(
+        config.output_path,
+        _spectrum_head(config, spectrum),
+        [spectrum.freqs, spectrum.power],
+    )
 
 
 def cmd_fit(config: RunConfig) -> None:
@@ -287,31 +384,25 @@ def cmd_reconstruct(config: RunConfig) -> None:
     points = config.x_start + 0.5 + np.arange(config.n_samples - 1)
     direct = fluctuation_at(points)
     recon = psi_fluc_from_zeros(points, zeros, n_zeros)
-    lines = [
+    head = [
         "# psispec reconstruct",
         f"# zeros={zeros.source} K={n_zeros}",
         f"# x_start={config.x_start} n={config.n_samples}",
         "x,fluc_direct,fluc_zeros,abs_err",
     ]
-    for i in range(points.size):
-        err = abs(direct[i] - recon[i])
-        lines.append(
-            f"{_fmt(points[i])},{_fmt(direct[i])},{_fmt(recon[i])},{_fmt(err)}"
-        )
-    _emit(config.output_path, "\n".join(lines) + "\n")
+    columns = [points, direct, recon, np.abs(direct - recon)]
+    _write_table(config.output_path, head, columns)
 
 
 def cmd_analytic(config: RunConfig) -> None:
     f_min, f_max = config.band
     spectrum = analytic_spectrum(f_min, f_max, n_freq=config.n_freq)
-    lines = [
+    head = [
         "# psispec analytic",
         f"# band=[{_fmt(f_min)},{_fmt(f_max)}] n_freq={config.n_freq}",
         "f,P_analytic",
     ]
-    for f, p in zip(spectrum.freqs, spectrum.power):
-        lines.append(f"{_fmt(f)},{_fmt(p)}")
-    _emit(config.output_path, "\n".join(lines) + "\n")
+    _write_table(config.output_path, head, [spectrum.freqs, spectrum.power])
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +411,7 @@ def cmd_analytic(config: RunConfig) -> None:
 
 
 @click.group()
-@click.version_option()
+@click.version_option(version=__version__)
 def main():
     """Power spectrum of the fluctuation of Chebyshev's psi function."""
 

@@ -103,6 +103,16 @@ def sieve_prime_power_logs(limit: int) -> np.ndarray:
     return lam
 
 
+def _prefix_segments(limit: int):
+    """``(lo, hi)`` bounds of the segments that cover ``[1, limit]``.
+
+    The half-jump prefix restarts its chunking at every segment, so every
+    route to psi must use these same bounds to get the same bits.
+    """
+    for lo in range(1, limit + 1, _SEGMENT):
+        yield lo, min(lo + _SEGMENT, limit + 1)
+
+
 def psi_series(n: int, x_start: int = 2) -> PsiSeries:
     """psi on the grid ``x_start, x_start + 1, ..., x_start + n - 1``.
 
@@ -123,8 +133,7 @@ def psi_series(n: int, x_start: int = 2) -> PsiSeries:
         raise ResourceError(f"cannot allocate psi grid of {n} points") from exc
     s = 0.0
     c = 0.0
-    for lo in range(1, limit + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, limit + 1)
+    for lo, hi in _prefix_segments(limit):
         lam = _kernels.mangoldt_segment(lo, hi, primes, logs)
         seg, s, c = _kernels.half_jump_prefix(lam, s, c)
         if hi > x_start:
@@ -177,11 +186,16 @@ def fluctuation_at(x) -> np.ndarray:
     floors = np.floor(arr).astype(np.int64)
     limit = int(floors.max())
     lam = sieve_prime_power_logs(limit)
-    grid = psi_series(limit, x_start=1)
+    # psi[m] is psi(m) with the half-jump convention, as psi_series gives it
+    psi = np.zeros(limit + 1, dtype=np.float64)
+    s = 0.0
+    c = 0.0
+    for lo, hi in _prefix_segments(limit):
+        psi[lo:hi], s, c = _kernels.half_jump_prefix(lam[lo:hi], s, c)
     # psi(m) + Lambda(m)/2 is the full prefix sum through m
-    full_prefix = grid.values[floors - 1] + 0.5 * lam[floors]
+    full_prefix = psi[floors] + 0.5 * lam[floors]
     on_grid = arr == floors
-    psi_vals = np.where(on_grid, grid.values[floors - 1], full_prefix)
+    psi_vals = np.where(on_grid, psi[floors], full_prefix)
     out = psi_vals - smooth_part(arr)
     if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
         return float(out[0])

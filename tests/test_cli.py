@@ -1,11 +1,18 @@
+import builtins
+import errno
 import json
 import math
+import os
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import psispec as ps
+from psispec import cli
 from psispec.cli import main
 
 
@@ -27,6 +34,176 @@ def message_of(result):
     out = result.output or ""
     err = getattr(result, "stderr", "") or ""
     return out + err
+
+
+def csv_rows(*columns):
+    """Data rows as the CLI promises them: every value at 17 digits."""
+    return "".join(
+        ",".join(format(float(v), ".17g") for v in row) + "\n"
+        for row in zip(*columns)
+    )
+
+
+def body_of(text):
+    """Header line and the rows after it."""
+    lines = text.splitlines(keepends=True)
+    start = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    return "".join(lines[start:])
+
+
+# ---------------------------------------------------------------------------
+# version
+# ---------------------------------------------------------------------------
+
+
+def test_version_option_needs_no_package_metadata():
+    result = CliRunner().invoke(main, ["--version"], prog_name="psispec")
+    assert result.exit_code == 0
+    assert result.output == "psispec, version 0.1.0\n"
+
+
+def test_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.M)
+    assert ps.__version__ == declared.group(1)
+
+
+# ---------------------------------------------------------------------------
+# CSV text layer: exact bytes, atomic files, re-ingestion
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("chunk_rows", [2, cli._CHUNK_ROWS])
+def test_sample_bytes_are_17_digit_rows(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+    out = tmp_path / "sample.csv"
+    assert run("sample", "--n", 5, "--out", out).exit_code == 0
+    psi = ps.psi_series(5)
+    smooth = ps.smooth_part(psi.x)
+    expected = (
+        "# psispec sample\n# n=5 x_start=2 dx=1\nx,psi,smooth,fluc\n"
+        + csv_rows(psi.x, psi.values, smooth, psi.values - smooth)
+    )
+    text = out.read_text()
+    assert text == expected
+    assert body_of(text).splitlines()[1].startswith("2,")  # not "2.0,"
+    assert os.listdir(tmp_path) == ["sample.csv"]
+
+
+def test_spectrum_reconstruct_analytic_bytes(zeros):
+    spectrum = run("spectrum", "--n", 64, "--n-freq", 8)
+    spec = ps.ar_psd(
+        ps.burg_fit(ps.remove_mean(ps.fluctuation_series(64)), order=1), n_freq=8
+    )
+    assert body_of(spectrum.output) == "f,P\n" + csv_rows(spec.freqs, spec.power)
+
+    recon = run("reconstruct", "--n", 6, "--K", 10)
+    x = 2.5 + np.arange(5)
+    direct = ps.fluctuation_at(x)
+    from_zeros = ps.psi_fluc_from_zeros(x, zeros, 10)
+    assert body_of(recon.output) == "x,fluc_direct,fluc_zeros,abs_err\n" + csv_rows(
+        x, direct, from_zeros, np.abs(direct - from_zeros)
+    )
+
+    analytic = run("analytic", "--band", "1:10", "--n-freq", 4)
+    ana = ps.analytic_spectrum(1.0, 10.0, n_freq=4)
+    assert analytic.output == (
+        "# psispec analytic\n# band=[1,10] n_freq=4\nf,P_analytic\n"
+        + csv_rows(ana.freqs, ana.power)
+    )
+
+
+def full_disk_open(writes_allowed):
+    """``open`` whose files fail with ENOSPC after ``writes_allowed`` writes."""
+
+    def fake_open(path, mode="r", *args, **kwargs):
+        fh = builtins.open(path, mode, *args, **kwargs)
+        real_write = fh.write
+        count = 0
+
+        def write(text):
+            nonlocal count
+            count += 1
+            if count > writes_allowed:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(text)
+
+        fh.write = write
+        return fh
+
+    return fake_open
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    earlier = tmp_path / "earlier.csv"
+    earlier.write_text("kept\n")
+    fresh = tmp_path / "fresh.csv"
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(cli, "open", full_disk_open(2), raising=False)
+    for target in (earlier, fresh):
+        result = run("sample", "--n", 50, "--out", target)
+        assert result.exit_code == 4
+        assert "No space left on device" in message_of(result)
+    assert earlier.read_text() == "kept\n"
+    assert os.listdir(tmp_path) == ["earlier.csv"]
+
+
+def sample_lines(n=6):
+    """Lines of a ``sample`` CSV, with their line ends."""
+    return run("sample", "--n", n).output.splitlines(keepends=True)
+
+
+def test_read_single_data_row(tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("".join(sample_lines(1)))
+    series = cli.read_sample_csv(path)
+    assert series.n == 1 and series.x_start == 2
+    assert np.array_equal(series.values, ps.fluctuation_series(1).values)
+
+
+def test_read_skips_comments_and_blank_lines_and_crlf(tmp_path):
+    lines = sample_lines()
+    clean = tmp_path / "clean.csv"
+    clean.write_text("".join(lines))
+    want = cli.read_sample_csv(clean).values
+    assert np.array_equal(want, ps.fluctuation_series(6).values)
+    noisy = lines[:2] + [lines[2].rstrip("\n") + " # columns\n", lines[3]]
+    noisy += ["\n", "# between rows\n", "   \n", "  # indented\n"]
+    noisy += [lines[4].rstrip("\n") + "  # trailing comment\n"] + lines[5:]
+    variants = {
+        "noisy.csv": "".join(noisy).encode(),
+        "crlf.csv": "".join(lines).replace("\n", "\r\n").encode(),
+    }
+    for name, data in variants.items():
+        (tmp_path / name).write_bytes(data)
+        assert np.array_equal(cli.read_sample_csv(tmp_path / name).values, want)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        # short row on the last line (line 9: two comments, header, 6 rows)
+        (lambda ls: ls[:-1] + [ls[-1].rsplit(",", 1)[0] + "\n"],
+         "line 9: expected 4 fields, got 3"),
+        (lambda ls: ls[:5] + [ls[5].replace(",", ",abc", 1)] + ls[6:],
+         "line 6: non-numeric field in"),
+        (lambda ls: ls[:6] + ["# note\n", "\n", "7,1,2,x\n"] + ls[6:],
+         "line 9: non-numeric field in '7,1,2,x'"),
+        (lambda ls: ls[:3], "no data rows"),
+        (lambda ls: ls[:3] + ["# only a comment\n"], "no data rows"),
+        (lambda ls: ls[:2] + ["x,psi,smooth\n"] + ls[3:], "line 3: expected header"),
+    ],
+)
+def test_read_malformed_names_the_line(tmp_path, mutate, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(mutate(sample_lines())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing may leak from the parser
+        with pytest.raises(ps.DataFormatError, match=message):
+            cli.read_sample_csv(path)
+    result = run("spectrum", "--input", path)
+    assert result.exit_code == 3
+    assert message.split(" in")[0] in message_of(result)
 
 
 # ---------------------------------------------------------------------------
