@@ -7,7 +7,6 @@ The zero-sum route (truncated explicit formula over nontrivial zeta
 zeros) and the asymptotic spectrum provide independent cross-checks.
 """
 
-from ._accel import ACTIVE_IMPL, NUMBA_ENABLED
 from .errors import (
     DataFormatError,
     DegenerateInputError,
@@ -17,8 +16,7 @@ from .errors import (
 )
 from .powerlaw import DEFAULT_BAND, PowerLawFit, fit_power_law
 from .prime_series import (
-    FlucSeries,
-    PsiSeries,
+    GridSeries,
     fluctuation_at,
     fluctuation_series,
     psi_series,
@@ -35,7 +33,6 @@ from .spectral import (
     welch_psd,
 )
 from .zeta import (
-    AnalyticSpectrum,
     ZetaZeros,
     analytic_fourier_mag,
     analytic_psd,
@@ -49,15 +46,12 @@ from .zeta import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACTIVE_IMPL",
-    "NUMBA_ENABLED",
     "PsispecError",
     "DomainError",
     "DegenerateInputError",
     "DataFormatError",
     "ResourceError",
-    "PsiSeries",
-    "FlucSeries",
+    "GridSeries",
     "sieve_prime_power_logs",
     "psi_series",
     "smooth_part",
@@ -74,7 +68,6 @@ __all__ = [
     "DEFAULT_BAND",
     "fit_power_law",
     "ZetaZeros",
-    "AnalyticSpectrum",
     "load_zeros",
     "bundled_zeros_path",
     "psi_fluc_from_zeros",

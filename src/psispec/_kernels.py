@@ -1,27 +1,24 @@
-"""Numeric hot loops, each in two variants.
+"""The four numeric hot loops of the pipeline, vectorized with numpy.
 
-``*_loop`` functions are plain-Python loops meant for numba's ``@njit``;
-``*_numpy`` functions are vectorized equivalents.  The module-level names
-``mangoldt_segment``, ``half_jump_prefix``, ``burg_recursion`` and
-``zero_pair_sum`` point at whichever variant :mod:`psispec._accel` selected.
+``mangoldt_segment`` sieves the von Mangoldt function on one segment,
+``half_jump_prefix`` accumulates psi over it, ``burg_recursion`` fits the
+autoregressive model and ``zero_pair_sum`` totals the explicit formula.
 
-Compensation note: the prefix and zero-sum kernels use Kahan summation and
-therefore must not be compiled with ``fastmath`` (it would legalize dropping
-the compensation term).
+Accuracy note: the prefix carries its running total as a Kahan pair and the
+zero sum totals its terms with ``math.fsum``, so neither accumulates
+rounding error that grows with the length of the input.
 """
 
 import math
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, njit
-
 # ---------------------------------------------------------------------------
 # von Mangoldt function on a segment [lo, hi)
 # ---------------------------------------------------------------------------
 
 
-def _mangoldt_segment_loop(lo, hi, base_primes, base_logs):
+def mangoldt_segment(lo, hi, base_primes, base_logs):
     """Lambda(m) for every integer m in [lo, hi).
 
     ``base_primes`` must contain every prime <= isqrt(hi - 1); ``base_logs``
@@ -29,17 +26,13 @@ def _mangoldt_segment_loop(lo, hi, base_primes, base_logs):
     """
     n = hi - lo
     lam = np.zeros(n, dtype=np.float64)
-    composite = np.zeros(n, dtype=np.bool_)
-    for i in range(base_primes.shape[0]):
-        p = base_primes[i]
-        lp = base_logs[i]
+    composite = np.zeros(n, dtype=bool)
+    for p, lp in zip(base_primes.tolist(), base_logs.tolist()):
         # Strike multiples of p from max(p*p, first multiple >= lo): smaller
         # multiples have a prime factor below p and are struck by that prime.
-        start = p * p
-        if start < lo:
-            start = ((lo + p - 1) // p) * p
-        for m in range(start, hi, p):
-            composite[m - lo] = True
+        start = max(p * p, ((lo + p - 1) // p) * p)
+        if start < hi:
+            composite[start - lo :: p] = True
         # Prime powers p, p^2, ... inside the segment carry log p.
         q = p
         while q < hi:
@@ -47,27 +40,6 @@ def _mangoldt_segment_loop(lo, hi, base_primes, base_logs):
                 lam[q - lo] = lp
             q *= p
     # Survivors above the base primes are primes themselves.
-    for j in range(n):
-        m = lo + j
-        if m >= 2 and not composite[j] and lam[j] == 0.0:
-            lam[j] = math.log(m)
-    return lam
-
-
-def _mangoldt_segment_numpy(lo, hi, base_primes, base_logs):
-    """Vectorized twin of :func:`_mangoldt_segment_loop`."""
-    n = hi - lo
-    lam = np.zeros(n, dtype=np.float64)
-    composite = np.zeros(n, dtype=bool)
-    for p, lp in zip(base_primes.tolist(), base_logs.tolist()):
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start < hi:
-            composite[start - lo :: p] = True
-        q = p
-        while q < hi:
-            if q >= lo:
-                lam[q - lo] = lp
-            q *= p
     fresh = np.flatnonzero(~composite & (lam == 0.0)) + lo
     fresh = fresh[fresh >= 2]
     if fresh.size:
@@ -83,26 +55,12 @@ def _mangoldt_segment_numpy(lo, hi, base_primes, base_logs):
 # running total of earlier segments held as a Kahan pair (s, c) with
 # true total ~= s - c.  Returns (out, s, c) so segments chain.
 
-
-def _half_jump_prefix_loop(lam, s, c):
-    n = lam.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for j in range(n):
-        v = lam[j]
-        y = v - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        out[j] = (s - c) - 0.5 * v
-    return out, s, c
-
-
 _PREFIX_CHUNK = 4096
 
 
-def _half_jump_prefix_numpy(lam, s, c):
-    """Chunked cumsum twin: chunk bases stay Kahan-compensated so long
-    inputs do not accumulate O(n) rounding error."""
+def half_jump_prefix(lam, s, c):
+    """Chunked cumsum: chunk bases stay Kahan-compensated so long inputs
+    do not accumulate O(n) rounding error."""
     n = lam.shape[0]
     out = np.empty(n, dtype=np.float64)
     for start in range(0, n, _PREFIX_CHUNK):
@@ -128,46 +86,10 @@ def _half_jump_prefix_numpy(lam, s, c):
 # Cauchy-Schwarz structure of the update.
 
 
-def _burg_loop(x, order):
-    n = x.shape[0]
-    f = x.astype(np.float64).copy()
-    b = x.astype(np.float64).copy()
-    a = np.zeros(order, dtype=np.float64)
-    e = 0.0
-    for i in range(n):
-        e += x[i] * x[i]
-    e /= n
-    for m in range(1, order + 1):
-        num = 0.0
-        den = 0.0
-        for t in range(m, n):
-            num += f[t] * b[t - 1]
-            den += f[t] * f[t] + b[t - 1] * b[t - 1]
-        if den == 0.0:
-            break
-        k = -2.0 * num / den
-        # walk downward so b[t-1] is still the previous-stage value
-        for t in range(n - 1, m - 1, -1):
-            fo = f[t]
-            bo = b[t - 1]
-            f[t] = fo + k * bo
-            b[t] = bo + k * fo
-        for i in range((m - 1) // 2):
-            j = m - 2 - i
-            ai = a[i]
-            aj = a[j]
-            a[i] = ai + k * aj
-            a[j] = aj + k * ai
-        if (m - 1) % 2 == 1:
-            mid = (m - 1) // 2
-            a[mid] = a[mid] + k * a[mid]
-        a[m - 1] = k
-        e *= 1.0 - k * k
-    return a, e
-
-
-def _burg_numpy(x, order):
-    """Array-sliced twin of :func:`_burg_loop`."""
+def burg_recursion(x, order):
+    """Burg's recursion on array slices: at stage m, ``f[i]`` holds the
+    forward prediction error at t = m + i and ``b[i]`` the backward one at
+    t - 1."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     f = x[1:].copy()
@@ -195,31 +117,11 @@ def _burg_numpy(x, order):
 # ---------------------------------------------------------------------------
 #
 # out[i] = -2 sqrt(x) * sum_k (cos(t_k L)/2 + t_k sin(t_k L)) / (1/4 + t_k^2)
-# with L = ln x.  ``t_desc`` must be in descending order so the compensated
-# accumulation adds the smallest contributions last.
+# with L = ln x and ``t_desc`` the ordinates in descending order.  Each row
+# of terms is totalled exactly by ``math.fsum`` and rounded once.
 
 
-def _zero_pair_sum_loop(xs, t_desc):
-    n = xs.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        lx = math.log(xs[i])
-        s = 0.0
-        c = 0.0
-        for k in range(t_desc.shape[0]):
-            tk = t_desc[k]
-            v = (0.5 * math.cos(tk * lx) + tk * math.sin(tk * lx)) / (
-                0.25 + tk * tk
-            )
-            y = v - c
-            t = s + y
-            c = (t - s) - y
-            s = t
-        out[i] = -2.0 * math.sqrt(xs[i]) * (s - c)
-    return out
-
-
-def _zero_pair_sum_numpy(xs, t_desc):
+def zero_pair_sum(xs, t_desc):
     out = np.empty(xs.shape[0], dtype=np.float64)
     weight = 0.25 + t_desc * t_desc
     for i, x in enumerate(xs.tolist()):
@@ -227,19 +129,3 @@ def _zero_pair_sum_numpy(xs, t_desc):
         terms = (0.5 * np.cos(t_desc * lx) + t_desc * np.sin(t_desc * lx)) / weight
         out[i] = -2.0 * math.sqrt(x) * math.fsum(terms.tolist())
     return out
-
-
-# ---------------------------------------------------------------------------
-# Path selection
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-    mangoldt_segment = njit(cache=True)(_mangoldt_segment_loop)
-    half_jump_prefix = njit(cache=True)(_half_jump_prefix_loop)
-    burg_recursion = njit(cache=True)(_burg_loop)
-    zero_pair_sum = njit(cache=True)(_zero_pair_sum_loop)
-else:
-    mangoldt_segment = _mangoldt_segment_numpy
-    half_jump_prefix = _half_jump_prefix_numpy
-    burg_recursion = _burg_numpy
-    zero_pair_sum = _zero_pair_sum_numpy

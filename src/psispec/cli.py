@@ -29,8 +29,9 @@ from .errors import (
 )
 from .powerlaw import DEFAULT_BAND, fit_power_law
 from .prime_series import (
-    FlucSeries,
+    GridSeries,
     fluctuation_at,
+    fluctuation_series,
     psi_series,
     smooth_part,
 )
@@ -244,15 +245,16 @@ def _raise_bad_row(path, fh, header_lineno: int, n_cols: int, reason: str):
     raise DataFormatError(f"{path}: {reason}")
 
 
-def read_sample_csv(path) -> FlucSeries:
-    """Re-ingest a ``sample`` CSV into a FlucSeries (test/round-trip hook)."""
+def read_sample_csv(path) -> GridSeries:
+    """Re-ingest a ``sample`` CSV's fluctuation column into a GridSeries
+    (test/round-trip hook)."""
     table = _read_rows(path, "x,psi,smooth,fluc")
     x = table[:, 0]
     if x[0] != round(x[0]) or (x.size > 1 and not np.all(np.diff(x) == 1.0)):
         raise DataFormatError(
             f"{path}: x column must be consecutive integers with step 1"
         )
-    return FlucSeries(
+    return GridSeries(
         x_start=int(x[0]), n=x.size, dx=1.0, values=table[:, 3].copy()
     )
 
@@ -305,8 +307,7 @@ def _pipeline_series(config: RunConfig) -> np.ndarray:
         raise DomainError(
             f"spectral estimation needs at least 2 samples, got {config.n_samples}"
         )
-    psi = psi_series(config.n_samples, x_start=config.x_start)
-    fluc = psi.values - smooth_part(psi.x)
+    fluc = fluctuation_series(config.n_samples, x_start=config.x_start)
     return remove_mean(fluc)
 
 
@@ -424,6 +425,38 @@ _BAND = click.option(
     "--band", default="1e-3:1e-1", show_default=True, callback=_parse_band,
     help="Frequency band as f_min:f_max (cycles per sample unit).",
 )
+#: Options of the estimator pipeline that ``spectrum`` and ``fit`` share.
+_ESTIMATOR_OPTIONS = (
+    click.option("--n", "n_samples", type=int, default=0, help="Grid points."),
+    click.option("--x-start", type=int, default=2, show_default=True),
+    click.option("--method", type=click.Choice(["mem", "welch"]),
+                 default="mem", show_default=True),
+    click.option("--order", "mem_order", type=int, default=1,
+                 show_default=True,
+                 help="Autoregressive order for the mem method."),
+    click.option("--segment", "welch_segment", type=int, default=None,
+                 help="Welch segment length (power of two; default: largest "
+                      "power of two <= n/8)."),
+    click.option("--n-freq", type=int, default=512, show_default=True,
+                 help="Frequency points for the mem log grid."),
+    click.option("--f-lo", type=float, default=1e-4, show_default=True,
+                 help="Lowest frequency of the mem log grid."),
+    click.option("--synthetic", type=click.Choice(["white", "ar1"]),
+                 default=None,
+                 help="Replace the fluctuation series with a seeded test "
+                      "signal."),
+    click.option("--ar-coeff", type=float, default=0.9, show_default=True,
+                 help="Coefficient of the ar1 synthetic signal."),
+    click.option("--seed", type=int, default=0, show_default=True,
+                 help="Seed for synthetic signals."),
+)
+
+
+def _estimator_options(command):
+    """Declare ``_ESTIMATOR_OPTIONS`` on ``command``, in the listed order."""
+    for option in reversed(_ESTIMATOR_OPTIONS):
+        command = option(command)
+    return command
 
 
 @main.command()
@@ -440,27 +473,9 @@ def sample(n_samples, x_start, output_path):
 
 
 @main.command()
-@click.option("--n", "n_samples", type=int, default=0, help="Grid points.")
-@click.option("--x-start", type=int, default=2, show_default=True)
-@click.option("--method", type=click.Choice(["mem", "welch"]), default="mem",
-              show_default=True)
-@click.option("--order", "mem_order", type=int, default=1, show_default=True,
-              help="Autoregressive order for the mem method.")
-@click.option("--segment", "welch_segment", type=int, default=None,
-              help="Welch segment length (power of two; default: largest "
-                   "power of two <= n/8).")
-@click.option("--n-freq", type=int, default=512, show_default=True,
-              help="Frequency points for the mem log grid.")
-@click.option("--f-lo", type=float, default=1e-4, show_default=True,
-              help="Lowest frequency of the mem log grid.")
+@_estimator_options
 @click.option("--input", "input_csv", type=click.Path(path_type=Path),
               default=None, help="Re-ingest a sample CSV instead of sieving.")
-@click.option("--synthetic", type=click.Choice(["white", "ar1"]), default=None,
-              help="Replace the fluctuation series with a seeded test signal.")
-@click.option("--ar-coeff", type=float, default=0.9, show_default=True,
-              help="Coefficient of the ar1 synthetic signal.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for synthetic signals.")
 @_OUT
 @_translate_errors
 def spectrum(n_samples, x_start, method, mem_order, welch_segment, n_freq,
@@ -475,21 +490,11 @@ def spectrum(n_samples, x_start, method, mem_order, welch_segment, n_freq,
 
 
 @main.command()
-@click.option("--n", "n_samples", type=int, default=0, help="Grid points.")
-@click.option("--x-start", type=int, default=2, show_default=True)
-@click.option("--method", type=click.Choice(["mem", "welch"]), default="mem",
-              show_default=True)
-@click.option("--order", "mem_order", type=int, default=1, show_default=True)
-@click.option("--segment", "welch_segment", type=int, default=None)
-@click.option("--n-freq", type=int, default=512, show_default=True)
-@click.option("--f-lo", type=float, default=1e-4, show_default=True)
+@_estimator_options
 @_BAND
 @click.option("--spectrum-csv", type=click.Path(path_type=Path), default=None,
               help="Fit a previously emitted (or external) f,P table instead "
                    "of running the pipeline.")
-@click.option("--synthetic", type=click.Choice(["white", "ar1"]), default=None)
-@click.option("--ar-coeff", type=float, default=0.9, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @_OUT
 @_translate_errors
 def fit(n_samples, x_start, method, mem_order, welch_segment, n_freq, f_lo,

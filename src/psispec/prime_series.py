@@ -30,8 +30,8 @@ _MAX_LIMIT = 1 << 53
 
 
 @dataclass(frozen=True, eq=False)
-class PsiSeries:
-    """psi evaluated on the integer grid x_start, x_start+1, ..."""
+class GridSeries:
+    """psi, or its fluctuation, sampled on the grid x_start, x_start+dx, ..."""
 
     x_start: int
     n: int
@@ -43,18 +43,10 @@ class PsiSeries:
         return self.x_start + np.arange(self.n) * self.dx
 
 
-@dataclass(frozen=True, eq=False)
-class FlucSeries:
-    """psi minus its smooth part on the integer grid."""
-
-    x_start: int
-    n: int
-    dx: float
-    values: np.ndarray
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.x_start + np.arange(self.n) * self.dx
+def _scalar_or_array(x, out):
+    """``out`` as a Python float when the input ``x`` was a scalar or a 0-d
+    array, else as the array itself."""
+    return out.item() if np.ndim(x) == 0 else out
 
 
 def _check_limit(limit: int) -> None:
@@ -113,7 +105,7 @@ def _prefix_segments(limit: int):
         yield lo, min(lo + _SEGMENT, limit + 1)
 
 
-def psi_series(n: int, x_start: int = 2) -> PsiSeries:
+def psi_series(n: int, x_start: int = 2) -> GridSeries:
     """psi on the grid ``x_start, x_start + 1, ..., x_start + n - 1``.
 
     Sieves Lambda segment by segment and accumulates the half-jump prefix
@@ -139,7 +131,7 @@ def psi_series(n: int, x_start: int = 2) -> PsiSeries:
         if hi > x_start:
             a = max(lo, x_start)
             values[a - x_start : hi - x_start] = seg[a - lo :]
-    return PsiSeries(x_start=x_start, n=n, dx=1.0, values=values)
+    return GridSeries(x_start=x_start, n=n, dx=1.0, values=values)
 
 
 def smooth_part(x):
@@ -150,22 +142,20 @@ def smooth_part(x):
     is evaluated through ``log1p`` so it stays accurate for large x.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr <= 1.0):
+    if not np.all(arr > 1.0):
         raise DomainError("smooth part requires x > 1")
     out = arr - 0.5 * np.log1p(-1.0 / (arr * arr)) - LN_2PI
-    if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(x, out)
 
 
-def fluctuation_series(n: int, x_start: int = 2) -> FlucSeries:
+def fluctuation_series(n: int, x_start: int = 2) -> GridSeries:
     """Fluctuation ``psi(x) - smooth(x)`` on an integer grid of ``n`` points."""
     if x_start < 2:
         raise DomainError(
             f"fluctuation grid must start at x >= 2, got {x_start}"
         )
     psi = psi_series(n, x_start=x_start)
-    return FlucSeries(
+    return GridSeries(
         x_start=x_start,
         n=n,
         dx=psi.dx,
@@ -174,15 +164,15 @@ def fluctuation_series(n: int, x_start: int = 2) -> FlucSeries:
 
 
 def fluctuation_at(x) -> np.ndarray:
-    """Fluctuation at arbitrary real points ``x >= 2`` (scalar or array).
+    """Fluctuation at finite real points ``x >= 2`` (scalar or array).
 
     Off the integer grid psi is the plain prefix sum through ``floor(x)``;
     at an exact integer the half-jump convention applies.  Useful for
     comparing against reconstructions evaluated between the jumps.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if np.any(arr < 2.0):
-        raise DomainError("fluctuation is evaluated for x >= 2 only")
+    if not np.all(np.isfinite(arr) & (arr >= 2.0)):
+        raise DomainError("fluctuation is evaluated for finite x >= 2 only")
     floors = np.floor(arr).astype(np.int64)
     limit = int(floors.max())
     lam = sieve_prime_power_logs(limit)
@@ -197,6 +187,4 @@ def fluctuation_at(x) -> np.ndarray:
     on_grid = arr == floors
     psi_vals = np.where(on_grid, psi[floors], full_prefix)
     out = psi_vals - smooth_part(arr)
-    if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
-        return float(out[0])
-    return out
+    return _scalar_or_array(x, out)

@@ -41,7 +41,8 @@ class PowerSpectrum:
 
 
 def _as_samples(series):
-    """Accept a FlucSeries/PsiSeries-like object or a plain sequence."""
+    """Accept a GridSeries-like object (``values`` and ``dx``) or a plain
+    sequence, whose spacing is then 1."""
     values = getattr(series, "values", series)
     dx = float(getattr(series, "dx", 1.0))
     arr = np.asarray(values, dtype=np.float64)

@@ -20,6 +20,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DataFormatError, DomainError
+from .prime_series import _scalar_or_array
+from .spectral import PowerSpectrum
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,14 +39,6 @@ class ZetaZeros:
     @property
     def count(self) -> int:
         return int(self.ordinates.size)
-
-
-@dataclass(frozen=True, eq=False)
-class AnalyticSpectrum:
-    """The asymptotic density ``2 ln^2(f/(2 pi)) / f^2`` on a grid."""
-
-    freqs: np.ndarray
-    power: np.ndarray
 
 
 def bundled_zeros_path() -> Path:
@@ -102,8 +96,8 @@ def psi_fluc_from_zeros(x, zeros: ZetaZeros, n_zeros: int):
     """Truncated zero-sum reconstruction of the fluctuation at ``x``.
 
     Uses the first ``n_zeros`` ordinates; accepts a scalar or an array of
-    points ``x >= 2``.  Terms are accumulated from the largest ordinate
-    down with compensated summation, since they decay like ``1/t_k``.
+    finite points ``x >= 2``.  The terms of each point are totalled exactly
+    and rounded once, since they decay only like ``1/t_k``.
     """
     if n_zeros < 0:
         raise DomainError(f"zero count must be nonnegative, got {n_zeros}")
@@ -112,25 +106,21 @@ def psi_fluc_from_zeros(x, zeros: ZetaZeros, n_zeros: int):
             f"requested {n_zeros} zeros but the table holds {zeros.count}"
         )
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if np.any(arr < 2.0):
-        raise DomainError("reconstruction is defined for x >= 2 only")
+    if not np.all(np.isfinite(arr) & (arr >= 2.0)):
+        raise DomainError("reconstruction is defined for finite x >= 2 only")
     t_desc = zeros.ordinates[:n_zeros][::-1].copy()
     out = _kernels.zero_pair_sum(arr, t_desc)
-    if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
-        return float(out[0])
-    return out
+    return _scalar_or_array(x, out)
 
 
 def zero_density_avg(t):
     """Average density of zero ordinates near height ``t``:
     ``(1/(2 pi)) ln(t/(2 pi))``.  Positive and meaningful for t > 2 pi."""
     arr = np.asarray(t, dtype=np.float64)
-    if np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):
         raise DomainError("zero density requires t > 0")
     out = np.log(arr / TWO_PI) / TWO_PI
-    if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(t, out)
 
 
 def analytic_fourier_mag(f):
@@ -138,34 +128,34 @@ def analytic_fourier_mag(f):
     transform of the fluctuation.  Exposed for ``f >= 2 pi`` only; the
     asymptotic derivation does not cover lower frequencies."""
     arr = np.asarray(f, dtype=np.float64)
-    if np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):
         raise DomainError("frequency must be positive")
-    if np.any(arr < TWO_PI):
+    if not np.all(arr >= TWO_PI):
         raise DomainError(
             "analytic transform magnitude is valid for f >= 2*pi only"
         )
     out = np.log(arr / TWO_PI) / np.sqrt(0.25 + arr * arr)
-    if np.isscalar(f) or getattr(f, "ndim", 1) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(f, out)
 
 
 def analytic_psd(f):
     """Asymptotic one-sided density ``2 ln^2(f/(2 pi)) / f^2``."""
     arr = np.asarray(f, dtype=np.float64)
-    if np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):
         raise DomainError("frequency must be positive")
     lg = np.log(arr / TWO_PI)
     out = 2.0 * lg * lg / (arr * arr)
-    if np.isscalar(f) or getattr(f, "ndim", 1) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(f, out)
 
 
 def analytic_spectrum(
     f_min: float, f_max: float, n_freq: int = 512
-) -> AnalyticSpectrum:
-    """The asymptotic density sampled on a log grid over [f_min, f_max]."""
+) -> PowerSpectrum:
+    """The asymptotic density ``2 ln^2(f/(2 pi)) / f^2`` sampled on a log
+    grid over [f_min, f_max].
+
+    The grid ends at ``f_max``, which stands in for the Nyquist frequency.
+    """
     if not 0.0 < f_min < f_max:
         raise DomainError(
             f"need 0 < f_min < f_max, got [{f_min}, {f_max}]"
@@ -176,4 +166,9 @@ def analytic_spectrum(
     # pin the endpoints: 10**log10(x) can land one ulp off x
     freqs[0] = f_min
     freqs[-1] = f_max
-    return AnalyticSpectrum(freqs=freqs, power=analytic_psd(freqs))
+    return PowerSpectrum(
+        freqs=freqs,
+        power=analytic_psd(freqs),
+        nyquist=float(f_max),
+        estimator={"method": "analytic"},
+    )

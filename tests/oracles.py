@@ -2,8 +2,9 @@
 
 Each oracle recomputes a quantity the library produces, by a different
 route: trial division instead of a sieve, the truncated series instead of
-the closed form, Yule-Walker instead of Burg, and the Riemann-Siegel Z
-function (via mpmath) for zero ordinates.
+the closed form, Yule-Walker and a scalar recursion instead of the sliced
+Burg kernel, a Kahan loop instead of ``math.fsum`` for the zero sum, and
+the Riemann-Siegel Z function (via mpmath) for zero ordinates.
 """
 
 import math
@@ -28,6 +29,17 @@ def mangoldt_by_trial_division(limit: int) -> list[float]:
             lam[q] = lp
             q *= p
     return lam
+
+
+def mangoldt_by_factoring(m: int) -> float:
+    """Lambda(m) for one integer: find the least prime factor of m by trial
+    division, then check that m is a power of it."""
+    if m < 2:
+        return 0.0
+    p = next((d for d in range(2, math.isqrt(m) + 1) if m % d == 0), m)
+    while m % p == 0:
+        m //= p
+    return math.log(p) if m == 1 else 0.0
 
 
 def psi_grid_brute(limit: int) -> np.ndarray:
@@ -89,3 +101,65 @@ def is_zeta_zero_ordinate(t: float, half_window: float = 1e-4) -> bool:
     lo = mpmath.siegelz(t - half_window)
     hi = mpmath.siegelz(t + half_window)
     return mpmath.sign(lo) != mpmath.sign(hi)
+
+
+def burg_scalar(x, order: int):
+    """Burg's recursion as explicit scalar loops over the forward and
+    backward prediction errors; returns (coeffs, noise_var) in the sign
+    convention of ``yule_walker``."""
+    x = [float(v) for v in x]
+    n = len(x)
+    f = list(x)
+    b = list(x)
+    a = [0.0] * order
+    e = 0.0
+    for v in x:
+        e += v * v
+    e /= n
+    for m in range(1, order + 1):
+        num = 0.0
+        den = 0.0
+        for t in range(m, n):
+            num += f[t] * b[t - 1]
+            den += f[t] * f[t] + b[t - 1] * b[t - 1]
+        if den == 0.0:
+            break
+        k = -2.0 * num / den
+        # walk downward so b[t-1] is still the previous-stage value
+        for t in range(n - 1, m - 1, -1):
+            fo = f[t]
+            bo = b[t - 1]
+            f[t] = fo + k * bo
+            b[t] = bo + k * fo
+        for i in range((m - 1) // 2):
+            j = m - 2 - i
+            ai = a[i]
+            aj = a[j]
+            a[i] = ai + k * aj
+            a[j] = aj + k * ai
+        if (m - 1) % 2 == 1:
+            mid = (m - 1) // 2
+            a[mid] = a[mid] + k * a[mid]
+        a[m - 1] = k
+        e *= 1.0 - k * k
+    return np.array(a), e
+
+
+def zero_pair_sum_kahan(xs, t_desc) -> np.ndarray:
+    """The truncated explicit formula at each x, one term at a time with
+    Kahan-compensated accumulation over the descending ordinates."""
+    out = np.empty(len(xs))
+    for i, x in enumerate(xs):
+        lx = math.log(x)
+        s = 0.0
+        c = 0.0
+        for tk in t_desc:
+            v = (0.5 * math.cos(tk * lx) + tk * math.sin(tk * lx)) / (
+                0.25 + tk * tk
+            )
+            y = v - c
+            t = s + y
+            c = (t - s) - y
+            s = t
+        out[i] = -2.0 * math.sqrt(x) * (s - c)
+    return out

@@ -114,6 +114,11 @@ def test_smooth_part_array_and_domain():
         ps.smooth_part(0.25)
     with pytest.raises(DomainError):
         ps.smooth_part(np.array([3.0, 1.0]))
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(DomainError):
+            ps.smooth_part(bad)
+        with pytest.raises(DomainError):
+            ps.smooth_part(np.array([3.0, bad]))
 
 
 def test_fluctuation_values(fluc_1e4):
@@ -146,6 +151,7 @@ def test_fluctuation_at_on_and_off_grid():
     assert arr[1] == pytest.approx(-0.33513392101193595, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
 def test_domain_errors():
     with pytest.raises(DomainError):
         ps.psi_series(0)
@@ -157,6 +163,11 @@ def test_domain_errors():
         ps.sieve_prime_power_logs(1)
     with pytest.raises(DomainError):
         ps.fluctuation_at(1.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            ps.fluctuation_at(bad)
+        with pytest.raises(DomainError):
+            ps.fluctuation_at([2.5, bad])
 
 
 def test_resource_guard_on_huge_grid():

@@ -91,6 +91,8 @@ def test_density_values():
         ps.zero_density_avg(0.0)
     with pytest.raises(DomainError):
         ps.zero_density_avg(-5.0)
+    with pytest.raises(DomainError):
+        ps.zero_density_avg(math.nan)
 
 
 def test_density_integral_matches_count(zeros):
@@ -148,6 +150,7 @@ def test_reconstruction_convergence_single_point(zeros):
     assert errs[2] < errs[0]
 
 
+@pytest.mark.filterwarnings("error")
 def test_reconstruction_validation(zeros):
     with pytest.raises(DomainError):
         ps.psi_fluc_from_zeros(10.0, zeros, 2001)
@@ -155,6 +158,11 @@ def test_reconstruction_validation(zeros):
         ps.psi_fluc_from_zeros(10.0, zeros, -1)
     with pytest.raises(DomainError):
         ps.psi_fluc_from_zeros(1.5, zeros, 10)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            ps.psi_fluc_from_zeros(bad, zeros, 10)
+        with pytest.raises(DomainError):
+            ps.psi_fluc_from_zeros(np.array([2.5, bad]), zeros, 10)
 
 
 def test_reconstruction_array_input(zeros):
@@ -192,6 +200,8 @@ def test_mag_boundary_and_domain():
         ps.analytic_fourier_mag(0.0)
     with pytest.raises(DomainError):
         ps.analytic_fourier_mag(-1.0)
+    with pytest.raises(DomainError):
+        ps.analytic_fourier_mag(math.nan)
 
 
 def test_mag_asymptotic():
@@ -220,6 +230,8 @@ def test_psd_values_and_domain():
         ps.analytic_psd(0.0)
     with pytest.raises(DomainError):
         ps.analytic_psd(-2.0)
+    with pytest.raises(DomainError):
+        ps.analytic_psd(np.array([1.0, math.nan]))
 
 
 def _local_slope(f, h=1.001):
@@ -249,3 +261,22 @@ def test_analytic_spectrum_grid():
         ps.analytic_spectrum(0.5, 0.1)
     with pytest.raises(DomainError):
         ps.analytic_spectrum(1e-3, 1e-1, n_freq=1)
+
+
+def test_scalar_inputs_give_floats_and_sequences_give_arrays(zeros):
+    funcs = [
+        ps.smooth_part,
+        ps.fluctuation_at,
+        lambda x: ps.psi_fluc_from_zeros(x, zeros, 100),
+        ps.zero_density_avg,
+        ps.analytic_fourier_mag,
+        ps.analytic_psd,
+    ]
+    for fn in funcs:
+        for scalar in (10.5, 10, np.float64(10.5), np.array(10.5)):
+            assert type(fn(scalar)) is float
+        for seq in ([10.5, 20.5], np.array([10.5, 20.5])):
+            out = fn(seq)
+            assert isinstance(out, np.ndarray) and out.shape == (2,)
+        out = fn([10.5])
+        assert isinstance(out, np.ndarray) and out.shape == (1,)
