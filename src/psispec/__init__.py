@@ -19,12 +19,14 @@ from .prime_series import (
     GridSeries,
     fluctuation_at,
     fluctuation_series,
+    grid_segments,
     psi_series,
     sieve_prime_power_logs,
     smooth_part,
 )
 from .spectral import (
     ArModel,
+    BlockSeries,
     PowerSpectrum,
     ar_psd,
     burg_fit,
@@ -57,8 +59,10 @@ __all__ = [
     "smooth_part",
     "fluctuation_series",
     "fluctuation_at",
+    "grid_segments",
     "ArModel",
     "PowerSpectrum",
+    "BlockSeries",
     "burg_fit",
     "ar_psd",
     "welch_psd",

@@ -59,20 +59,30 @@ _PREFIX_CHUNK = 4096
 
 
 def half_jump_prefix(lam, s, c):
-    """Chunked cumsum: chunk bases stay Kahan-compensated so long inputs
+    """Cumsum in chunks of ``_PREFIX_CHUNK``: each chunk starts from a base
+    carried as a Kahan pair over the pairwise chunk totals, so long inputs
     do not accumulate O(n) rounding error."""
     n = lam.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for start in range(0, n, _PREFIX_CHUNK):
-        chunk = lam[start : start + _PREFIX_CHUNK]
-        cs = np.cumsum(chunk)
-        out[start : start + chunk.shape[0]] = (s - c) + cs - 0.5 * chunk
-        # fold the exact-ish chunk total into the Kahan carry
-        v = math.fsum(chunk.tolist())
+    full = n - n % _PREFIX_CHUNK
+    rows = lam[:full].reshape(-1, _PREFIX_CHUNK)
+    totals = rows.sum(axis=1).tolist()
+    if full < n:
+        totals.append(float(lam[full:].sum()))
+    bases = np.empty(len(totals), dtype=np.float64)
+    for i, v in enumerate(totals):
+        bases[i] = s - c
         y = v - c
         t = s + y
         c = (t - s) - y
         s = t
+    out = np.empty(n, dtype=np.float64)
+    grid = out[:full].reshape(-1, _PREFIX_CHUNK)
+    np.cumsum(rows, axis=1, out=grid)
+    grid += bases[: rows.shape[0], None]
+    if full < n:
+        np.cumsum(lam[full:], out=out[full:])
+        out[full:] += bases[-1]
+    out -= 0.5 * lam
     return out, s, c
 
 

@@ -28,14 +28,8 @@ from .errors import (
     ResourceError,
 )
 from .powerlaw import DEFAULT_BAND, fit_power_law
-from .prime_series import (
-    GridSeries,
-    fluctuation_at,
-    fluctuation_series,
-    psi_series,
-    smooth_part,
-)
-from .spectral import PowerSpectrum, ar_psd, burg_fit, remove_mean, welch_psd
+from .prime_series import GridSeries, fluctuation_at, grid_segments, smooth_part
+from .spectral import BlockSeries, PowerSpectrum, ar_psd, burg_fit, welch_psd
 from .zeta import analytic_spectrum, bundled_zeros_path, load_zeros, psi_fluc_from_zeros
 
 
@@ -108,15 +102,17 @@ def _emit(output_path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_table(output_path: str, head_lines: list[str], columns) -> None:
-    """Write ``head_lines``, then one CSV row per index of the equal-length
-    ``columns``, every value at 17 significant digits (``format(v, ".17g")``)."""
-    template = ",".join(["%.17g"] * len(columns)) + "\n"
+def _write_table(output_path: str, head_lines: list[str], blocks) -> None:
+    """Write ``head_lines``, then for each item of ``blocks``, a list of
+    equal-length columns, one CSV row per index, every value at 17
+    significant digits (``format(v, ".17g")``)."""
     with _open_output(output_path) as fh:
         fh.write("\n".join(head_lines) + "\n")
-        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-            rows = zip(*(col[lo : lo + _CHUNK_ROWS].tolist() for col in columns))
-            fh.write("".join([template % row for row in rows]))
+        for columns in blocks:
+            template = ",".join(["%.17g"] * len(columns)) + "\n"
+            for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+                rows = zip(*(c[lo : lo + _CHUNK_ROWS].tolist() for c in columns))
+                fh.write("".join([template % row for row in rows]))
 
 
 def _parse_band(_ctx, _param, value: str) -> tuple[float, float]:
@@ -293,30 +289,32 @@ def _synthetic_series(kind: str, n: int, seed: int | None, ar_coeff: float):
     raise DomainError(f"unknown synthetic signal {kind!r} (use white or ar1)")
 
 
-def _pipeline_series(config: RunConfig) -> np.ndarray:
-    """Demeaned series the estimators run on."""
+def _pipeline_series(config: RunConfig):
+    """The series the estimators run on, before its mean is removed: the
+    fluctuation as blocks straight from the sieve, or an array for
+    ``--input`` and ``--synthetic``."""
     if config.input_csv is not None:
-        series = read_sample_csv(config.input_csv)
-        return remove_mean(series)
+        return read_sample_csv(config.input_csv)
     if config.synthetic is not None:
-        raw = _synthetic_series(
+        return _synthetic_series(
             config.synthetic, config.n_samples, config.seed, config.ar_coeff
         )
-        return remove_mean(raw)
     if config.n_samples < 2:
         raise DomainError(
             f"spectral estimation needs at least 2 samples, got {config.n_samples}"
         )
-    fluc = fluctuation_series(config.n_samples, x_start=config.x_start)
-    return remove_mean(fluc)
+    segments = grid_segments(config.n_samples, x_start=config.x_start)
+    return BlockSeries(
+        blocks=(fluc for _, _, fluc in segments), n=config.n_samples
+    )
 
 
-def _estimate_spectrum(config: RunConfig, series: np.ndarray) -> PowerSpectrum:
+def _estimate_spectrum(config: RunConfig, series) -> PowerSpectrum:
     if config.method == "mem":
-        model = burg_fit(series, order=config.mem_order)
+        model = burg_fit(series, order=config.mem_order, demean=True)
         return ar_psd(model, n_freq=config.n_freq, f_min=config.f_lo)
     if config.method == "welch":
-        return welch_psd(series, segment_len=config.welch_segment)
+        return welch_psd(series, segment_len=config.welch_segment, demean=True)
     raise DomainError(f"unknown method {config.method!r} (use mem or welch)")
 
 
@@ -342,15 +340,25 @@ def cmd_sample(config: RunConfig) -> None:
         raise DomainError(f"need at least one sample, got {config.n_samples}")
     if config.x_start < 2:
         raise DomainError("smooth part is undefined at x = 1; start at x >= 2")
-    psi = psi_series(config.n_samples, x_start=config.x_start)
-    smooth = smooth_part(psi.x)
-    fluc = psi.values - smooth
+    segments = grid_segments(config.n_samples, config.x_start, fluctuation=False)
     head = [
         "# psispec sample",
         f"# n={config.n_samples} x_start={config.x_start} dx=1",
         "x,psi,smooth,fluc",
     ]
-    _write_table(config.output_path, head, [psi.x, psi.values, smooth, fluc])
+    _write_table(config.output_path, head, _sample_blocks(segments))
+
+
+def _sample_blocks(segments):
+    """``[x, psi, smooth, fluc]`` for every ``_CHUNK_ROWS`` points of the
+    psi segments, so that only psi is held whole."""
+    for x0, _, psi in segments:
+        for lo in range(0, psi.size, _CHUNK_ROWS):
+            x = np.arange(x0 + lo, x0 + min(lo + _CHUNK_ROWS, psi.size),
+                          dtype=np.float64)
+            part = psi[lo : lo + _CHUNK_ROWS]
+            smooth = smooth_part(x)
+            yield [x, part, smooth, part - smooth]
 
 
 def cmd_spectrum(config: RunConfig) -> None:
@@ -359,7 +367,7 @@ def cmd_spectrum(config: RunConfig) -> None:
     _write_table(
         config.output_path,
         _spectrum_head(config, spectrum),
-        [spectrum.freqs, spectrum.power],
+        [[spectrum.freqs, spectrum.power]],
     )
 
 
@@ -392,7 +400,7 @@ def cmd_reconstruct(config: RunConfig) -> None:
         "x,fluc_direct,fluc_zeros,abs_err",
     ]
     columns = [points, direct, recon, np.abs(direct - recon)]
-    _write_table(config.output_path, head, columns)
+    _write_table(config.output_path, head, [columns])
 
 
 def cmd_analytic(config: RunConfig) -> None:
@@ -403,7 +411,7 @@ def cmd_analytic(config: RunConfig) -> None:
         f"# band=[{_fmt(f_min)},{_fmt(f_max)}] n_freq={config.n_freq}",
         "f,P_analytic",
     ]
-    _write_table(config.output_path, head, [spectrum.freqs, spectrum.power])
+    _write_table(config.output_path, head, [[spectrum.freqs, spectrum.power]])
 
 
 # ---------------------------------------------------------------------------

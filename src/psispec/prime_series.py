@@ -95,14 +95,72 @@ def sieve_prime_power_logs(limit: int) -> np.ndarray:
     return lam
 
 
-def _prefix_segments(limit: int):
-    """``(lo, hi)`` bounds of the segments that cover ``[1, limit]``.
+def grid_segments(n: int, x_start: int = 2, fluctuation: bool = True):
+    """The grid ``x_start, ..., x_start + n - 1`` one sieve segment at a time.
 
-    The half-jump prefix restarts its chunking at every segment, so every
-    route to psi must use these same bounds to get the same bits.
+    For each ``_SEGMENT`` block of [2, x_start + n - 1] this sieves Lambda,
+    extends the half-jump prefix with the Kahan pair carried over from the
+    blocks before it and, when ``fluctuation``, subtracts the smooth part.
+    Blocks below the grid are computed for the carry but not yielded, so
+    memory stays O(segment) whatever the grid.  Yields ``(x0, lam, values)``
+    per block that meets the grid: ``values`` is psi, or the fluctuation,
+    at ``x0, x0 + 1, ...`` and ``lam`` is Lambda at the same points, or None
+    for the fluctuation, so that a consumer holds one array per block.
+    The arrays are fresh and the consumer may overwrite them.
     """
-    for lo in range(1, limit + 1, _SEGMENT):
-        yield lo, min(lo + _SEGMENT, limit + 1)
+    if n < 1:
+        raise DomainError(f"need at least one grid point, got n={n}")
+    if x_start < 1:
+        raise DomainError(f"grid must start at x >= 1, got {x_start}")
+    if fluctuation and x_start < 2:
+        raise DomainError(
+            f"fluctuation grid must start at x >= 2, got {x_start}"
+        )
+    limit = x_start + n - 1
+    _check_limit(limit)
+    return _segments(x_start, limit, fluctuation)
+
+
+def _segments(x_start: int, limit: int, fluctuation: bool):
+    primes, logs = _base_primes(limit)
+    carry = [0.0, 0.0]
+    if x_start == 1:
+        # Lambda(1) = 0, so psi(1) = 0 and the sieve starts at 2
+        yield 1, np.zeros(1), np.zeros(1)
+    for lo in range(2, limit + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, limit + 1)
+        if hi <= x_start:
+            _segment(lo, hi, lo, primes, logs, carry, fluctuation=False)
+        else:
+            # yielded straight from the call, so this frame keeps no
+            # reference to a block once its consumer has dropped it
+            yield _segment(lo, hi, max(lo, x_start), primes, logs, carry,
+                           fluctuation)
+
+
+def _segment(lo, hi, x0, primes, logs, carry, fluctuation):
+    """One block of ``grid_segments``: Lambda and psi on [lo, hi), advancing
+    the Kahan pair ``carry`` in place; returned from ``x0`` on."""
+    lam = _kernels.mangoldt_segment(lo, hi, primes, logs)
+    psi, carry[0], carry[1] = _kernels.half_jump_prefix(lam, carry[0], carry[1])
+    if not fluctuation:
+        return x0, lam[x0 - lo :], psi[x0 - lo :]
+    del lam
+    psi = psi[x0 - lo :]
+    psi -= smooth_part(np.arange(x0, hi, dtype=np.float64))
+    return x0, None, psi
+
+
+def _gather(n: int, x_start: int, fluctuation: bool) -> GridSeries:
+    """The values of ``grid_segments`` in one array."""
+    blocks = grid_segments(n, x_start, fluctuation)
+    try:
+        values = np.empty(n, dtype=np.float64)
+    except MemoryError as exc:
+        raise ResourceError(f"cannot allocate grid of {n} points") from exc
+    for x0, _, block in blocks:
+        values[x0 - x_start : x0 - x_start + block.size] = block
+    return GridSeries(x_start=x_start, n=n, dx=1.0, values=values)
 
 
 def psi_series(n: int, x_start: int = 2) -> GridSeries:
@@ -112,26 +170,7 @@ def psi_series(n: int, x_start: int = 2) -> GridSeries:
     with compensated summation, so values stay accurate to a few ulp even
     for grids of 10^8 points.
     """
-    if n < 1:
-        raise DomainError(f"need at least one grid point, got n={n}")
-    if x_start < 1:
-        raise DomainError(f"grid must start at x >= 1, got {x_start}")
-    limit = x_start + n - 1
-    _check_limit(limit)
-    primes, logs = _base_primes(limit)
-    try:
-        values = np.empty(n, dtype=np.float64)
-    except MemoryError as exc:
-        raise ResourceError(f"cannot allocate psi grid of {n} points") from exc
-    s = 0.0
-    c = 0.0
-    for lo, hi in _prefix_segments(limit):
-        lam = _kernels.mangoldt_segment(lo, hi, primes, logs)
-        seg, s, c = _kernels.half_jump_prefix(lam, s, c)
-        if hi > x_start:
-            a = max(lo, x_start)
-            values[a - x_start : hi - x_start] = seg[a - lo :]
-    return GridSeries(x_start=x_start, n=n, dx=1.0, values=values)
+    return _gather(n, x_start, fluctuation=False)
 
 
 def smooth_part(x):
@@ -144,23 +183,19 @@ def smooth_part(x):
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(arr > 1.0):
         raise DomainError("smooth part requires x > 1")
-    out = arr - 0.5 * np.log1p(-1.0 / (arr * arr)) - LN_2PI
+    # one temporary, updated in place, whatever the size of x
+    out = np.multiply(arr, arr, out=np.empty_like(arr))
+    np.divide(-1.0, out, out=out)
+    np.log1p(out, out=out)
+    out *= 0.5
+    np.subtract(arr, out, out=out)
+    out -= LN_2PI
     return _scalar_or_array(x, out)
 
 
 def fluctuation_series(n: int, x_start: int = 2) -> GridSeries:
     """Fluctuation ``psi(x) - smooth(x)`` on an integer grid of ``n`` points."""
-    if x_start < 2:
-        raise DomainError(
-            f"fluctuation grid must start at x >= 2, got {x_start}"
-        )
-    psi = psi_series(n, x_start=x_start)
-    return GridSeries(
-        x_start=x_start,
-        n=n,
-        dx=psi.dx,
-        values=psi.values - smooth_part(psi.x),
-    )
+    return _gather(n, x_start, fluctuation=True)
 
 
 def fluctuation_at(x) -> np.ndarray:
@@ -168,23 +203,28 @@ def fluctuation_at(x) -> np.ndarray:
 
     Off the integer grid psi is the plain prefix sum through ``floor(x)``;
     at an exact integer the half-jump convention applies.  Useful for
-    comparing against reconstructions evaluated between the jumps.
+    comparing against reconstructions evaluated between the jumps.  One
+    pass over the segments up to ``max(x)``, in O(segment) memory beyond
+    the points themselves.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if not np.all(np.isfinite(arr) & (arr >= 2.0)):
         raise DomainError("fluctuation is evaluated for finite x >= 2 only")
-    floors = np.floor(arr).astype(np.int64)
-    limit = int(floors.max())
-    lam = sieve_prime_power_logs(limit)
-    # psi[m] is psi(m) with the half-jump convention, as psi_series gives it
-    psi = np.zeros(limit + 1, dtype=np.float64)
-    s = 0.0
-    c = 0.0
-    for lo, hi in _prefix_segments(limit):
-        psi[lo:hi], s, c = _kernels.half_jump_prefix(lam[lo:hi], s, c)
-    # psi(m) + Lambda(m)/2 is the full prefix sum through m
-    full_prefix = psi[floors] + 0.5 * lam[floors]
-    on_grid = arr == floors
-    psi_vals = np.where(on_grid, psi[floors], full_prefix)
-    out = psi_vals - smooth_part(arr)
+    points = arr.ravel()
+    floors = np.floor(points).astype(np.int64)
+    order = np.argsort(floors, kind="stable")
+    ascending = floors[order]
+    psi_vals = np.empty(points.shape, dtype=np.float64)
+    if points.size:
+        first, last = int(ascending[0]), int(ascending[-1])
+        segments = grid_segments(last - first + 1, first, fluctuation=False)
+        for x0, lam, psi in segments:
+            lo, hi = np.searchsorted(ascending, [x0, x0 + psi.size])
+            at = order[lo:hi]
+            j = floors[at] - x0
+            # psi(m) + Lambda(m)/2 is the full prefix sum through m
+            psi_vals[at] = np.where(
+                points[at] == floors[at], psi[j], psi[j] + 0.5 * lam[j]
+            )
+    out = psi_vals.reshape(arr.shape) - smooth_part(arr)
     return _scalar_or_array(x, out)

@@ -9,8 +9,15 @@ Two estimators under one normalization convention (one-sided density,
 
 Both report frequency in cycles per unit of the sample spacing ``dx``;
 the usable axis ends at the Nyquist frequency ``0.5 / dx``.
+
+Both read their input in one pass, so a ``BlockSeries`` that delivers the
+series block by block is estimated in O(block) memory: Burg order 1 keeps
+running sums, Welch a buffer of one window.  With ``demean`` the mean is
+removed without a second pass: blocks are shifted by the first block's
+mean and the remainder is taken out of the sums at the end.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +47,20 @@ class PowerSpectrum:
     estimator: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True, eq=False)
+class BlockSeries:
+    """A series of ``n`` samples at spacing ``dx`` that arrives as
+    consecutive one-dimensional float64 blocks.
+
+    ``blocks`` is read once.  The estimators own the blocks they are given
+    and may overwrite them.
+    """
+
+    blocks: Iterable
+    n: int
+    dx: float = 1.0
+
+
 def _as_samples(series):
     """Accept a GridSeries-like object (``values`` and ``dx``) or a plain
     sequence, whose spacing is then 1."""
@@ -51,6 +72,55 @@ def _as_samples(series):
     return arr, dx
 
 
+def _as_blocks(series, demean: bool):
+    """``(blocks, n, dx)`` of a BlockSeries, or of any other series as a
+    single block (a copy when ``demean``, which shifts blocks in place)."""
+    if isinstance(series, BlockSeries):
+        return series.blocks, int(series.n), float(series.dx)
+    arr, dx = _as_samples(series)
+    return [arr.copy() if demean else arr], arr.size, dx
+
+
+class _Shifted:
+    """Iterate the blocks minus a provisional shift ``c``: the first
+    block's mean when demeaning, else 0.
+
+    After the pass, ``offset`` is ``d = mean - c``, built from the later
+    blocks only: the first block's deviations from its own mean sum to 0,
+    so ``d`` is exactly 0 for a single block and the estimates keep the
+    bits of estimating ``remove_mean(series)``.
+    """
+
+    def __init__(self, blocks, n: int, demean: bool):
+        self._blocks = blocks
+        self.n = n
+        self._demean = demean
+        self.offset = 0.0
+
+    def __iter__(self):
+        shift = None
+        later = 0.0
+        count = 0
+        for block in self._blocks:
+            if block.ndim != 1:
+                raise DomainError("expected a one-dimensional real series")
+            if not block.size:
+                continue
+            if self._demean:
+                if shift is None:
+                    shift = block.mean()
+                block -= shift
+                if count:
+                    later += float(block.sum())
+            count += block.size
+            yield block
+        if count != self.n:
+            raise DomainError(
+                f"series blocks hold {count} samples, expected {self.n}"
+            )
+        self.offset = later / count
+
+
 def remove_mean(series) -> np.ndarray:
     """Return the series with its arithmetic mean subtracted."""
     arr, _ = _as_samples(series)
@@ -59,32 +129,85 @@ def remove_mean(series) -> np.ndarray:
     return arr - arr.mean()
 
 
-def burg_fit(series, order: int = 1) -> ArModel:
+def burg_fit(series, order: int = 1, demean: bool = False) -> ArModel:
     """Fit an AR(order) model by Burg's method (maximum entropy).
 
     The recursion minimizes forward plus backward prediction error at each
     stage, which keeps every reflection coefficient within [-1, 1] and the
-    resulting model stable.
+    resulting model stable.  With ``demean`` the model is fitted to the
+    series minus its mean.  Order 1 reads the series in one pass; higher
+    orders gather it into one array, since each stage needs another pass.
     """
-    arr, dx = _as_samples(series)
+    blocks, n, dx = _as_blocks(series, demean)
     if order < 1:
         raise DomainError(f"autoregressive order must be >= 1, got {order}")
-    if arr.size < order + 1:
+    if n < order + 1:
         raise DomainError(
-            f"need more than {order} samples to fit order {order}, got {arr.size}"
+            f"need more than {order} samples to fit order {order}, got {n}"
         )
-    if np.all(arr == arr[0]):
-        raise DegenerateInputError(
-            "series is constant; an autoregressive model is undetermined"
-        )
-    coeffs, noise_var = _kernels.burg_recursion(arr, order)
+    if order == 1:
+        coeffs, noise_var = _burg1(_Shifted(blocks, n, demean))
+    else:
+        arr = np.concatenate(list(_Shifted(blocks, n, demean=False)))
+        if demean:
+            arr -= arr.mean()
+        _check_not_constant(np.all(arr == arr[0]))
+        coeffs, noise_var = _kernels.burg_recursion(arr, order)
     return ArModel(
         order=order,
         coeffs=coeffs,
         noise_var=float(noise_var),
         dx=dx,
-        n_samples=int(arr.size),
+        n_samples=n,
     )
+
+
+def _check_not_constant(constant) -> None:
+    if constant:
+        raise DegenerateInputError(
+            "series is constant; an autoregressive model is undetermined"
+        )
+
+
+def _burg1(shifted: _Shifted):
+    """Order-1 Burg fit from running sums over the blocks of ``shifted``.
+
+    With ``f = x[1:]`` and ``b = x[:-1]`` the fit needs only <x,x>, <f,f>,
+    <b,b> and <f,b>; the offset ``d`` left by the provisional shift is
+    removed from them analytically at the end.  One block gives the bits
+    of ``_kernels.burg_recursion(x, 1)``.
+    """
+    xx = ff = bb = fb = 0.0
+    first = last = None
+    constant = True
+    for y in shifted:
+        if first is None:
+            first = float(y[0])
+            xx = float(np.dot(y, y))
+            ff = float(np.dot(y[1:], y[1:]))
+            bb = float(np.dot(y[:-1], y[:-1]))
+            fb = float(np.dot(y[1:], y[:-1]))
+        else:
+            yy = float(np.dot(y, y))
+            xx += yy
+            ff += yy
+            bb += last * last + float(np.dot(y[:-1], y[:-1]))
+            fb += last * float(y[0]) + float(np.dot(y[1:], y[:-1]))
+        constant = constant and bool(np.all(y == first))
+        last = float(y[-1])
+    _check_not_constant(constant)
+    n = shifted.n
+    d = shifted.offset
+    # sums of (y - d) from sums of y, using sum(y) = n d
+    xx -= n * d * d
+    ff = ff - (n + 1) * d * d + 2.0 * d * first
+    bb = bb - (n + 1) * d * d + 2.0 * d * last
+    fb = fb - (n + 1) * d * d + d * (first + last)
+    den = ff + bb
+    k = -2.0 * fb / den if den else 0.0
+    e = xx / n
+    e *= 1.0 - k * k
+    return np.array([k]), e
 
 
 def ar_psd(model: ArModel, n_freq: int = 512, f_min: float = 1e-4) -> PowerSpectrum:
@@ -131,6 +254,7 @@ def welch_psd(
     segment_len: int | None = None,
     overlap: float = 0.5,
     window: str = "hann",
+    demean: bool = False,
 ) -> PowerSpectrum:
     """Welch's averaged-periodogram estimate of the one-sided density.
 
@@ -138,18 +262,20 @@ def welch_psd(
     power of two <= n/8) advance by ``segment_len * (1 - overlap)``.  Each is
     tapered by a periodic window, transformed, and the squared magnitudes are
     averaged and scaled by ``1 / (fs * sum w^2)`` so the result is a density;
-    interior bins are doubled to fold negative frequencies in.
+    interior bins are doubled to fold negative frequencies in.  With
+    ``demean`` the series minus its mean is estimated.  The series is read
+    in one pass that holds one segment beyond the current block.
     """
-    arr, dx = _as_samples(series)
+    blocks, n, dx = _as_blocks(series, demean)
     if segment_len is None:
-        segment_len = default_segment_len(arr.size)
+        segment_len = default_segment_len(n)
     if segment_len < 2 or segment_len & (segment_len - 1):
         raise DomainError(
             f"segment length must be a power of two >= 2, got {segment_len}"
         )
-    if segment_len > arr.size:
+    if segment_len > n:
         raise DomainError(
-            f"segment length {segment_len} exceeds series length {arr.size}"
+            f"segment length {segment_len} exceeds series length {n}"
         )
     if not 0.0 <= overlap < 1.0:
         raise DomainError(f"overlap fraction must lie in [0, 1), got {overlap}")
@@ -161,12 +287,30 @@ def welch_psd(
     else:
         raise DomainError(f"unknown window {window!r} (use 'hann' or 'boxcar')")
     step = max(int(segment_len * (1.0 - overlap)), 1)
-    n_segments = (arr.size - segment_len) // step + 1
+    n_segments = (n - segment_len) // step + 1
     fs = 1.0 / dx
     acc = np.zeros(segment_len // 2 + 1)
-    for i in range(n_segments):
-        chunk = arr[i * step : i * step + segment_len] * taper
-        acc += np.abs(np.fft.rfft(chunk)) ** 2
+    # sum of the segment transforms, for removing the offset d at the end
+    total = np.zeros(segment_len // 2 + 1, dtype=np.complex128)
+    shifted = _Shifted(blocks, n, demean)
+    pending = np.empty(0)
+    for block in shifted:
+        pending = np.concatenate([pending, block]) if pending.size else block
+        start = 0
+        while start + segment_len <= pending.size:
+            spec = np.fft.rfft(pending[start : start + segment_len] * taper)
+            acc += np.abs(spec) ** 2
+            total += spec
+            start += step
+        pending = pending[start:].copy()
+    # |S - d W|^2 summed over segments, with W the transform of the taper
+    d = shifted.offset
+    w = np.fft.rfft(taper)
+    acc = (
+        acc
+        - 2.0 * d * (total * np.conj(w)).real
+        + n_segments * d * d * np.abs(w) ** 2
+    )
     acc /= n_segments
     power = acc / (fs * np.sum(taper * taper))
     power[1:-1] *= 2.0
@@ -181,6 +325,6 @@ def welch_psd(
             "overlap": float(overlap),
             "window": window,
             "n_segments": int(n_segments),
-            "n_samples": int(arr.size),
+            "n_samples": int(n),
         },
     )

@@ -128,8 +128,8 @@ def analytic_fourier_mag(f):
     transform of the fluctuation.  Exposed for ``f >= 2 pi`` only; the
     asymptotic derivation does not cover lower frequencies."""
     arr = np.asarray(f, dtype=np.float64)
-    if not np.all(arr > 0.0):
-        raise DomainError("frequency must be positive")
+    if not np.all(np.isfinite(arr) & (arr > 0.0)):
+        raise DomainError("frequency must be positive and finite")
     if not np.all(arr >= TWO_PI):
         raise DomainError(
             "analytic transform magnitude is valid for f >= 2*pi only"
@@ -141,8 +141,8 @@ def analytic_fourier_mag(f):
 def analytic_psd(f):
     """Asymptotic one-sided density ``2 ln^2(f/(2 pi)) / f^2``."""
     arr = np.asarray(f, dtype=np.float64)
-    if not np.all(arr > 0.0):
-        raise DomainError("frequency must be positive")
+    if not np.all(np.isfinite(arr) & (arr > 0.0)):
+        raise DomainError("frequency must be positive and finite")
     lg = np.log(arr / TWO_PI)
     out = 2.0 * lg * lg / (arr * arr)
     return _scalar_or_array(f, out)

@@ -2,12 +2,23 @@ import numpy as np
 import pytest
 
 import psispec as ps
+from psispec import prime_series
+
+#: Segment length for tests that need many segments on a small grid.
+SMALL_SEGMENT = 4096
 
 
 @pytest.fixture(scope="session")
 def zeros():
     """The bundled 2000-ordinate zero table."""
     return ps.load_zeros(ps.bundled_zeros_path())
+
+
+@pytest.fixture
+def small_segments(monkeypatch):
+    """Sieve in segments of ``SMALL_SEGMENT`` integers, so that grids of a
+    few thousand points already span several segments."""
+    monkeypatch.setattr(prime_series, "_SEGMENT", SMALL_SEGMENT)
 
 
 @pytest.fixture(scope="session")

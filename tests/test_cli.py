@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,8 @@ from click.testing import CliRunner
 import psispec as ps
 from psispec import cli
 from psispec.cli import main
+
+from conftest import SMALL_SEGMENT
 
 
 def run(*args):
@@ -335,6 +338,75 @@ def test_spectrum_synthetic_deterministic_and_seed_sensitive():
     assert a.exit_code == 0
     assert a.output == b.output
     assert a.output != c.output
+
+
+# ---------------------------------------------------------------------------
+# streaming: many segments, memory of one segment
+# ---------------------------------------------------------------------------
+
+
+def spectrum_table(result):
+    assert result.exit_code == 0
+    _, rows = data_rows(result.output)
+    return np.array([[float(v) for v in r.split(",")] for r in rows])
+
+
+def test_sample_bytes_across_segments(tmp_path, small_segments):
+    n, x_start = 3 * SMALL_SEGMENT + 123, 3000
+    out = tmp_path / "sample.csv"
+    assert run("sample", "--n", n, "--x-start", x_start, "--out", out).exit_code == 0
+    psi = ps.psi_series(n, x_start=x_start)
+    smooth = ps.smooth_part(psi.x)
+    assert out.read_text() == (
+        f"# psispec sample\n# n={n} x_start={x_start} dx=1\nx,psi,smooth,fluc\n"
+        + csv_rows(psi.x, psi.values, smooth, psi.values - smooth)
+    )
+
+
+def test_streamed_spectra_match_materialised(small_segments):
+    n = 20_000
+    y = ps.remove_mean(ps.fluctuation_series(n))
+    table = spectrum_table(run("spectrum", "--n", n))
+    spec = ps.ar_psd(ps.burg_fit(y, order=1))
+    assert np.array_equal(table[:, 0], spec.freqs)
+    assert np.allclose(table[:, 1], spec.power, rtol=1e-10, atol=0)
+    result = run("spectrum", "--n", n, "--method", "welch", "--segment", 512)
+    table = spectrum_table(result)
+    spec = ps.welch_psd(y, segment_len=512)
+    assert np.array_equal(table[:, 0], spec.freqs)
+    assert np.allclose(table[:, 1], spec.power, rtol=1e-10, atol=0)
+    assert f"# n_segments={spec.estimator['n_segments']}" in result.output
+
+
+def test_higher_order_matches_library(small_segments):
+    result = run("spectrum", "--n", 10_000, "--order", 3)
+    y = ps.remove_mean(ps.fluctuation_series(10_000))
+    spec = ps.ar_psd(ps.burg_fit(y, order=3))
+    assert np.array_equal(spectrum_table(result)[:, 1], spec.power)
+    assert "# order=3" in result.output
+
+
+@pytest.mark.parametrize(
+    "name, command, options",
+    [
+        ("fit", cli.cmd_fit, {"method": "mem"}),
+        ("spectrum", cli.cmd_spectrum, {"method": "welch", "welch_segment": 8192}),
+    ],
+)
+def test_streamed_commands_hold_about_one_segment(tmp_path, name, command, options):
+    config = cli.RunConfig(
+        command=name,
+        n_samples=3 * 2**20 + 12_345,
+        output_path=str(tmp_path / "out"),
+        **options,
+    )
+    tracemalloc.start()
+    try:
+        command(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import psispec as ps
 from psispec.errors import DomainError, ResourceError
 
 import oracles
+from conftest import SMALL_SEGMENT
 
 
 def test_worked_values_exact():
@@ -187,3 +189,86 @@ def test_windows_agree_with_full_prefix(x_start, n):
     full = ps.psi_series(x_start + n, x_start=1).values
     sliced = full[x_start - 1 : x_start - 1 + n]
     assert float(np.max(np.abs(window - sliced))) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Precision at scale and the streaming segment core
+# ---------------------------------------------------------------------------
+
+
+def test_psi_within_3_ulp_at_1e7():
+    # Without the Kahan carry across chunk totals the error here is several
+    # times larger; at 10^5 points it stays below every other tolerance.
+    limit = 10**7
+    got = ps.psi_series(limit, x_start=1).values
+    worst = 0.0
+    for m0, ref in oracles.psi_longdouble(limit):
+        block = got[m0 - 1 : m0 - 1 + ref.size].astype(np.longdouble)
+        worst = max(worst, float(np.max(np.abs(block - ref))))
+    assert worst <= 3 * np.spacing(got[-1])
+
+
+def test_grid_segments_tile_the_grid(small_segments):
+    n, x_start = 3 * SMALL_SEGMENT + 77, 5000
+    starts, sizes = [], []
+    for x0, lam, psi in ps.grid_segments(n, x_start, fluctuation=False):
+        assert lam.size == psi.size <= SMALL_SEGMENT
+        starts.append(x0)
+        sizes.append(psi.size)
+    assert starts[0] == x_start
+    assert np.array_equal(np.diff(starts), sizes[:-1])
+    assert sum(sizes) == n
+    for x0, lam, fluc in ps.grid_segments(n, x_start):
+        assert lam is None
+
+
+def test_windows_are_bit_identical_to_full_prefix(small_segments):
+    full = ps.psi_series(4 * SMALL_SEGMENT, x_start=1).values
+    for x_start, n in ((1, 10), (2, 4096), (4097, 3), (4098, 5000), (9000, 7000)):
+        window = ps.psi_series(n, x_start=x_start).values
+        assert np.array_equal(window, full[x_start - 1 : x_start - 1 + n])
+
+
+def test_fluctuation_at_is_bit_identical_across_segments(small_segments):
+    n = 3 * SMALL_SEGMENT + 77
+    fl = ps.fluctuation_series(n).values
+    psi = ps.psi_series(n).values
+    lam = ps.sieve_prime_power_logs(n + 1)
+    # segment edges (blocks start at 2, 4098, 8194, ...), out of order
+    m = np.array([8194, 2, 4097, 4098, 8193, n + 1, 3, 4099, 12000, 4097])
+    on_grid = ps.fluctuation_at(m.astype(np.float64))
+    assert np.array_equal(on_grid, fl[m - 2])
+    half = m + 0.5
+    off_grid = ps.fluctuation_at(half)
+    assert np.array_equal(off_grid, psi[m - 2] + 0.5 * lam[m] - ps.smooth_part(half))
+
+
+def test_fluctuation_at_sieves_once(monkeypatch):
+    from psispec import _kernels
+
+    sieved = []
+    segment = _kernels.mangoldt_segment
+
+    def counting(lo, hi, *args):
+        sieved.append(hi - lo)
+        return segment(lo, hi, *args)
+
+    monkeypatch.setattr(_kernels, "mangoldt_segment", counting)
+    ps.fluctuation_at([3_000_000.5, 2.5, 1_234_567.0])
+    assert sum(sieved) == 3_000_000 - 1
+
+
+def test_fluctuation_at_memory_is_one_segment():
+    tracemalloc.start()
+    try:
+        ps.fluctuation_at(3 * 2**20 + 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+
+
+def test_empty_points_give_empty_arrays(zeros):
+    for out in (ps.fluctuation_at([]), ps.psi_fluc_from_zeros([], zeros, 10)):
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.float64 and out.shape == (0,)

@@ -250,3 +250,89 @@ def test_remove_mean_properties(xs):
     scale = max(1.0, float(np.abs(arr).max()))
     assert abs(float(out.mean())) < 1e-9 * scale
     assert np.allclose(out + arr.mean(), arr, rtol=0, atol=1e-9 * scale)
+
+
+# ---------------------------------------------------------------------------
+# One-pass estimation of a series given in blocks
+# ---------------------------------------------------------------------------
+
+
+def _fluctuation_blocks(n, x_start=2):
+    segments = ps.grid_segments(n, x_start)
+    return ps.BlockSeries(blocks=(fluc for _, _, fluc in segments), n=n)
+
+
+def _split(values, sizes):
+    """``values`` as copied blocks of the given sizes, then the rest."""
+    edges = np.cumsum(sizes)
+    return ps.BlockSeries(
+        blocks=[b.copy() for b in np.split(values, edges)], n=values.size
+    )
+
+
+@pytest.mark.parametrize("n, x_start", [(40_000, 2), (30_000, 100_000)])
+def test_streamed_estimators_match_materialised(small_segments, n, x_start):
+    y = ps.remove_mean(ps.fluctuation_series(n, x_start))
+    got = ps.burg_fit(_fluctuation_blocks(n, x_start), order=1, demean=True)
+    want = ps.burg_fit(y, order=1)
+    assert got.coeffs[0] == pytest.approx(want.coeffs[0], rel=1e-10, abs=0)
+    assert got.noise_var == pytest.approx(want.noise_var, rel=1e-10, abs=0)
+    assert got.n_samples == want.n_samples == n
+    got = ps.welch_psd(_fluctuation_blocks(n, x_start), 512, demean=True)
+    want = ps.welch_psd(y, 512)
+    assert np.array_equal(got.freqs, want.freqs)
+    assert np.allclose(got.power, want.power, rtol=1e-10, atol=0)
+    assert got.estimator == want.estimator
+
+
+def test_irregular_blocks_match_one_array():
+    # blocks shorter than a segment, an empty block, and a large offset
+    x = ar1_sample(3, 5000, coeff=0.6) + 40.0
+    sizes = [1, 700, 0, 300, 17, 2500]
+    y = ps.remove_mean(x)
+    got = ps.burg_fit(_split(x, sizes), order=1, demean=True)
+    want = ps.burg_fit(y, order=1)
+    assert got.coeffs[0] == pytest.approx(want.coeffs[0], rel=1e-10, abs=0)
+    assert got.noise_var == pytest.approx(want.noise_var, rel=1e-10, abs=0)
+    for segment_len in (256, 512):
+        got = ps.welch_psd(_split(x, sizes), segment_len, demean=True)
+        want = ps.welch_psd(y, segment_len)
+        assert np.allclose(got.power, want.power, rtol=1e-10, atol=0)
+        assert got.estimator == want.estimator
+    # without demean the blocks are estimated as they are
+    got = ps.welch_psd(_split(x, sizes), 256)
+    assert np.array_equal(got.power, ps.welch_psd(x, 256).power)
+
+
+def test_demean_of_one_array_keeps_the_bits():
+    x = ar1_sample(8, 3000) + 7.0
+    before = x.copy()
+    y = ps.remove_mean(x)
+    for order in (1, 3):
+        got = ps.burg_fit(x, order=order, demean=True)
+        want = ps.burg_fit(y, order=order)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert got.noise_var == want.noise_var
+    got = ps.welch_psd(x, 512, demean=True)
+    assert np.array_equal(got.power, ps.welch_psd(y, 512).power)
+    assert np.array_equal(x, before)  # the caller's array is left as it was
+
+
+def test_higher_order_gathers_the_blocks(small_segments):
+    n = 20_000
+    y = ps.remove_mean(ps.fluctuation_series(n))
+    got = ps.burg_fit(_fluctuation_blocks(n), order=3, demean=True)
+    want = ps.burg_fit(y, order=3)
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert got.noise_var == want.noise_var
+
+
+def test_block_series_validation():
+    with pytest.raises(DegenerateInputError):
+        ps.burg_fit(_split(np.full(100, 3.25), [10, 50]), demean=True)
+    with pytest.raises(DomainError):
+        ps.burg_fit(ps.BlockSeries(blocks=[np.ones(5), np.zeros(5)], n=12))
+    with pytest.raises(DomainError):
+        ps.welch_psd(ps.BlockSeries(blocks=[np.arange(64.0)], n=64), 128)
+    with pytest.raises(DomainError):
+        ps.welch_psd(ps.BlockSeries(blocks=[np.zeros((8, 8))], n=64), 32)

@@ -192,6 +192,7 @@ def test_conjugate_pair_realness(zeros, x, k):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.filterwarnings("error")
 def test_mag_boundary_and_domain():
     assert ps.analytic_fourier_mag(TWO_PI) == 0.0
     with pytest.raises(DomainError):
@@ -202,6 +203,11 @@ def test_mag_boundary_and_domain():
         ps.analytic_fourier_mag(-1.0)
     with pytest.raises(DomainError):
         ps.analytic_fourier_mag(math.nan)
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            ps.analytic_fourier_mag(bad)
+    with pytest.raises(DomainError):
+        ps.analytic_fourier_mag(np.array([10.0, math.inf]))
 
 
 def test_mag_asymptotic():
@@ -221,6 +227,7 @@ def test_mag_psd_identity():
     ) == pytest.approx(0.999975, abs=1e-6)
 
 
+@pytest.mark.filterwarnings("error")
 def test_psd_values_and_domain():
     assert ps.analytic_psd(TWO_PI) == 0.0
     expected = 2.0 * math.log(0.1 / TWO_PI) ** 2 / 0.01
@@ -232,6 +239,11 @@ def test_psd_values_and_domain():
         ps.analytic_psd(-2.0)
     with pytest.raises(DomainError):
         ps.analytic_psd(np.array([1.0, math.nan]))
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            ps.analytic_psd(bad)
+    with pytest.raises(DomainError):
+        ps.analytic_psd(np.array([1.0, math.inf]))
 
 
 def _local_slope(f, h=1.001):
