@@ -5,8 +5,9 @@
 autoregressive model and ``zero_pair_sum`` totals the explicit formula.
 
 Accuracy note: the prefix carries its running total as a Kahan pair and the
-zero sum totals its terms with ``math.fsum``, so neither accumulates
-rounding error that grows with the length of the input.
+zero sum totals the terms of each point by numpy's pairwise summation, so
+neither accumulates rounding error that grows linearly with the length of
+the input.
 """
 
 import math
@@ -127,15 +128,36 @@ def burg_recursion(x, order):
 # ---------------------------------------------------------------------------
 #
 # out[i] = -2 sqrt(x) * sum_k (cos(t_k L)/2 + t_k sin(t_k L)) / (1/4 + t_k^2)
-# with L = ln x and ``t_desc`` the ordinates in descending order.  Each row
-# of terms is totalled exactly by ``math.fsum`` and rounded once.
+# with L = ln x and ``t_desc`` the ordinates in descending order.  The terms
+# are formed in tiles of points x zeros, and each point's row is totalled by
+# numpy's pairwise sum: against a Kahan-compensated loop over the terms, 200
+# points near 10^6 with 2000 zeros deviate by 4.5e-16 of the largest |value|.
+# Each row is totalled on its own, so the result does not depend on the
+# tile size.  The tiles run on one thread: two threads halved
+# the kernel's time but shortened the ``numeric`` benchmark's wall time in
+# only 8 of 10 interleaved pairs on a 2-core machine.
+
+#: Terms per tile: 2^17 float64 values, 1 MB per temporary.  Two are live
+#: per tile.
+_TILE_TERMS = 1 << 17
 
 
 def zero_pair_sum(xs, t_desc):
-    out = np.empty(xs.shape[0], dtype=np.float64)
+    n = xs.shape[0]
+    out = np.empty(n, dtype=np.float64)
+    # math.log, not np.log: numpy's vectorised log can differ by one ulp,
+    # and t up to a few thousand carries that into the sum
+    lx = np.array([math.log(x) for x in xs.tolist()], dtype=np.float64)
     weight = 0.25 + t_desc * t_desc
-    for i, x in enumerate(xs.tolist()):
-        lx = math.log(x)
-        terms = (0.5 * np.cos(t_desc * lx) + t_desc * np.sin(t_desc * lx)) / weight
-        out[i] = -2.0 * math.sqrt(x) * math.fsum(terms.tolist())
+    rows = max(1, _TILE_TERMS // max(1, t_desc.shape[0]))
+    for lo in range(0, n, rows):
+        theta = np.multiply.outer(lx[lo : lo + rows], t_desc)
+        sin = np.sin(theta)
+        np.cos(theta, out=theta)
+        theta *= 0.5
+        sin *= t_desc
+        theta += sin
+        theta /= weight
+        theta.sum(axis=1, out=out[lo : lo + rows])
+    out *= -2.0 * np.sqrt(xs)
     return out

@@ -371,10 +371,24 @@ def cmd_spectrum(config: RunConfig) -> None:
     )
 
 
+def _check_band(band: tuple[float, float], nyquist: float) -> None:
+    if not 0.0 < band[0] < band[1] <= nyquist:
+        raise DomainError(
+            f"fit band must lie within (0, {_fmt(nyquist)}], "
+            f"got [{band[0]}, {band[1]}]"
+        )
+
+
 def cmd_fit(config: RunConfig) -> None:
+    """Fit the band of a spectrum.  A ``--spectrum-csv`` table's band is
+    checked against its own Nyquist frequency, its last ``f``; the pipeline
+    routes sample at dx = 1, so theirs is 0.5 and is checked before any
+    work is done."""
     if config.spectrum_csv is not None:
         spectrum = read_spectrum_csv(config.spectrum_csv)
+        _check_band(config.band, spectrum.nyquist)
     else:
+        _check_band(config.band, 0.5)
         spectrum = _estimate_spectrum(config, _pipeline_series(config))
     f_min, f_max = config.band
     fit = fit_power_law(spectrum, f_min=f_min, f_max=f_max)
@@ -508,10 +522,6 @@ def spectrum(n_samples, x_start, method, mem_order, welch_segment, n_freq,
 def fit(n_samples, x_start, method, mem_order, welch_segment, n_freq, f_lo,
         band, spectrum_csv, synthetic, ar_coeff, seed, output_path):
     """Fit P(f) = a*f^b over a band; emit the JSON report."""
-    if not 0.0 < band[0] < band[1] <= 0.5:
-        raise DomainError(
-            f"fit band must lie within (0, 0.5], got [{band[0]}, {band[1]}]"
-        )
     cmd_fit(RunConfig(
         command="fit", n_samples=n_samples, x_start=x_start, method=method,
         mem_order=mem_order, welch_segment=welch_segment, n_freq=n_freq,

@@ -3,6 +3,7 @@ import pytest
 
 import psispec as ps
 from psispec import prime_series
+from psispec.cli import _synthetic_series
 
 #: Segment length for tests that need many segments on a small grid.
 SMALL_SEGMENT = 4096
@@ -29,11 +30,4 @@ def fluc_1e4():
 
 def ar1_sample(seed: int, n: int, coeff: float = 0.9) -> np.ndarray:
     """Seeded AR(1) draw y_t = coeff * y_{t-1} + eps_t used across tests."""
-    rng = np.random.default_rng(seed)
-    eps = rng.standard_normal(n)
-    out = np.empty(n)
-    prev = 0.0
-    for i in range(n):
-        prev = coeff * prev + eps[i]
-        out[i] = prev
-    return out
+    return _synthetic_series("ar1", n, seed, coeff)

@@ -1,5 +1,6 @@
 import builtins
 import errno
+import hashlib
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import psispec as ps
 from psispec import cli
 from psispec.cli import main
 
-from conftest import SMALL_SEGMENT
+from conftest import SMALL_SEGMENT, ar1_sample
 
 
 def run(*args):
@@ -331,6 +332,15 @@ def test_spectrum_rejects_malformed_input_csv(tmp_path):
     assert missing.exit_code == 3
 
 
+def test_ar1_sample_bits_unchanged():
+    # digest of the draw when the tests carried their own AR(1) recursion
+    y = ar1_sample(1234, 10**4)
+    digest = hashlib.sha256(y.tobytes()).hexdigest()
+    assert digest == (
+        "3f7f875fda40f1c9bf13db669adcb6119cef802835190829cf0b52e99223f573"
+    )
+
+
 def test_spectrum_synthetic_deterministic_and_seed_sensitive():
     a = run("spectrum", "--synthetic", "white", "--n", 4096, "--seed", 7)
     b = run("spectrum", "--synthetic", "white", "--n", 4096, "--seed", 7)
@@ -457,6 +467,55 @@ def test_fit_band_validation():
     assert run("fit", "--n", 1024, "--band", "0.2:0.1").exit_code == 2
     assert run("fit", "--n", 1024, "--band", "abc").exit_code == 2
     assert run("fit", "--n", 1024, "--band", "1e-3:0.7").exit_code == 2
+
+
+def spectrum_table_file(path, freqs):
+    lines = ["f,P"] + [
+        f"{format(f, '.17g')},{format(3.0 * f**-2.0, '.17g')}" for f in freqs
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_fit_spectrum_csv_band_up_to_table_nyquist(tmp_path):
+    table = spectrum_table_file(tmp_path / "spec.csv", np.linspace(0.05, 2.0, 40))
+    result = run("fit", "--spectrum-csv", table, "--band", "0.1:1.0")
+    assert result.exit_code == 0, message_of(result)
+    assert json.loads(result.output)["b"] == pytest.approx(-2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("nyquist, band", [(2.0, "0.1:3.0"), (0.25, "0.01:0.4")])
+def test_fit_spectrum_csv_band_above_table_nyquist(tmp_path, nyquist, band):
+    freqs = np.linspace(0.005, nyquist, 40)
+    table = spectrum_table_file(tmp_path / "spec.csv", freqs)
+    result = run("fit", "--spectrum-csv", table, "--band", band)
+    assert result.exit_code == 2
+    assert f"within (0, {format(nyquist, '.17g')}]" in message_of(result)
+
+
+def readme_fit_report():
+    """``key: shown value`` of the fit report block in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(
+        r"The report of `psispec fit --n 100000 --band 1e-3:1e-1`.*?"
+        r"```json\n\{\n(.*?)\}\n```",
+        readme, re.S,
+    )
+    pairs = re.findall(r'"(\w+)": ([^,\n]+)', block.group(1))
+    return dict(pairs)
+
+
+def test_readme_fit_report_matches_a_run():
+    shown = readme_fit_report()
+    result = run("fit", "--n", 100_000, "--band", "1e-3:1e-1")
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    assert list(shown) == list(report)
+    assert int(shown["n_points"]) == report["n_points"]
+    for key in ("a", "b", "r_squared", "residual_rms"):
+        digits = shown[key].removesuffix("...")
+        assert len(digits) >= 6 and shown[key].endswith("...")
+        assert repr(report[key]).startswith(digits), key
 
 
 def test_fit_unreadable_spectrum_is_format_error(tmp_path):

@@ -83,3 +83,41 @@ def test_zero_pair_sum_matches_kahan_loop(zeros):
     got = kern.zero_pair_sum(xs, t_desc)
     expected = zero_pair_sum_kahan(xs, t_desc)
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+def _pair_sum_points():
+    # 150 points: the default tile of 65 rows and a tile of 7 rows both
+    # leave a short last tile
+    return 1000.5 + 37.0 * np.arange(150)
+
+
+@pytest.mark.parametrize("tile_rows", [1, 7, None])
+def test_zero_pair_sum_bits_independent_of_tiles(
+    zeros, monkeypatch, tile_rows
+):
+    xs = _pair_sum_points()
+    t_desc = zeros.ordinates[::-1].copy()
+    with monkeypatch.context() as m:
+        m.setattr(kern, "_TILE_TERMS", xs.size * t_desc.size)
+        whole = kern.zero_pair_sum(xs, t_desc)
+    if tile_rows is not None:
+        monkeypatch.setattr(kern, "_TILE_TERMS", tile_rows * t_desc.size)
+    got = kern.zero_pair_sum(xs, t_desc)
+    assert np.array_equal(got, whole)
+
+
+def test_zero_pair_sum_empty_and_single_point(zeros):
+    t_desc = zeros.ordinates[::-1].copy()
+    assert kern.zero_pair_sum(np.empty(0), t_desc).shape == (0,)
+    one = kern.zero_pair_sum(np.array([10.5]), t_desc)
+    assert one.shape == (1,)
+    expected = zero_pair_sum_kahan([10.5], t_desc)
+    assert np.allclose(one, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_zero_pair_sum_matches_kahan_loop_near_1e6(zeros):
+    xs = 1_000_000.5 + np.arange(200)
+    t_desc = zeros.ordinates[::-1].copy()
+    got = kern.zero_pair_sum(xs, t_desc)
+    expected = zero_pair_sum_kahan(xs, t_desc)
+    assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
