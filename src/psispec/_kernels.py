@@ -1,8 +1,9 @@
-"""The four numeric hot loops of the pipeline, vectorized with numpy.
+"""The five hot loops of the pipeline, vectorized with numpy.
 
 ``mangoldt_segment`` sieves the von Mangoldt function on one segment,
 ``half_jump_prefix`` accumulates psi over it, ``burg_recursion`` fits the
-autoregressive model and ``zero_pair_sum`` totals the explicit formula.
+autoregressive model, ``zero_pair_sum`` totals the explicit formula and
+``format_rows`` writes CSV rows at 17 significant digits.
 
 Accuracy note: the prefix carries its running total as a Kahan pair and the
 zero sum totals the terms of each point by numpy's pairwise summation, so
@@ -10,6 +11,7 @@ neither accumulates rounding error that grows linearly with the length of
 the input.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -161,3 +163,148 @@ def zero_pair_sum(xs, t_desc):
         theta.sum(axis=1, out=out[lo : lo + rows])
     out *= -2.0 * np.sqrt(xs)
     return out
+
+
+# ---------------------------------------------------------------------------
+# CSV rows at 17 significant digits
+# ---------------------------------------------------------------------------
+#
+# A value is laid out in a field of 40 bytes, five little-endian uint64
+# words, and the NUL bytes are deleted at the end:
+#
+#   word 0    sign, "0." and up to three zeros (exponent below 0), d0, "."
+#   words 1-4 d1 ... d16 in 16-bit lanes: the digit in the low byte, and
+#             in the high byte the "." that follows it, if it does
+#
+# with the column separator in the unused high byte of d16's lane.  What a
+# field holds besides the digits depends only on the decimal exponent E and
+# on how many digits are kept, so it comes from one table row.
+
+#: Veltkamp's splitting factor for float64: 2**27 + 1.
+_SPLIT = 134217729.0
+#: 10**s for s = 0 ... 20, exact in float64 (5**s < 2**53), with its
+#: Veltkamp halves of at most 26 significant bits each.
+_POW10 = np.array([float(10**s) for s in range(21)])
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+#: Decimal exponents written in fixed notation: %g's -4 <= E < precision.
+_E_MIN, _E_MAX = -4, 16
+
+
+def _digit_groups():
+    """Tables over q = 0 ... 9999: its four digits, thousands first, in the
+    low bytes of 16-bit lanes; and, for the group at position k = 0 ... 3
+    after d0, entry k * 10**4 + q, the number of digits after d0 up to the
+    last nonzero one of q (0 for q = 0)."""
+    grid = np.ix_(*[np.arange(10, dtype=np.uint64)] * 4)
+    lanes = grid[0] | grid[1] << 16 | grid[2] << 32 | grid[3] << 48
+    place = [np.where(g > 0, np.uint8(i + 1), np.uint8(0)) for i, g in enumerate(grid)]
+    last = np.maximum(np.maximum(place[0], place[1]), np.maximum(place[2], place[3]))
+    last = last.reshape(1, -1)
+    offsets = np.arange(0, 16, 4, dtype=np.uint8)[:, None]
+    return lanes.ravel(), np.where(last > 0, last + offsets, np.uint8(0)).ravel()
+
+
+def _field_overlay():
+    """Field bytes besides the digits, as rows of five uint64 words, one row
+    per (E, cut) at ``(E - _E_MIN) * 18 + cut``: "0." and the zeros that
+    precede d0 when E < 0, "0" on the lanes of the ``cut`` digits kept,
+    and "." after d_E when a digit after it is kept."""
+    exp = np.arange(_E_MIN, _E_MAX + 1)[:, None, None]
+    cut = np.arange(18)[None, :, None]
+    i = np.arange(17)[None, None, :]  # digit index, d0 ... d16
+    field = np.zeros((exp.size, cut.size, 40), dtype=np.uint8)
+    field[:, :, 1:6] = np.where(exp <= [-1, -1, -2, -3, -4], list(b"0.000"), 0)
+    field[:, :, 6::2] = np.where(i < cut, ord("0"), 0)
+    field[:, :, 7::2] = np.where((i == exp) & (cut > i + 1), ord("."), 0)
+    return field.reshape(-1, 40).view(np.uint64).copy()
+
+
+@functools.cache
+def _format_tables():
+    """The digit-group and field tables, built on the first call, so that
+    commands that write no CSV do not pay for them."""
+    return (*_digit_groups(), _field_overlay())
+
+
+def _scaled(a, e):
+    """floor and round-half-even of a * 10**(16 - e), as int64, from the
+    exact product p + err (Dekker's two-product over Veltkamp halves)."""
+    s = 16 - e
+    c = a * _SPLIT
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    b_hi = _POW10_HI.take(s)
+    b_lo = _POW10_LO.take(s)
+    p = a * _POW10.take(s)
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    whole = p.astype(np.int64)
+    return whole + np.floor(err).astype(np.int64), whole + np.rint(err).astype(np.int64)
+
+
+def format_rows(columns) -> str:
+    """CSV text of equal-length float64 ``columns``: one line per index, the
+    values joined by ",", each exactly ``format(v, ".17g")``.
+
+    For |v| in [1e-4, 1e17) the 17 digits D = round-half-even(|v| *
+    10**(16 - E)), with E the decimal exponent of |v|, come from integer
+    arithmetic on an exact product:
+
+    - E starts as floor(log10 |v|), which can be one off next to a power
+      of ten, and is moved by one where the exact floor of |v| * 10**(16 -
+      E) falls outside [10**16, 10**17).  These values have E in [-4, 16],
+      so 16 - E is in [0, 20] and 10**(16 - E) is exact in float64.
+    - p + err = |v| * 10**(16 - E) exactly, with p the float64 product and
+      err from Dekker's two-product: the Veltkamp halves of both factors
+      have at most 26 bits, so every partial product is exact, and |v| >=
+      1e-4 keeps them all clear of underflow.
+    - p >= 10**16 > 2**53 is an even integer, so round-half-even of
+      p + err is p + rint(err): numpy's rint rounds halves to even, as
+      ``format`` does for a tie of the exact decimal value.
+    - D never rounds up to 10**17, which would move E: the largest float64
+      below each 10**k, k = -3 ... 17, lies at least 8 units of the 17th
+      digit below it.
+
+    The digits are then laid out as %g's fixed notation for -4 <= E <= 16,
+    trailing fraction zeros and a bare "." dropped.  Every other value (0,
+    -0, nan, ±inf, |v| < 1e-4 and |v| >= 1e17) is written by ``format``
+    itself into its field.  This relies only on IEEE binary64 arithmetic
+    with rounding to nearest even, which numpy's float64 ufuncs follow.
+    """
+    n_cols = len(columns)
+    values = np.column_stack(columns).astype(np.float64, copy=False).ravel()
+    a = np.abs(values)
+    fast = (a >= 1e-4) & (a < 1e17)  # False for nan
+    a = np.where(fast, a, 1.0)  # laid out as "1", then overwritten
+    e = np.clip(np.floor(np.log10(a)), _E_MIN, _E_MAX).astype(np.int64)
+    floor, digits = _scaled(a, e)
+    shift = (floor >= 10**17).astype(np.int64) - (floor < 10**16)
+    near = np.flatnonzero(shift)
+    if near.size:
+        e[near] += shift[near]
+        _, digits[near] = _scaled(a[near], e[near])
+
+    d0, rest = np.divmod(digits, 10**16)
+    upper, lower = np.divmod(rest, 10**8)
+    groups = np.empty((values.size, 4), dtype=np.int64)
+    np.divmod(upper, 10**4, out=(groups[:, 0], groups[:, 1]))
+    np.divmod(lower, 10**4, out=(groups[:, 2], groups[:, 3]))
+    group_lanes, group_last, overlay = _format_tables()
+    # digits kept: up to the last nonzero one, and all of the integer part
+    last = group_last.take(groups + np.arange(0, 40_000, 10_000))
+    nonzero = np.maximum(np.maximum(last[:, 0], last[:, 1]), np.maximum(last[:, 2], last[:, 3]))
+    cut = np.maximum(nonzero.astype(np.int64) + 1, e + 1)
+
+    field = overlay.take((e - _E_MIN) * 18 + cut, axis=0)
+    field[:, 1:] |= group_lanes.take(groups)
+    field[:, 0] |= d0.astype(np.uint64) << np.uint64(48)
+    field[:, 0] |= np.where(values < 0, np.uint64(ord("-")), np.uint64(0))
+    seps = np.full(n_cols, ord(","), dtype=np.uint64)
+    seps[-1] = ord("\n")
+    field.reshape(-1, n_cols, 5)[:, :, 4] |= seps << np.uint64(56)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = [format(v, ".17g") for v in values[slow].tolist()]
+        raw = np.array(text, dtype="S39").view(np.uint8).reshape(slow.size, 39)
+        field.view(np.uint8).reshape(-1, 40)[slow, :39] = raw
+    return field.tobytes().translate(None, b"\0").decode("ascii")

@@ -31,3 +31,30 @@ def fluc_1e4():
 def ar1_sample(seed: int, n: int, coeff: float = 0.9) -> np.ndarray:
     """Seeded AR(1) draw y_t = coeff * y_{t-1} + eps_t used across tests."""
     return _synthetic_series("ar1", n, seed, coeff)
+
+
+def awkward_floats() -> np.ndarray:
+    """Values where 17-digit formatting is easy to get wrong, each with
+    both signs: decade edges 10^k for k = -5 ... 17 and their neighbours,
+    exact ties at the 17th digit, zeros, nan, infinities, subnormals and
+    the largest finite value."""
+    edges = []
+    for k in range(-5, 18):
+        v = float(f"1e{k}")
+        below, above = np.nextafter(v, 0.0), np.nextafter(v, np.inf)
+        edges += [v, below, above, np.nextafter(below, 0.0), np.nextafter(above, np.inf)]
+    # 18 significant digits ending in 5, exact in binary: round half to even
+    ties = [123456789012345.125, 123456789012345.375, 123456789012345.625,
+            123456789012345.875, 12345678901234.0625, 12345678901234.1875]
+    special = [0.0, np.nan, np.inf, 5e-324, 2.2250738585072009e-308,
+               2.2250738585072014e-308, 1.7976931348623157e308, 0.5, 2.0]
+    values = np.array(edges + ties + special)
+    return np.concatenate([values, -values])
+
+
+def csv_rows(*columns):
+    """Data rows as the CLI promises them: every value at 17 digits."""
+    return "".join(
+        ",".join(format(float(v), ".17g") for v in row) + "\n"
+        for row in zip(*columns)
+    )

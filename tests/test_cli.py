@@ -17,7 +17,7 @@ import psispec as ps
 from psispec import cli
 from psispec.cli import main
 
-from conftest import SMALL_SEGMENT, ar1_sample
+from conftest import SMALL_SEGMENT, ar1_sample, awkward_floats, csv_rows
 
 
 def run(*args):
@@ -38,14 +38,6 @@ def message_of(result):
     out = result.output or ""
     err = getattr(result, "stderr", "") or ""
     return out + err
-
-
-def csv_rows(*columns):
-    """Data rows as the CLI promises them: every value at 17 digits."""
-    return "".join(
-        ",".join(format(float(v), ".17g") for v in row) + "\n"
-        for row in zip(*columns)
-    )
 
 
 def body_of(text):
@@ -115,6 +107,21 @@ def test_spectrum_reconstruct_analytic_bytes(zeros):
         "# psispec analytic\n# band=[1,10] n_freq=4\nf,P_analytic\n"
         + csv_rows(ana.freqs, ana.power)
     )
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, cli._CHUNK_ROWS])
+@pytest.mark.parametrize("to_file", [True, False])
+def test_write_table_bytes_of_awkward_values(
+    tmp_path, capsys, monkeypatch, chunk_rows, to_file
+):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+    values = awkward_floats()
+    columns = [values, values[::-1].copy(), np.roll(values, 3)]
+    blocks = [columns, [c[:9] for c in columns]]
+    target = tmp_path / "table.csv" if to_file else "-"
+    cli._write_table(str(target), ["# awkward", "a,b,c"], blocks)
+    text = target.read_text() if to_file else capsys.readouterr().out
+    assert text == "# awkward\na,b,c\n" + "".join(csv_rows(*b) for b in blocks)
 
 
 def full_disk_open(writes_allowed):
@@ -196,6 +203,15 @@ def test_read_skips_comments_and_blank_lines_and_crlf(tmp_path):
         (lambda ls: ls[:3], "no data rows"),
         (lambda ls: ls[:3] + ["# only a comment\n"], "no data rows"),
         (lambda ls: ls[:2] + ["x,psi,smooth\n"] + ls[3:], "line 3: expected header"),
+        # non-finite x on the first row, non-finite fluc on later ones
+        (lambda ls: ls[:3] + ["nan," + ls[3].split(",", 1)[1]] + ls[4:],
+         "line 4: non-finite number in"),
+        (lambda ls: ls[:3] + ["inf," + ls[3].split(",", 1)[1]] + ls[4:],
+         "line 4: non-finite number in"),
+        (lambda ls: ls[:6] + [ls[6].rsplit(",", 1)[0] + ",nan\n"] + ls[7:],
+         "line 7: non-finite number in"),
+        (lambda ls: ls[:-1] + ["# note\n", ls[-1].rsplit(",", 1)[0] + ",-inf\n"],
+         "line 10: non-finite number in"),
     ],
 )
 def test_read_malformed_names_the_line(tmp_path, mutate, message):
@@ -516,6 +532,20 @@ def test_readme_fit_report_matches_a_run():
         digits = shown[key].removesuffix("...")
         assert len(digits) >= 6 and shown[key].endswith("...")
         assert repr(report[key]).startswith(digits), key
+
+
+@pytest.mark.parametrize(
+    "row, value, line",
+    [(1, "nan,1.0", 3), (39, "inf,1.0", 41), (5, "0.06,nan", 7), (0, "0.01,inf", 2)],
+)
+def test_fit_spectrum_csv_refuses_non_finite(tmp_path, row, value, line):
+    table = spectrum_table_file(tmp_path / "spec.csv", np.linspace(0.01, 0.5, 40))
+    lines = table.read_text().splitlines(keepends=True)
+    lines[row + 1] = value + "\n"
+    table.write_text("".join(lines))
+    result = run("fit", "--spectrum-csv", table)
+    assert result.exit_code == 3
+    assert f"line {line}: non-finite number in '{value}'" in message_of(result)
 
 
 def test_fit_unreadable_spectrum_is_format_error(tmp_path):

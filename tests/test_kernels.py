@@ -1,15 +1,17 @@
-"""The four numeric kernels against independent scalar references."""
+"""The five kernels against independent scalar references."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psispec as ps
 from psispec import _kernels as kern
 from psispec.prime_series import _base_primes
 
-from conftest import ar1_sample
+from conftest import ar1_sample, awkward_floats, csv_rows
 from oracles import (
     burg_scalar,
     mangoldt_by_factoring,
@@ -121,3 +123,33 @@ def test_zero_pair_sum_matches_kahan_loop_near_1e6(zeros):
     got = kern.zero_pair_sum(xs, t_desc)
     expected = zero_pair_sum_kahan(xs, t_desc)
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_format_rows_awkward_values():
+    values = awkward_floats()
+    assert kern.format_rows([values]) == csv_rows(values)
+    # the ties round half to even: ...12|5 stays, ...37|5 goes up
+    assert kern.format_rows([np.array([123456789012345.125, 123456789012345.375])]) == (
+        "123456789012345.12\n123456789012345.38\n"
+    )
+
+
+def test_format_rows_columns_and_empty():
+    x = np.arange(2.0, 40.0)
+    columns = [x, np.sqrt(x), -x / 7.0, x * 1e-3]
+    assert kern.format_rows(columns) == csv_rows(*columns)
+    assert kern.format_rows([np.empty(0), np.empty(0)]) == ""
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+@settings(max_examples=200, deadline=None)
+def test_format_rows_matches_format_on_bit_patterns(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert kern.format_rows([values]) == csv_rows(values)
+
+
+@given(st.lists(st.floats(1e-4, 1e17) | st.floats(-1e17, -1e-4), min_size=1, max_size=50))
+@settings(max_examples=200, deadline=None)
+def test_format_rows_matches_format_in_fixed_notation(floats):
+    values = np.array(floats)
+    assert kern.format_rows([values]) == csv_rows(values)
