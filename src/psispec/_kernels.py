@@ -1,9 +1,10 @@
-"""The five hot loops of the pipeline, vectorized with numpy.
+"""The six hot loops of the pipeline, vectorized with numpy.
 
 ``mangoldt_segment`` sieves the von Mangoldt function on one segment,
 ``half_jump_prefix`` accumulates psi over it, ``burg_recursion`` fits the
-autoregressive model, ``zero_pair_sum`` totals the explicit formula and
-``format_rows`` writes CSV rows at 17 significant digits.
+autoregressive model, ``zero_pair_sum`` totals the explicit formula,
+``format_rows`` writes CSV rows at 17 significant digits and
+``parse_rows`` reads them back, bit for bit.
 
 Accuracy note: the prefix carries its running total as a Kahan pair and the
 zero sum totals the terms of each point by numpy's pairwise summation, so
@@ -182,9 +183,9 @@ def zero_pair_sum(xs, t_desc):
 
 #: Veltkamp's splitting factor for float64: 2**27 + 1.
 _SPLIT = 134217729.0
-#: 10**s for s = 0 ... 20, exact in float64 (5**s < 2**53), with its
+#: 10**s for s = 0 ... 22, exact in float64 (5**s < 2**53), with its
 #: Veltkamp halves of at most 26 significant bits each.
-_POW10 = np.array([float(10**s) for s in range(21)])
+_POW10 = np.array([float(10**s) for s in range(23)])
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 #: Decimal exponents written in fixed notation: %g's -4 <= E < precision.
@@ -308,3 +309,129 @@ def format_rows(columns) -> str:
         raw = np.array(text, dtype="S39").view(np.uint8).reshape(slow.size, 39)
         field.view(np.uint8).reshape(-1, 40)[slow, :39] = raw
     return field.tobytes().translate(None, b"\0").decode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# CSV rows back to float64
+# ---------------------------------------------------------------------------
+#
+# The syntax is checked on the bytes below "0" alone: the kind of each, of
+# the one before it, and whether the digits between them number 0, 1 ... 22
+# or more.  A field -?I(.F)? with k fraction digits is the integer D = IF
+# divided by 10**k, and one ``np.fromstring`` call over the text with "."
+# deleted, "\n" mapped to "," and "-" to a blank reads D of every field.
+
+#: Kind of each byte below "0": "\n", ",", "-", ".", anything else.
+_KIND = np.full(48, 4, dtype=np.int8)
+_KIND[list(b"\n,-.")] = range(4)
+#: Longest digit run of a canonical field.  An integer part of at most 22
+#: digits is below 1e22, so every canonical field is a finite number.
+_RUN_MAX = 22
+
+
+def _syntax_table():
+    """Allowed (kind before, kind, digits between) at ``(before * 5 +
+    kind) * 3 + runs``, where runs is 0 for no digits, 1 for 1 ...
+    ``_RUN_MAX`` and 2 for more: "-" right after a separator, or a
+    separator or "." after digits, but not "." after "." in one field."""
+    table = np.zeros((5, 5, 3), dtype=bool)
+    table[:2, 2, 0] = True
+    table[:4, :2, 1] = True
+    table[:3, 3, 1] = True
+    return table.ravel()
+
+
+_SYNTAX = _syntax_table()
+#: 5**k as uint64, k = 0 ... 22.
+_POW5_INT = np.array([5**k for k in range(_RUN_MAX + 1)], dtype=np.uint64)
+_FIELDS = bytes.maketrans(b"\n-", b", ")
+_MANTISSA = np.uint64(2**52 - 1)
+_HIDDEN = np.uint64(2**52)
+
+
+def parse_rows(data: bytes, n_cols: int, usecols):
+    """Columns ``usecols`` of the CSV rows in ``data``, each its own
+    float64 array holding exactly ``float`` of every field's text; or None
+    unless ``data`` is canonical: rows of ``n_cols`` fields
+    ``-?[0-9]+(\\.[0-9]+)?`` joined by "," and each ending in "\\n", with
+    no digit run longer than 22.
+
+    Every field is checked for that syntax; only those of ``usecols`` are
+    converted.  A field with D < 10**19 is rounded correctly without a
+    string-to-double call (Clinger's fast path, with the 53-bit limit on D
+    lifted by an exact correction step):
+
+    - q = float(D) / 10**k.  float(D) is within half an ulp of D, 10**k is
+      exact for k <= 22, and the division rounds once more, so q is within
+      1.5 ulp of v = D / 10**k: the correctly rounded value or one of its
+      neighbours, and in the binade of v unless q is a power of two.
+    - Write q = m * 2**e with 2**52 <= m < 2**53 and s = e + k.  Then
+      v - q = (R / h) * ulp / 2 for the integers R = D * 2**(1 - s) -
+      2m * 5**k and h = 5**k if s <= 1, or R = D - 2m * 5**k * 2**(s - 1)
+      and h = 5**k * 2**(s - 1) if s > 1.  The result is q + ulp if R > h,
+      q - ulp if R < -h, q if |R| < h, and the one of them with an even m
+      if |R| = h, as ``float`` rounds a tie of the decimal value.  Adding
+      +-1 to the bit pattern of q gives q +- ulp, also where q + ulp is the
+      next power of two.
+    - |R| < 3h <= 3 * 5**22 < 2**63, so R is exact when computed modulo
+      2**64 in wrapping uint64 arithmetic and read as int64, however large
+      D * 2**(1 - s) and 2m * 5**k are.  numpy shifts a uint64 by 64 or
+      more to 0, which is that power of two modulo 2**64.
+    - Below a power of two q the ulp halves, so m = 2**52 with R < 0 is not
+      decided here.
+
+    Those fields, and any with D >= 10**19 (20 or more significant digits;
+    ``np.fromstring`` saturates at 2**64 - 1), go to ``float`` of their own
+    text.  This relies only on IEEE binary64 arithmetic with rounding to
+    nearest even, which numpy's float64 ufuncs follow.
+    """
+    b = np.frombuffer(data, dtype=np.uint8)
+    if not b.size:
+        return [np.empty(0) for _ in usecols]
+    if b[-1] != ord("\n") or b.max() > ord("9"):
+        return None
+    punct = np.flatnonzero(b < ord("0"))
+    kind = _KIND.take(b[punct])
+    before = np.roll(kind, 1)
+    before[0] = 0  # the chunk starts as after a "\n"
+    gap = np.diff(punct, prepend=-1)  # digits between, plus one
+    runs = (gap > 1).view(np.int8) + (gap > _RUN_MAX + 1).view(np.int8)
+    if not _SYNTAX.take((before * 5 + kind) * 3 + runs).all():
+        return None
+    sep = np.flatnonzero(kind <= 1)
+    row = [1] * (n_cols - 1) + [0]
+    if sep.size % n_cols or not (kind[sep].reshape(-1, n_cols) == row).all():
+        return None
+
+    # the used fields, column by column: f, their index among all fields,
+    # and in ``punct``, head and tail, the separators before and after them
+    f = (np.arange(0, sep.size, n_cols) + np.array(usecols)[:, None]).ravel()
+    sep = np.concatenate(([-1], sep))
+    head, tail = sep.take(f), sep.take(f + 1)
+    negative = kind.take(head + 1) == 2
+    k = np.where(before.take(tail) == 3, gap.take(tail) - 1, 0)
+    d = np.fromstring(data.translate(_FIELDS, b"."), dtype=np.uint64, sep=",")
+    d = d.take(f)
+
+    q = d.astype(np.float64) / _POW10.take(k)
+    bits = q.view(np.uint64)
+    # q = m * 2**e, with e the biased exponent less 1023 + 52
+    s = (bits >> np.uint64(52)).view(np.int64) + (k - 1075)
+    h = _POW5_INT.take(k) << np.maximum(s - 1, 0).astype(np.uint64)
+    m = (bits & _MANTISSA) | _HIDDEN
+    scaled = d << np.maximum(1 - s, 0).astype(np.uint64)
+    r = (scaled - (m << np.uint64(1)) * h).view(np.int64)
+    r[d == 0] = 0  # q = 0 is exact
+    h = h.view(np.int64)
+    odd = (bits & np.uint64(1)).view(np.int64)
+    step = (r + odd > h).view(np.int8) - (r - odd < -h).view(np.int8)
+    edge = ((bits & _MANTISSA) == 0) & (r < 0)
+    slow = np.flatnonzero((d >= np.uint64(10**19)) | edge)
+    bits += step.astype(np.uint64)
+    values = bits.view(np.float64)
+    np.negative(values, out=values, where=negative)
+    if slow.size:
+        start = np.concatenate(([-1], punct)).take(head[slow] + 1) + 1
+        end = punct.take(tail[slow])
+        values[slow] = [float(data[i:j]) for i, j in zip(start.tolist(), end.tolist())]
+    return [column.copy() for column in values.reshape(len(usecols), -1)]

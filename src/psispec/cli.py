@@ -4,8 +4,16 @@ All commands write CSV (with ``#`` metadata comments) or JSON to ``--out``
 (default standard output) at 17 significant digits, so identical
 configurations produce byte-identical files.  CSV rows are formatted in
 bulk by numpy (``_kernels.format_rows``), ``_CHUNK_ROWS`` at a time, with
-the bytes of ``format(v, ".17g")`` for every value.  Re-ingested tables must
-hold finite numbers.
+the bytes of ``format(v, ".17g")`` for every value.
+
+Re-ingested tables (``--input``, ``--spectrum-csv``) are read in chunks of
+about ``_CHUNK_BYTES`` of whole lines.  A chunk of canonical rows, fields
+``-?[0-9]+(.[0-9]+)?`` with nothing else on the line, as every command
+writes them, is checked and converted by ``_kernels.parse_rows`` with
+exact integer arithmetic, bit for bit what ``float`` gives; only the
+columns the command uses are converted.  Any other chunk (comments, blank
+lines, CRLF, exponents, ``nan``) falls back to ``np.loadtxt``.  Every
+number must be finite, and a bad row is named by its line in the file.
 
 Exit codes: 0 success; 2 usage or domain error; 3 data-format error;
 4 I/O error.
@@ -13,6 +21,8 @@ Exit codes: 0 success; 2 usage or domain error; 3 data-format error;
 
 import contextlib
 import functools
+import io
+import itertools
 import json
 import os
 import sys
@@ -22,9 +32,10 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
-from ._kernels import format_rows
+from ._kernels import format_rows, parse_rows
 from .errors import (
     DataFormatError,
     DegenerateInputError,
@@ -59,6 +70,9 @@ class RunConfig:
     input_csv: Path | None = None
     spectrum_csv: Path | None = None
 
+
+#: Bytes per chunk of lines that ``_read_rows`` parses at a time.
+_CHUNK_BYTES = 1 << 20
 
 #: Rows per block of ``_sample_blocks`` and per write of ``_write_table``.
 #: ``sample --n 1e6`` took the same time at 2048 to 8192 rows and 1.6 times
@@ -156,57 +170,95 @@ def _translate_errors(fn):
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path, expected_header: str) -> np.ndarray:
-    """Data rows of a CSV table as a float64 array of shape (rows, columns).
+def _read_rows(path, expected_header: str, usecols):
+    """Columns ``usecols`` of the data rows of a CSV table, as lists of
+    float64 arrays, one list per chunk of about ``_CHUNK_BYTES`` of lines.
 
     ``#`` starts a comment that runs to the end of its line, so comments
     may appear anywhere, including after the numbers of a row; blank lines
     are skipped.  The first line with content must equal
     ``expected_header``, and every later one must hold as many
-    comma-separated finite numbers.  The rows are parsed in bulk by
-    ``np.loadtxt``; a malformed file is then scanned line by line only to
-    name its first bad line.
+    comma-separated finite numbers.  A chunk of canonical rows, such as
+    every command writes, is checked and converted by
+    ``_kernels.parse_rows``; any other chunk is parsed by ``np.loadtxt``
+    (``_parse_chunk``).  A malformed or non-finite row is named by its line
+    in the file.
     """
     n_cols = len(expected_header.split(","))
     try:
-        fh = open(path)
+        fh = open(path, "rb")
     except FileNotFoundError as exc:
         raise DataFormatError(f"input file not found: {path}") from exc
+    rows = 0
     with fh:
-        header_lineno = 0
-        header = ""
-        while not header:
-            raw = fh.readline()
-            if not raw:
-                raise DataFormatError(f"{path}: no data rows")
-            header_lineno += 1
-            header = raw.split("#", 1)[0].strip()
-        if header != expected_header:
-            raise DataFormatError(
-                f"{path}: line {header_lineno}: expected header "
-                f"{expected_header!r}, got {header!r}"
-            )
-        start = fh.tell()
-        table, reason = _parse_rows(fh, n_cols)
-        if table is None:
-            # loadtxt skips a line only if nothing precedes its comment, so
-            # retry without lines of blanks and indented comments
-            fh.seek(start)
-            content = (line for line in fh if line.split("#", 1)[0].strip())
-            table, reason = _parse_rows(content, n_cols)
-        if table is None:
-            fh.seek(0)
+        rest = _skip_header(path, fh, expected_header)
+        for chunk in itertools.chain([rest], _chunks(fh)):
+            columns = parse_rows(chunk, n_cols, usecols)
+            if columns is None:
+                table = _parse_chunk(path, chunk, n_cols, rows)
+                columns = [table[:, c].copy() for c in usecols]
+            if columns[0].size:
+                rows += columns[0].size
+                yield columns
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+
+
+def _skip_header(path, fh, expected_header: str) -> bytes:
+    """Read binary ``fh`` up to and including the header line, the first
+    with more than blanks and a comment, and check it; return the bytes
+    read past it, which a file with lone "\\r" line ends can hold."""
+    lineno = 0
+    for raw in fh:
+        lines = raw.decode().splitlines(keepends=True)
+        for i, line in enumerate(lines, 1):
+            lineno += 1
+            header = line.split("#", 1)[0].strip()
+            if not header:
+                continue
+            if header != expected_header:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: expected header "
+                    f"{expected_header!r}, got {header!r}"
+                )
+            return "".join(lines[i:]).encode()
+    raise DataFormatError(f"{path}: no data rows")
+
+
+def _chunks(fh):
+    """The rest of binary ``fh`` as chunks of whole lines, about
+    ``_CHUNK_BYTES`` each, every one ending in a newline."""
+    while chunk := fh.read(_CHUNK_BYTES) + fh.readline():
+        yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
+
+
+def _parse_chunk(path, chunk: bytes, n_cols: int, rows_before: int) -> np.ndarray:
+    """Rows of ``chunk`` as a (rows, ``n_cols``) array, by ``np.loadtxt``;
+    ``rows_before`` data rows precede it in the file at ``path``.  A
+    malformed file is then scanned line by line only to name its first
+    bad line."""
+    text = io.StringIO(chunk.decode(), newline=None)
+    table, reason = _parse_rows(text, n_cols)
+    if table is None:
+        # loadtxt skips a line only if nothing precedes its comment, so
+        # retry without lines of blanks and indented comments
+        text.seek(0)
+        content = (line for line in text if line.split("#", 1)[0].strip())
+        table, reason = _parse_rows(content, n_cols)
+    if table is None:
+        with open(path) as fh:
             _raise_bad_row(path, fh, n_cols, reason)
-        finite = np.isfinite(table)
-        if not finite.all():
-            fh.seek(0)
-            _raise_non_finite(path, fh, int(np.argmin(finite.all(axis=1))))
-        return table
+    finite = np.isfinite(table)
+    if not finite.all():
+        with open(path) as fh:
+            row = rows_before + int(np.argmin(finite.all(axis=1)))
+            _raise_non_finite(path, fh, row)
+    return table
 
 
 def _parse_rows(lines, n_cols: int):
-    """``(table, None)`` if ``lines`` hold rows of ``n_cols`` numbers, else
-    ``(None, reason)``."""
+    """``(table, None)`` if ``lines`` hold rows of ``n_cols`` numbers, or
+    none, else ``(None, reason)``."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings(
@@ -215,7 +267,9 @@ def _parse_rows(lines, n_cols: int):
             table = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
     except ValueError as exc:
         return None, str(exc)
-    if table.shape[0] and table.shape[1] == n_cols:
+    if not table.shape[0]:
+        return np.empty((0, n_cols)), None
+    if table.shape[1] == n_cols:
         return table, None
     return None, f"expected rows of {n_cols} numbers"
 
@@ -268,27 +322,37 @@ def _raise_non_finite(path, fh, row: int):
 
 def read_sample_csv(path) -> GridSeries:
     """Re-ingest a ``sample`` CSV's fluctuation column into a GridSeries
-    (test/round-trip hook)."""
-    table = _read_rows(path, "x,psi,smooth,fluc")
-    x = table[:, 0]
-    if x[0] != round(x[0]) or (x.size > 1 and not np.all(np.diff(x) == 1.0)):
+    (test/round-trip hook).  Of ``psi`` and ``smooth`` only the syntax is
+    checked."""
+    flucs = []
+    first = last = None
+    consecutive = True
+    for x, fluc in _read_rows(path, "x,psi,smooth,fluc", (0, 3)):
+        if first is None:
+            first = x[0]
+            consecutive = first == round(first)
+        else:
+            consecutive &= x[0] - last == 1.0
+        consecutive &= bool(np.all(np.diff(x) == 1.0))
+        last = x[-1]
+        flucs.append(fluc)
+    if not consecutive:
         raise DataFormatError(
             f"{path}: x column must be consecutive integers with step 1"
         )
-    return GridSeries(
-        x_start=int(x[0]), n=x.size, dx=1.0, values=table[:, 3].copy()
-    )
+    values = np.concatenate(flucs)
+    return GridSeries(x_start=int(first), n=values.size, dx=1.0, values=values)
 
 
 def read_spectrum_csv(path) -> PowerSpectrum:
     """Re-ingest a ``spectrum`` CSV (test hook for ``fit``)."""
-    table = _read_rows(path, "f,P")
-    freqs = table[:, 0]
+    chunks = list(_read_rows(path, "f,P", (0, 1)))
+    freqs, power = (np.concatenate(column) for column in zip(*chunks))
     if np.any(np.diff(freqs) <= 0):
         raise DataFormatError(f"{path}: frequencies must be strictly ascending")
     return PowerSpectrum(
         freqs=freqs,
-        power=table[:, 1].copy(),
+        power=power,
         nyquist=float(freqs[-1]),
         estimator={"method": "file", "path": str(path)},
     )
@@ -305,21 +369,22 @@ def _synthetic_series(kind: str, n: int, seed: int | None, ar_coeff: float):
     if kind == "white":
         return eps
     if kind == "ar1":
-        out = np.empty(n)
-        prev = 0.0
-        for t in range(n):
-            prev = ar_coeff * prev + eps[t]
-            out[t] = prev
-        return out
+        steps = itertools.accumulate(
+            eps.tolist(), lambda prev, e: ar_coeff * prev + e, initial=0.0
+        )
+        return np.fromiter(steps, np.float64, count=n + 1)[1:]
     raise DomainError(f"unknown synthetic signal {kind!r} (use white or ar1)")
 
 
 def _pipeline_series(config: RunConfig):
     """The series the estimators run on, before its mean is removed: the
-    fluctuation as blocks straight from the sieve, or an array for
-    ``--input`` and ``--synthetic``."""
+    fluctuation as blocks straight from the sieve, one block read from
+    ``--input``, or an array for ``--synthetic``."""
     if config.input_csv is not None:
-        return read_sample_csv(config.input_csv)
+        # the estimators demean a block in place, so the array read is
+        # estimated without the copy they make of an array
+        series = read_sample_csv(config.input_csv)
+        return BlockSeries(blocks=[series.values], n=series.n)
     if config.synthetic is not None:
         return _synthetic_series(
             config.synthetic, config.n_samples, config.seed, config.ar_coeff
@@ -499,6 +564,25 @@ _ESTIMATOR_OPTIONS = (
 )
 
 
+def _refuse_with(option: str, others) -> None:
+    """Exit 2 if ``option`` and any of ``others``, which it overrides or
+    which do not apply to it, were both given (names of click parameters
+    of the current command)."""
+    ctx = click.get_current_context()
+
+    def given(name):
+        return ctx.get_parameter_source(name) is not ParameterSource.DEFAULT
+
+    if not given(option):
+        return
+    for other in others:
+        if given(other):
+            flags = {param.name: param.opts[0] for param in ctx.command.params}
+            raise click.UsageError(
+                f"{flags[option]} cannot be combined with {flags[other]}", ctx
+            )
+
+
 def _estimator_options(command):
     """Declare ``_ESTIMATOR_OPTIONS`` on ``command``, in the listed order."""
     for option in reversed(_ESTIMATOR_OPTIONS):
@@ -528,6 +612,8 @@ def sample(n_samples, x_start, output_path):
 def spectrum(n_samples, x_start, method, mem_order, welch_segment, n_freq,
              f_lo, input_csv, synthetic, ar_coeff, seed, output_path):
     """Emit the one-sided power spectral density of the fluctuation."""
+    _refuse_with("input_csv", ("synthetic", "n_samples", "x_start"))
+    _refuse_with("synthetic", ("x_start",))
     cmd_spectrum(RunConfig(
         command="spectrum", n_samples=n_samples, x_start=x_start,
         method=method, mem_order=mem_order, welch_segment=welch_segment,
@@ -547,6 +633,8 @@ def spectrum(n_samples, x_start, method, mem_order, welch_segment, n_freq,
 def fit(n_samples, x_start, method, mem_order, welch_segment, n_freq, f_lo,
         band, spectrum_csv, synthetic, ar_coeff, seed, output_path):
     """Fit P(f) = a*f^b over a band; emit the JSON report."""
+    _refuse_with("spectrum_csv", ("n_samples", "x_start", "synthetic"))
+    _refuse_with("synthetic", ("x_start",))
     cmd_fit(RunConfig(
         command="fit", n_samples=n_samples, x_start=x_start, method=method,
         mem_order=mem_order, welch_segment=welch_segment, n_freq=n_freq,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import psispec as ps
-from psispec import prime_series
+from psispec import cli, prime_series
 from psispec.cli import _synthetic_series
 
 #: Segment length for tests that need many segments on a small grid.
@@ -20,6 +20,18 @@ def small_segments(monkeypatch):
     """Sieve in segments of ``SMALL_SEGMENT`` integers, so that grids of a
     few thousand points already span several segments."""
     monkeypatch.setattr(prime_series, "_SEGMENT", SMALL_SEGMENT)
+
+
+#: Chunk size for reader tests that need many chunks in a small file: a
+#: few ``sample`` rows, and not a whole number of them.
+SMALL_CHUNK = 300
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Read CSV tables in chunks of about ``SMALL_CHUNK`` bytes, so that a
+    table of a few hundred rows already spans many chunks."""
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", SMALL_CHUNK)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ import psispec as ps
 from psispec import cli
 from psispec.cli import main
 
-from conftest import SMALL_SEGMENT, ar1_sample, awkward_floats, csv_rows
+from conftest import SMALL_CHUNK, SMALL_SEGMENT, ar1_sample, awkward_floats, csv_rows
 
 
 def run(*args):
@@ -227,6 +227,125 @@ def test_read_malformed_names_the_line(tmp_path, mutate, message):
 
 
 # ---------------------------------------------------------------------------
+# reader chunks: canonical rows by the kernel, anything else by loadtxt
+# ---------------------------------------------------------------------------
+
+
+def write_sample(tmp_path, lines):
+    path = tmp_path / "sample.csv"
+    path.write_bytes("".join(lines).encode())
+    return path
+
+
+def replace_field(lines, index, column, text):
+    """``lines`` with field ``column`` of ``lines[index]`` set to ``text``."""
+    fields = lines[index].rstrip("\n").split(",")
+    fields[column] = text
+    return lines[:index] + [",".join(fields) + "\n"] + lines[index + 1 :]
+
+
+@pytest.fixture
+def chunk_kinds(monkeypatch):
+    """Per chunk with data that the reader parses: True where it fell back
+    from the kernel to loadtxt."""
+    kinds = []
+    parse = cli.parse_rows
+
+    def spy(data, n_cols, usecols):
+        columns = parse(data, n_cols, usecols)
+        if data:
+            kinds.append(columns is None)
+        return columns
+
+    monkeypatch.setattr(cli, "parse_rows", spy)
+    return kinds
+
+
+def test_read_rows_straddling_chunks(tmp_path, small_chunks, chunk_kinds):
+    path = write_sample(tmp_path, sample_lines(300))
+    series = cli.read_sample_csv(path)
+    assert series.x_start == 2 and series.n == 300
+    assert series.values.tobytes() == ps.fluctuation_series(300).values.tobytes()
+    # about SMALL_CHUNK bytes each, and every one canonical
+    assert len(chunk_kinds) > path.stat().st_size // (SMALL_CHUNK + 100)
+    assert not any(chunk_kinds)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda ls: ls[:150] + ["# a comment\n"] + ls[150:],
+        lambda ls: ls[:150] + [ls[150].replace("\n", "\r\n")] + ls[151:],
+        # x = 151 on line 153
+        lambda ls: replace_field(ls, 152, 0, "1.51e2"),
+        lambda ls: ls[:150] + ["\n", "   \n"] + ls[150:],
+        # more than a chunk of comments: a chunk without rows
+        lambda ls: ls[:150] + ["# " + "-" * 40 + "\n"] * 20 + ls[150:],
+    ],
+)
+def test_read_fallback_chunk_between_canonical_ones(
+    tmp_path, small_chunks, chunk_kinds, mutate
+):
+    want = cli.read_sample_csv(write_sample(tmp_path, sample_lines(300)))
+    chunk_kinds.clear()
+    got = cli.read_sample_csv(write_sample(tmp_path, mutate(sample_lines(300))))
+    assert got.values.tobytes() == want.values.tobytes()
+    assert chunk_kinds[0] is False and chunk_kinds[-1] is False
+    assert any(chunk_kinds)
+
+
+def test_read_lone_cr_line_ends(tmp_path):
+    lines = sample_lines()
+    want = cli.read_sample_csv(write_sample(tmp_path, lines)).values
+    path = write_sample(tmp_path, [line.replace("\n", "\r") for line in lines])
+    assert cli.read_sample_csv(path).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda ls: replace_field(ls, 200, 3, "x"), "line 201: non-numeric field in"),
+        (lambda ls: ls[:250] + [ls[250].rsplit(",", 1)[0] + "\n"] + ls[251:],
+         "line 251: expected 4 fields, got 3"),
+        (lambda ls: replace_field(ls, 220, 3, "nan"), "line 221: non-finite number in"),
+        (lambda ls: replace_field(ls, 230, 2, "inf"), "line 231: non-finite number in"),
+        # psi and smooth are not converted, but their syntax is checked
+        (lambda ls: replace_field(ls, 180, 1, "1.2.3"), "line 181: non-numeric field in"),
+        (lambda ls: replace_field(ls, 190, 2, "--5"), "line 191: non-numeric field in"),
+        (lambda ls: ls[:200] + ls[201:], "x column must be consecutive"),
+    ],
+)
+def test_read_names_bad_lines_after_the_first_chunk(
+    tmp_path, small_chunks, mutate, message
+):
+    path = write_sample(tmp_path, mutate(sample_lines(300)))
+    with pytest.raises(ps.DataFormatError, match=message):
+        cli.read_sample_csv(path)
+    result = run("spectrum", "--input", path)
+    assert result.exit_code == 3
+    assert message.split(" in")[0] in message_of(result)
+
+
+def test_spectrum_input_holds_the_series_twice(tmp_path, monkeypatch):
+    n = 200_000
+    path = tmp_path / "sample.csv"
+    assert run("sample", "--n", n, "--out", path).exit_code == 0
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 1 << 16)
+    config = cli.RunConfig(
+        command="spectrum", input_csv=path, output_path=str(tmp_path / "out")
+    )
+    tracemalloc.start()
+    try:
+        cli.cmd_spectrum(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # fluc as chunks and as one array, and the temporaries of one chunk;
+    # all four columns as float64 alone would take 32 bytes per row
+    assert peak < 2 * 8 * n + 2**20
+
+
+# ---------------------------------------------------------------------------
 # sample
 # ---------------------------------------------------------------------------
 
@@ -364,6 +483,34 @@ def test_spectrum_synthetic_deterministic_and_seed_sensitive():
     assert a.exit_code == 0
     assert a.output == b.output
     assert a.output != c.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["spectrum", "--input", "{csv}", "--synthetic", "white", "--n", 100,
+          "--x-start", 77], "--input cannot be combined with --synthetic"),
+        (["spectrum", "--input", "{csv}", "--n", 100], "--input cannot be combined with --n"),
+        (["spectrum", "--input", "{csv}", "--x-start", 2],
+         "--input cannot be combined with --x-start"),
+        (["spectrum", "--synthetic", "white", "--n", 100, "--x-start", 77],
+         "--synthetic cannot be combined with --x-start"),
+        (["fit", "--synthetic", "ar1", "--n", 100, "--x-start", 77],
+         "--synthetic cannot be combined with --x-start"),
+        (["fit", "--spectrum-csv", "{csv}", "--n", 100, "--synthetic", "ar1",
+          "--method", "welch"], "--spectrum-csv cannot be combined with --n"),
+        (["fit", "--spectrum-csv", "{csv}", "--x-start", 3],
+         "--spectrum-csv cannot be combined with --x-start"),
+        (["fit", "--spectrum-csv", "{csv}", "--synthetic", "ar1"],
+         "--spectrum-csv cannot be combined with --synthetic"),
+    ],
+)
+def test_options_of_another_source_are_refused(tmp_path, args, message):
+    csv = tmp_path / "table.csv"
+    csv.write_text("".join(sample_lines()))
+    result = run(*[str(a).format(csv=csv) for a in args])
+    assert result.exit_code == 2
+    assert message in message_of(result)
 
 
 # ---------------------------------------------------------------------------

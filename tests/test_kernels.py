@@ -1,6 +1,8 @@
-"""The five kernels against independent scalar references."""
+"""The six kernels against independent scalar references."""
 
 import math
+import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -153,3 +155,129 @@ def test_format_rows_matches_format_on_bit_patterns(bits):
 def test_format_rows_matches_format_in_fixed_notation(floats):
     values = np.array(floats)
     assert kern.format_rows([values]) == csv_rows(values)
+
+
+def _read_back(texts):
+    """``parse_rows`` of one-column rows ``texts``."""
+    data = "".join(f"{t}\n" for t in texts).encode()
+    return kern.parse_rows(data, 1, (0,))
+
+
+def _assert_reads_as_float(texts):
+    (got,) = _read_back(texts)
+    want = np.array([float(t) for t in texts])
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def _decimal_ties():
+    """Exact decimal midpoints between neighbouring float64 values: above
+    2**e, below 2**e, and inside the binade at an even and an odd
+    significand, for e = 40 ... 63; up to 2**52 they have a fraction."""
+    ties = []
+    for e in range(40, 64):
+        top = Decimal(2) ** e
+        ulp = Decimal(2) ** (e - 52)
+        ties += [top - ulp / 4, top + ulp / 2, top + ulp * Decimal("1.5")]
+        ties += [top * 2 - ulp / 2, top + ulp * Decimal("1000.5")]
+    return [format(t.normalize(), "f") for t in ties]
+
+
+def _next_to_powers_of_two():
+    texts = []
+    for e in range(-13, 57):
+        v = 2.0**e
+        for w in (np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)):
+            texts += [format(w, ".17g"), repr(float(w))]
+    return [t for t in texts if "e" not in t]
+
+
+def test_parse_rows_awkward_fields():
+    ties = _decimal_ties()
+    # the exact tie 2**53 + 1 rounds to the even 2**53, 2**53 + 3 up to
+    # 2**53 + 4
+    assert "9007199254740993" in ties and "9007199254740995" in ties
+    fields = ["-0", "-0.000", "0", "0.0", "-0." + "0" * 11, "0." + "0" * 22]
+    fields += ["1", "-2", "1024"]
+    fields += ["1234567890123456789", "9999999999999999999", "-0.1234567890123456789"]
+    fields += ["0.0000000000000000000001", "-0.0000012345678901234567",
+               "0.1234567890123456789012", "1234567890123456789.0000000000000000000001"]
+    fields += ["9" * 22, "12345678901234567890", "0.30000000000000004"]
+    texts = fields + ties + _next_to_powers_of_two()
+    _assert_reads_as_float(texts)
+    (signs,) = _read_back(["-0", "-0.000", "0"])
+    assert np.signbit(signs).tolist() == [True, True, False]
+    (ties_read,) = _read_back(["9007199254740993", "9007199254740995"])
+    assert ties_read.tolist() == [2.0**53, 2.0**53 + 4]
+
+
+def test_parse_rows_reads_back_format_rows():
+    values = awkward_floats()
+    canonical = re.compile(r"-?[0-9]+(\.[0-9]+)?\n")
+    lines = kern.format_rows([values]).splitlines(keepends=True)
+    fixed = [line for line in lines if canonical.fullmatch(line)]
+    assert len(fixed) > len(lines) // 2
+    (got,) = kern.parse_rows("".join(fixed).encode(), 1, (0,))
+    want = np.array([float(line) for line in fixed])
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    for line in lines:
+        if line not in fixed:
+            assert kern.parse_rows(line.encode(), 1, (0,)) is None
+
+
+#: Integers of 1 ... 19 digits, each length equally likely.
+_SIGNIFICANDS = st.integers(1, 19).flatmap(lambda n: st.integers(10 ** (n - 1), 10**n - 1))
+
+
+@given(st.lists(
+    st.tuples(st.booleans(), _SIGNIFICANDS, st.integers(0, 22)),
+    min_size=1, max_size=50,
+))
+@settings(max_examples=300, deadline=None)
+def test_parse_rows_matches_float_on_digit_strings(fields):
+    texts = []
+    for negative, digits, k in fields:
+        text = str(digits).rjust(k + 1, "0")
+        if k:
+            text = text[:-k] + "." + text[-k:]
+        texts.append("-" * negative + text)
+    _assert_reads_as_float(texts)
+
+
+@given(st.lists(
+    st.floats(1e-4, 1e17, exclude_max=True) | st.floats(-1e17, -1e-4, exclude_min=True),
+    min_size=1, max_size=50,
+))
+@settings(max_examples=200, deadline=None)
+def test_parse_rows_matches_float_on_17_digit_and_shortest_text(floats):
+    _assert_reads_as_float([format(v, ".17g") for v in floats])
+    shortest = [repr(v) for v in floats]
+    fixed = [t for t in shortest if "e" not in t]
+    if fixed:
+        _assert_reads_as_float(fixed)
+    if len(fixed) < len(shortest):
+        assert _read_back(shortest) is None
+
+
+@pytest.mark.parametrize(
+    "data",
+    ["1.2.3\n", "--5\n", "-\n", ".5\n", "5.\n", "5-3\n", "-.5\n", "+5\n",
+     " 5\n", "5 \n", "1e5\n", "nan\n", "inf\n", "5\r\n", "5 # note\n",
+     "\n", "5\n\n6\n", "5", "1" * 23 + "\n", "0." + "1" * 23 + "\n",
+     "1,2\n", "1\n2,3\n"],
+)
+def test_parse_rows_refuses_non_canonical_text(data):
+    assert kern.parse_rows(data.encode(), 1, (0,)) is None
+
+
+def test_parse_rows_columns_rows_and_empty():
+    rows = ["2,0.5,-1,3.25", "-3,1e-5,0.125,-7", "4,2,3,5"]
+    data = "".join(row + "\n" for row in rows).encode()
+    # the second row's 1e-5 makes the text non-canonical
+    assert kern.parse_rows(data, 4, (0, 3)) is None
+    data = data.replace(b"1e-5", b"0.00001")
+    want = np.loadtxt(data.decode().splitlines(), delimiter=",")
+    got = kern.parse_rows(data, 4, (3, 0, 2))
+    assert [c.tolist() for c in got] == [want[:, 3].tolist(), want[:, 0].tolist(), want[:, 2].tolist()]
+    assert kern.parse_rows(data, 3, (0,)) is None
+    assert kern.parse_rows(data, 6, (0,)) is None
+    assert [c.size for c in kern.parse_rows(b"", 4, (0, 3))] == [0, 0]
