@@ -16,12 +16,10 @@ from .errors import (
 )
 from .powerlaw import DEFAULT_BAND, PowerLawFit, fit_power_law
 from .prime_series import (
-    GridSeries,
     fluctuation_at,
     fluctuation_series,
     grid_segments,
     psi_series,
-    sieve_prime_power_logs,
     smooth_part,
 )
 from .spectral import (
@@ -53,8 +51,6 @@ __all__ = [
     "DegenerateInputError",
     "DataFormatError",
     "ResourceError",
-    "GridSeries",
-    "sieve_prime_power_logs",
     "psi_series",
     "smooth_part",
     "fluctuation_series",

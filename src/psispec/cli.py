@@ -13,7 +13,8 @@ writes them, is checked and converted by ``_kernels.parse_rows`` with
 exact integer arithmetic, bit for bit what ``float`` gives; only the
 columns the command uses are converted.  Any other chunk (comments, blank
 lines, CRLF, exponents, ``nan``) falls back to ``np.loadtxt``.  Every
-number must be finite, and a bad row is named by its line in the file.
+number must be finite, and a bad row, or a line that is not UTF-8, is
+named by its line in the file.
 
 Exit codes: 0 success; 2 usage or domain error; 3 data-format error;
 4 I/O error.
@@ -41,9 +42,10 @@ from .errors import (
     DegenerateInputError,
     DomainError,
     ResourceError,
+    utf8_text,
 )
 from .powerlaw import DEFAULT_BAND, fit_power_law
-from .prime_series import GridSeries, fluctuation_at, grid_segments, smooth_part
+from .prime_series import fluctuation_at, grid_segments, smooth_part
 from .spectral import BlockSeries, PowerSpectrum, ar_psd, burg_fit, welch_psd
 from .zeta import analytic_spectrum, bundled_zeros_path, load_zeros, psi_fluc_from_zeros
 
@@ -52,7 +54,6 @@ from .zeta import analytic_spectrum, bundled_zeros_path, load_zeros, psi_fluc_fr
 class RunConfig:
     """Parsed invocation of one subcommand."""
 
-    command: str
     n_samples: int = 0
     x_start: int = 2
     method: str = "mem"
@@ -181,8 +182,8 @@ def _read_rows(path, expected_header: str, usecols):
     comma-separated finite numbers.  A chunk of canonical rows, such as
     every command writes, is checked and converted by
     ``_kernels.parse_rows``; any other chunk is parsed by ``np.loadtxt``
-    (``_parse_chunk``).  A malformed or non-finite row is named by its line
-    in the file.
+    (``_parse_chunk``).  A malformed or non-finite row, or a line that is
+    not UTF-8, is named by its line in the file.
     """
     n_cols = len(expected_header.split(","))
     try:
@@ -210,7 +211,7 @@ def _skip_header(path, fh, expected_header: str) -> bytes:
     read past it, which a file with lone "\\r" line ends can hold."""
     lineno = 0
     for raw in fh:
-        lines = raw.decode().splitlines(keepends=True)
+        lines = utf8_text(path, raw).splitlines(keepends=True)
         for i, line in enumerate(lines, 1):
             lineno += 1
             header = line.split("#", 1)[0].strip()
@@ -237,7 +238,7 @@ def _parse_chunk(path, chunk: bytes, n_cols: int, rows_before: int) -> np.ndarra
     ``rows_before`` data rows precede it in the file at ``path``.  A
     malformed file is then scanned line by line only to name its first
     bad line."""
-    text = io.StringIO(chunk.decode(), newline=None)
+    text = io.StringIO(utf8_text(path, chunk), newline=None)
     table, reason = _parse_rows(text, n_cols)
     if table is None:
         # loadtxt skips a line only if nothing precedes its comment, so
@@ -246,11 +247,11 @@ def _parse_chunk(path, chunk: bytes, n_cols: int, rows_before: int) -> np.ndarra
         content = (line for line in text if line.split("#", 1)[0].strip())
         table, reason = _parse_rows(content, n_cols)
     if table is None:
-        with open(path) as fh:
+        with open(path, errors="replace") as fh:
             _raise_bad_row(path, fh, n_cols, reason)
     finite = np.isfinite(table)
     if not finite.all():
-        with open(path) as fh:
+        with open(path, errors="replace") as fh:
             row = rows_before + int(np.argmin(finite.all(axis=1)))
             _raise_non_finite(path, fh, row)
     return table
@@ -320,10 +321,11 @@ def _raise_non_finite(path, fh, row: int):
             )
 
 
-def read_sample_csv(path) -> GridSeries:
-    """Re-ingest a ``sample`` CSV's fluctuation column into a GridSeries
-    (test/round-trip hook).  Of ``psi`` and ``smooth`` only the syntax is
-    checked."""
+def read_sample_csv(path) -> BlockSeries:
+    """Re-ingest a ``sample`` CSV's fluctuation column as a BlockSeries of
+    one block, which the estimators may overwrite (round-trip hook for
+    ``spectrum --input``).  The ``x`` column must hold consecutive
+    integers; of ``psi`` and ``smooth`` only the syntax is checked."""
     flucs = []
     first = last = None
     consecutive = True
@@ -341,7 +343,7 @@ def read_sample_csv(path) -> GridSeries:
             f"{path}: x column must be consecutive integers with step 1"
         )
     values = np.concatenate(flucs)
-    return GridSeries(x_start=int(first), n=values.size, dx=1.0, values=values)
+    return BlockSeries(blocks=[values], n=values.size)
 
 
 def read_spectrum_csv(path) -> PowerSpectrum:
@@ -372,7 +374,13 @@ def _synthetic_series(kind: str, n: int, seed: int | None, ar_coeff: float):
         steps = itertools.accumulate(
             eps.tolist(), lambda prev, e: ar_coeff * prev + e, initial=0.0
         )
-        return np.fromiter(steps, np.float64, count=n + 1)[1:]
+        signal = np.fromiter(steps, np.float64, count=n + 1)[1:]
+        if not np.all(np.isfinite(signal)):
+            raise DomainError(
+                f"ar1 signal with coefficient {ar_coeff} is not finite "
+                f"over {n} samples"
+            )
+        return signal
     raise DomainError(f"unknown synthetic signal {kind!r} (use white or ar1)")
 
 
@@ -381,17 +389,16 @@ def _pipeline_series(config: RunConfig):
     fluctuation as blocks straight from the sieve, one block read from
     ``--input``, or an array for ``--synthetic``."""
     if config.input_csv is not None:
-        # the estimators demean a block in place, so the array read is
-        # estimated without the copy they make of an array
-        series = read_sample_csv(config.input_csv)
-        return BlockSeries(blocks=[series.values], n=series.n)
-    if config.synthetic is not None:
-        return _synthetic_series(
-            config.synthetic, config.n_samples, config.seed, config.ar_coeff
-        )
+        # one block, which the estimators demean in place, so the array
+        # read is estimated without the copy they make of an array
+        return read_sample_csv(config.input_csv)
     if config.n_samples < 2:
         raise DomainError(
             f"spectral estimation needs at least 2 samples, got {config.n_samples}"
+        )
+    if config.synthetic is not None:
+        return _synthetic_series(
+            config.synthetic, config.n_samples, config.seed, config.ar_coeff
         )
     segments = grid_segments(config.n_samples, x_start=config.x_start)
     return BlockSeries(
@@ -559,7 +566,8 @@ _ESTIMATOR_OPTIONS = (
                       "signal."),
     click.option("--ar-coeff", type=float, default=0.9, show_default=True,
                  help="Coefficient of the ar1 synthetic signal."),
-    click.option("--seed", type=int, default=0, show_default=True,
+    click.option("--seed", type=click.IntRange(min=0), default=0,
+                 show_default=True,
                  help="Seed for synthetic signals."),
 )
 
@@ -598,8 +606,7 @@ def _estimator_options(command):
 def sample(n_samples, x_start, output_path):
     """Emit x,psi,smooth,fluc on the integer grid."""
     cmd_sample(RunConfig(
-        command="sample", n_samples=n_samples, x_start=x_start,
-        output_path=output_path,
+        n_samples=n_samples, x_start=x_start, output_path=output_path,
     ))
 
 
@@ -615,8 +622,8 @@ def spectrum(n_samples, x_start, method, mem_order, welch_segment, n_freq,
     _refuse_with("input_csv", ("synthetic", "n_samples", "x_start"))
     _refuse_with("synthetic", ("x_start",))
     cmd_spectrum(RunConfig(
-        command="spectrum", n_samples=n_samples, x_start=x_start,
-        method=method, mem_order=mem_order, welch_segment=welch_segment,
+        n_samples=n_samples, x_start=x_start, method=method,
+        mem_order=mem_order, welch_segment=welch_segment,
         n_freq=n_freq, f_lo=f_lo, input_csv=input_csv, synthetic=synthetic,
         ar_coeff=ar_coeff, seed=seed, output_path=output_path,
     ))
@@ -636,7 +643,7 @@ def fit(n_samples, x_start, method, mem_order, welch_segment, n_freq, f_lo,
     _refuse_with("spectrum_csv", ("n_samples", "x_start", "synthetic"))
     _refuse_with("synthetic", ("x_start",))
     cmd_fit(RunConfig(
-        command="fit", n_samples=n_samples, x_start=x_start, method=method,
+        n_samples=n_samples, x_start=x_start, method=method,
         mem_order=mem_order, welch_segment=welch_segment, n_freq=n_freq,
         f_lo=f_lo, band=band, spectrum_csv=spectrum_csv, synthetic=synthetic,
         ar_coeff=ar_coeff, seed=seed, output_path=output_path,
@@ -658,8 +665,8 @@ def fit(n_samples, x_start, method, mem_order, welch_segment, n_freq, f_lo,
 def reconstruct(n_samples, x_start, zeros_path, n_zeros, output_path):
     """Cross-validate the sieve route against the zero-sum route."""
     cmd_reconstruct(RunConfig(
-        command="reconstruct", n_samples=n_samples, x_start=x_start,
-        zeros_path=zeros_path, n_zeros=n_zeros, output_path=output_path,
+        n_samples=n_samples, x_start=x_start, zeros_path=zeros_path,
+        n_zeros=n_zeros, output_path=output_path,
     ))
 
 
@@ -670,9 +677,7 @@ def reconstruct(n_samples, x_start, zeros_path, n_zeros, output_path):
 @_translate_errors
 def analytic(band, n_freq, output_path):
     """Emit the asymptotic spectrum 2*ln^2(f/(2 pi))/f^2 over a band."""
-    cmd_analytic(RunConfig(
-        command="analytic", band=band, n_freq=n_freq, output_path=output_path,
-    ))
+    cmd_analytic(RunConfig(band=band, n_freq=n_freq, output_path=output_path))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ The central objects are
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,20 +26,6 @@ _SEGMENT = 1 << 20
 #: longer exactly representable in float64 and psi itself outgrows the
 #: precision this package promises.
 _MAX_LIMIT = 1 << 53
-
-
-@dataclass(frozen=True, eq=False)
-class GridSeries:
-    """psi, or its fluctuation, sampled on the grid x_start, x_start+dx, ..."""
-
-    x_start: int
-    n: int
-    dx: float
-    values: np.ndarray
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.x_start + np.arange(self.n) * self.dx
 
 
 def _scalar_or_array(x, out):
@@ -71,28 +56,6 @@ def _base_primes(limit: int):
             is_prime[p * p :: p] = False
     primes = np.flatnonzero(is_prime).astype(np.int64)
     return primes, np.log(primes.astype(np.float64))
-
-
-def sieve_prime_power_logs(limit: int) -> np.ndarray:
-    """Array ``lam`` of length ``limit + 1`` with ``lam[m]`` the von Mangoldt
-    function: ``log p`` when ``m`` is a power of the prime ``p``, else 0.
-
-    ``lam[0]`` and ``lam[1]`` are 0 by convention.
-    """
-    if limit < 2:
-        raise DomainError(f"sieve limit must be at least 2, got {limit}")
-    _check_limit(limit)
-    primes, logs = _base_primes(limit)
-    try:
-        lam = np.zeros(limit + 1, dtype=np.float64)
-    except MemoryError as exc:
-        raise ResourceError(
-            f"cannot allocate von Mangoldt table up to {limit}"
-        ) from exc
-    for lo in range(2, limit + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, limit + 1)
-        lam[lo:hi] = _kernels.mangoldt_segment(lo, hi, primes, logs)
-    return lam
 
 
 def grid_segments(n: int, x_start: int = 2, fluctuation: bool = True):
@@ -151,7 +114,7 @@ def _segment(lo, hi, x0, primes, logs, carry, fluctuation):
     return x0, None, psi
 
 
-def _gather(n: int, x_start: int, fluctuation: bool) -> GridSeries:
+def _gather(n: int, x_start: int, fluctuation: bool) -> np.ndarray:
     """The values of ``grid_segments`` in one array."""
     blocks = grid_segments(n, x_start, fluctuation)
     try:
@@ -160,11 +123,12 @@ def _gather(n: int, x_start: int, fluctuation: bool) -> GridSeries:
         raise ResourceError(f"cannot allocate grid of {n} points") from exc
     for x0, _, block in blocks:
         values[x0 - x_start : x0 - x_start + block.size] = block
-    return GridSeries(x_start=x_start, n=n, dx=1.0, values=values)
+    return values
 
 
-def psi_series(n: int, x_start: int = 2) -> GridSeries:
-    """psi on the grid ``x_start, x_start + 1, ..., x_start + n - 1``.
+def psi_series(n: int, x_start: int = 2) -> np.ndarray:
+    """psi on the grid ``x_start, x_start + 1, ..., x_start + n - 1``, whose
+    points are ``x_start + np.arange(n)``.
 
     Sieves Lambda segment by segment and accumulates the half-jump prefix
     with compensated summation, so values stay accurate to a few ulp even
@@ -193,8 +157,8 @@ def smooth_part(x):
     return _scalar_or_array(x, out)
 
 
-def fluctuation_series(n: int, x_start: int = 2) -> GridSeries:
-    """Fluctuation ``psi(x) - smooth(x)`` on an integer grid of ``n`` points."""
+def fluctuation_series(n: int, x_start: int = 2) -> np.ndarray:
+    """Fluctuation ``psi(x) - smooth(x)`` on the grid of ``psi_series``."""
     return _gather(n, x_start, fluctuation=True)
 
 

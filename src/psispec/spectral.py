@@ -7,7 +7,9 @@ Two estimators under one normalization convention (one-sided density,
   autoregressive model fitted by Burg's recursion; and
 * ``welch_psd`` - averaged modified periodograms.
 
-Both report frequency in cycles per unit of the sample spacing ``dx``;
+Both take a series in one of two forms: a one-dimensional array-like,
+read as float64 samples at spacing 1, or a ``BlockSeries``, which gives
+its spacing ``dx``.  Both report frequency in cycles per unit of ``dx``;
 the usable axis ends at the Nyquist frequency ``0.5 / dx``.
 
 Both read their input in one pass, so a ``BlockSeries`` that delivers the
@@ -61,24 +63,16 @@ class BlockSeries:
     dx: float = 1.0
 
 
-def _as_samples(series):
-    """Accept a GridSeries-like object (``values`` and ``dx``) or a plain
-    sequence, whose spacing is then 1."""
-    values = getattr(series, "values", series)
-    dx = float(getattr(series, "dx", 1.0))
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DomainError("expected a one-dimensional real series")
-    return arr, dx
-
-
 def _as_blocks(series, demean: bool):
-    """``(blocks, n, dx)`` of a BlockSeries, or of any other series as a
-    single block (a copy when ``demean``, which shifts blocks in place)."""
+    """``(blocks, n, dx)`` of a BlockSeries, or of any other series, read as
+    a float64 array at spacing 1, as a single block (a copy when
+    ``demean``, which shifts blocks in place)."""
     if isinstance(series, BlockSeries):
         return series.blocks, int(series.n), float(series.dx)
-    arr, dx = _as_samples(series)
-    return [arr.copy() if demean else arr], arr.size, dx
+    arr = np.asarray(series, dtype=np.float64)
+    if arr.ndim != 1:
+        raise DomainError("expected a one-dimensional real series")
+    return [arr.copy() if demean else arr], arr.size, 1.0
 
 
 class _Shifted:
@@ -122,8 +116,8 @@ class _Shifted:
 
 
 def remove_mean(series) -> np.ndarray:
-    """Return the series with its arithmetic mean subtracted."""
-    arr, _ = _as_samples(series)
+    """Return the array-like ``series`` with its arithmetic mean subtracted."""
+    arr = np.asarray(series, dtype=np.float64)
     if arr.size == 0:
         raise DomainError("cannot demean an empty series")
     return arr - arr.mean()

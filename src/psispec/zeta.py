@@ -19,14 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import DataFormatError, DomainError
+from .errors import DataFormatError, DomainError, utf8_text
 from .prime_series import _scalar_or_array
 from .spectral import PowerSpectrum
 
 TWO_PI = 2.0 * math.pi
-
-#: Ordinates in the bundled table (first consecutive zeros, ascending).
-BUNDLED_ZERO_COUNT = 2000
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,13 +46,14 @@ def bundled_zeros_path() -> Path:
 def load_zeros(path) -> ZetaZeros:
     """Parse a zero table: one decimal ordinate per line, ascending.
 
-    Blank lines and ``#`` comments are skipped.  Violations (non-numeric,
-    nonpositive, non-ascending, or a first ordinate at or below 14) raise
-    :class:`DataFormatError` naming the offending line.
+    Blank lines and ``#`` comments are skipped.  Violations (text that is
+    not UTF-8, non-numeric, nonpositive, non-ascending, or a first ordinate
+    at or below 14) raise :class:`DataFormatError` naming the offending
+    line.
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        text = utf8_text(path, path.read_bytes())
     except FileNotFoundError as exc:
         raise DataFormatError(f"zeros file not found: {path}") from exc
     ordinates = []

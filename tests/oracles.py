@@ -1,11 +1,12 @@
 """Independent reference implementations, used only by the tests.
 
 Each oracle recomputes a quantity the library produces, by a different
-route: trial division instead of a sieve, a longdouble cumsum instead of
-the compensated float64 prefix, the truncated series instead of the
-closed form, Yule-Walker and a scalar recursion instead of the sliced
-Burg kernel, a Kahan loop instead of ``math.fsum`` for the zero sum, and
-the Riemann-Siegel Z function (via mpmath) for zero ordinates.
+route: trial division or one unsegmented sieve instead of the segmented
+one, a longdouble cumsum instead of the compensated float64 prefix, the
+truncated series instead of the closed form, Yule-Walker and a scalar
+recursion instead of the sliced Burg kernel, a Kahan loop instead of
+``math.fsum`` for the zero sum, and the Riemann-Siegel Z function (via
+mpmath) for zero ordinates.
 """
 
 import math
@@ -60,36 +61,39 @@ def psi_grid_brute(limit: int) -> np.ndarray:
     return out
 
 
-def psi_longdouble(limit: int, block: int = 1 << 16):
-    """psi(1..limit), half-jump convention, in np.longdouble, as
-    ``(m0, values)`` blocks with ``values[i] = psi(m0 + i)``.
-
-    Lambda comes from one unsegmented sieve of Eratosthenes; each block is
-    a longdouble cumsum from a longdouble base, so the rounding error stays
-    far below one float64 ulp of psi at any grid size this suite uses.
-    """
+def mangoldt_sieve(limit: int) -> np.ndarray:
+    """Lambda(0..limit) from one unsegmented sieve of Eratosthenes: log p
+    at every power of the prime p, 0 elsewhere."""
     is_prime = np.ones(limit + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
-    powers = []  # (p^k, log p) for k >= 2
+    primes = np.flatnonzero(is_prime)
+    lam = np.zeros(limit + 1)
+    lam[primes] = np.log(primes.astype(np.float64))
     for p in np.flatnonzero(is_prime[: math.isqrt(limit) + 1]).tolist():
         q = p * p
         while q <= limit:
-            powers.append((q, math.log(p)))
+            lam[q] = math.log(p)
             q *= p
+    return lam
+
+
+def psi_longdouble(limit: int, block: int = 1 << 16):
+    """psi(1..limit), half-jump convention, in np.longdouble, as
+    ``(m0, values)`` blocks with ``values[i] = psi(m0 + i)``.
+
+    Lambda comes from ``mangoldt_sieve``; each block is a longdouble cumsum
+    from a longdouble base, so the rounding error stays far below one
+    float64 ulp of psi at any grid size this suite uses.
+    """
+    lam = mangoldt_sieve(limit)
     base = np.longdouble(0.0)
     for m0 in range(1, limit + 1, block):
-        m1 = min(m0 + block, limit + 1)
-        primes = np.flatnonzero(is_prime[m0:m1]) + m0
-        lam = np.zeros(m1 - m0)
-        lam[primes - m0] = np.log(primes.astype(np.float64))
-        for q, lp in powers:
-            if m0 <= q < m1:
-                lam[q - m0] = lp
-        cum = base + np.cumsum(lam, dtype=np.longdouble)
-        yield m0, cum - 0.5 * lam.astype(np.longdouble)
+        part = lam[m0 : min(m0 + block, limit + 1)]
+        cum = base + np.cumsum(part, dtype=np.longdouble)
+        yield m0, cum - 0.5 * part.astype(np.longdouble)
         base = cum[-1]
 
 

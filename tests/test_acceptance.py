@@ -51,7 +51,7 @@ def fit_1e6():
 
 def test_criterion_1_exact_psi_values():
     grid = ps.psi_series(11)  # x = 2 .. 12
-    psi10, psi11, psi12 = grid.values[8], grid.values[9], grid.values[10]
+    psi10, psi11, psi12 = grid[8], grid[9], grid[10]
     e10 = abs(psi10 - math.log(2520.0))
     e12 = abs(psi12 - math.log(27720.0))
     e11 = abs(psi11 - 0.5 * (math.log(2520.0) + math.log(27720.0)))
@@ -68,7 +68,7 @@ def test_criterion_2_sieve_matches_brute_force():
     limit = 10**4
     brute = oracles.psi_grid_brute(limit)  # psi(1 .. limit)
     grid = ps.psi_series(limit - 1)  # x = 2 .. limit
-    dev = float(np.max(np.abs(grid.values - brute[1:])))
+    dev = float(np.max(np.abs(grid - brute[1:])))
     ok = dev < 1e-10
     _report(
         2, ok, f"max |psi_sieve - psi_brute| over x <= 1e4 is {dev:.3e} (tol 1e-10)"

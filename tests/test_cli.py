@@ -58,6 +58,11 @@ def test_version_option_needs_no_package_metadata():
     assert result.output == "psispec, version 0.1.0\n"
 
 
+def test_every_exported_name_resolves():
+    missing = [name for name in ps.__all__ if not hasattr(ps, name)]
+    assert missing == []
+
+
 def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.M)
@@ -75,10 +80,11 @@ def test_sample_bytes_are_17_digit_rows(tmp_path, monkeypatch, chunk_rows):
     out = tmp_path / "sample.csv"
     assert run("sample", "--n", 5, "--out", out).exit_code == 0
     psi = ps.psi_series(5)
-    smooth = ps.smooth_part(psi.x)
+    x = 2 + np.arange(5)
+    smooth = ps.smooth_part(x)
     expected = (
         "# psispec sample\n# n=5 x_start=2 dx=1\nx,psi,smooth,fluc\n"
-        + csv_rows(psi.x, psi.values, smooth, psi.values - smooth)
+        + csv_rows(x, psi, smooth, psi - smooth)
     )
     text = out.read_text()
     assert text == expected
@@ -168,16 +174,16 @@ def test_read_single_data_row(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("".join(sample_lines(1)))
     series = cli.read_sample_csv(path)
-    assert series.n == 1 and series.x_start == 2
-    assert np.array_equal(series.values, ps.fluctuation_series(1).values)
+    assert series.n == 1
+    assert np.array_equal(series.blocks[0], ps.fluctuation_series(1))
 
 
 def test_read_skips_comments_and_blank_lines_and_crlf(tmp_path):
     lines = sample_lines()
     clean = tmp_path / "clean.csv"
     clean.write_text("".join(lines))
-    want = cli.read_sample_csv(clean).values
-    assert np.array_equal(want, ps.fluctuation_series(6).values)
+    want = cli.read_sample_csv(clean).blocks[0]
+    assert np.array_equal(want, ps.fluctuation_series(6))
     noisy = lines[:2] + [lines[2].rstrip("\n") + " # columns\n", lines[3]]
     noisy += ["\n", "# between rows\n", "   \n", "  # indented\n"]
     noisy += [lines[4].rstrip("\n") + "  # trailing comment\n"] + lines[5:]
@@ -187,7 +193,7 @@ def test_read_skips_comments_and_blank_lines_and_crlf(tmp_path):
     }
     for name, data in variants.items():
         (tmp_path / name).write_bytes(data)
-        assert np.array_equal(cli.read_sample_csv(tmp_path / name).values, want)
+        assert np.array_equal(cli.read_sample_csv(tmp_path / name).blocks[0], want)
 
 
 @pytest.mark.parametrize(
@@ -264,8 +270,8 @@ def chunk_kinds(monkeypatch):
 def test_read_rows_straddling_chunks(tmp_path, small_chunks, chunk_kinds):
     path = write_sample(tmp_path, sample_lines(300))
     series = cli.read_sample_csv(path)
-    assert series.x_start == 2 and series.n == 300
-    assert series.values.tobytes() == ps.fluctuation_series(300).values.tobytes()
+    assert series.n == 300
+    assert series.blocks[0].tobytes() == ps.fluctuation_series(300).tobytes()
     # about SMALL_CHUNK bytes each, and every one canonical
     assert len(chunk_kinds) > path.stat().st_size // (SMALL_CHUNK + 100)
     assert not any(chunk_kinds)
@@ -289,16 +295,16 @@ def test_read_fallback_chunk_between_canonical_ones(
     want = cli.read_sample_csv(write_sample(tmp_path, sample_lines(300)))
     chunk_kinds.clear()
     got = cli.read_sample_csv(write_sample(tmp_path, mutate(sample_lines(300))))
-    assert got.values.tobytes() == want.values.tobytes()
+    assert got.blocks[0].tobytes() == want.blocks[0].tobytes()
     assert chunk_kinds[0] is False and chunk_kinds[-1] is False
     assert any(chunk_kinds)
 
 
 def test_read_lone_cr_line_ends(tmp_path):
     lines = sample_lines()
-    want = cli.read_sample_csv(write_sample(tmp_path, lines)).values
+    want = cli.read_sample_csv(write_sample(tmp_path, lines)).blocks[0]
     path = write_sample(tmp_path, [line.replace("\n", "\r") for line in lines])
-    assert cli.read_sample_csv(path).values.tobytes() == want.tobytes()
+    assert cli.read_sample_csv(path).blocks[0].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -326,14 +332,37 @@ def test_read_names_bad_lines_after_the_first_chunk(
     assert message.split(" in")[0] in message_of(result)
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        # a data row in a later chunk
+        (lambda ls: replace_field(ls, 200, 3, "1\xff"), "line 201: not UTF-8 text"),
+        # a comment line among the data rows, and one before the header
+        (lambda ls: ls[:150] + ["# caf\xe9\n"] + ls[150:], "line 151: not UTF-8 text"),
+        (lambda ls: ["# caf\xe9\n"] + ls, "line 1: not UTF-8 text"),
+        # an earlier bad row is named first, though the text read to find
+        # it runs into the undecodable chunk after it
+        (lambda ls: replace_field(replace_field(ls, 220, 3, "nan"), 230, 3, "1\xff"),
+         "line 221: non-finite number in"),
+    ],
+)
+def test_read_names_a_line_that_is_not_utf8(tmp_path, small_chunks, mutate, message):
+    path = tmp_path / "sample.csv"
+    # latin-1 writes each of these characters as the one byte of its code
+    path.write_bytes("".join(mutate(sample_lines(300))).encode("latin-1"))
+    with pytest.raises(ps.DataFormatError, match=message):
+        cli.read_sample_csv(path)
+    result = run("spectrum", "--input", path)
+    assert result.exit_code == 3
+    assert message.split(" in")[0] in message_of(result)
+
+
 def test_spectrum_input_holds_the_series_twice(tmp_path, monkeypatch):
     n = 200_000
     path = tmp_path / "sample.csv"
     assert run("sample", "--n", n, "--out", path).exit_code == 0
     monkeypatch.setattr(cli, "_CHUNK_BYTES", 1 << 16)
-    config = cli.RunConfig(
-        command="spectrum", input_csv=path, output_path=str(tmp_path / "out")
-    )
+    config = cli.RunConfig(input_csv=path, output_path=str(tmp_path / "out"))
     tracemalloc.start()
     try:
         cli.cmd_spectrum(config)
@@ -382,7 +411,7 @@ def test_sample_full_precision_round_trip():
     _, rows = data_rows(result.output)
     fl = ps.fluctuation_series(50)
     emitted = np.array([float(r.split(",")[3]) for r in rows])
-    assert np.array_equal(emitted, fl.values)  # 17 digits: exact round trip
+    assert np.array_equal(emitted, fl)  # 17 digits: exact round trip
 
 
 def test_sample_determinism(tmp_path):
@@ -476,6 +505,34 @@ def test_ar1_sample_bits_unchanged():
     )
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--n", 100, "--seed", -1], "--seed"),
+        (["--n", -5], "at least 2 samples, got -5"),
+        (["--n", 1], "at least 2 samples, got 1"),
+    ],
+)
+def test_synthetic_bad_size_or_seed_is_usage_error(args, message):
+    result = run("spectrum", "--synthetic", "white", *args)
+    assert result.exit_code == 2
+    assert message in message_of(result)
+    assert not isinstance(result.exception, ValueError)
+
+
+@pytest.mark.parametrize("n, coeff", [(100, "nan"), (1000, "1e200"), (100, "inf")])
+def test_synthetic_non_finite_signal_is_domain_error(n, coeff):
+    result = run("spectrum", "--synthetic", "ar1", "--n", n, "--ar-coeff", coeff)
+    assert result.exit_code == 2
+    assert "is not finite" in message_of(result)
+
+
+def test_synthetic_random_walk_is_accepted():
+    result = run("fit", "--synthetic", "ar1", "--n", 4096, "--ar-coeff", 1)
+    assert result.exit_code == 0
+    assert json.loads(result.output)["b"] < -1.5
+
+
 def test_spectrum_synthetic_deterministic_and_seed_sensitive():
     a = run("spectrum", "--synthetic", "white", "--n", 4096, "--seed", 7)
     b = run("spectrum", "--synthetic", "white", "--n", 4096, "--seed", 7)
@@ -529,10 +586,11 @@ def test_sample_bytes_across_segments(tmp_path, small_segments):
     out = tmp_path / "sample.csv"
     assert run("sample", "--n", n, "--x-start", x_start, "--out", out).exit_code == 0
     psi = ps.psi_series(n, x_start=x_start)
-    smooth = ps.smooth_part(psi.x)
+    x = x_start + np.arange(n)
+    smooth = ps.smooth_part(x)
     assert out.read_text() == (
         f"# psispec sample\n# n={n} x_start={x_start} dx=1\nx,psi,smooth,fluc\n"
-        + csv_rows(psi.x, psi.values, smooth, psi.values - smooth)
+        + csv_rows(x, psi, smooth, psi - smooth)
     )
 
 
@@ -568,7 +626,6 @@ def test_higher_order_matches_library(small_segments):
 )
 def test_streamed_commands_hold_about_one_segment(tmp_path, name, command, options):
     config = cli.RunConfig(
-        command=name,
         n_samples=3 * 2**20 + 12_345,
         output_path=str(tmp_path / "out"),
         **options,
@@ -740,6 +797,14 @@ def test_reconstruct_zeros_file_errors(tmp_path):
     broken = run("reconstruct", "--n", 6, "--zeros", bad)
     assert broken.exit_code == 3
     assert "line 2" in message_of(broken)
+
+
+def test_reconstruct_zeros_file_not_utf8(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"# zeros\n14.134725141734693\n21.0\xff\n25.0\n")
+    result = run("reconstruct", "--n", 6, "--zeros", bad)
+    assert result.exit_code == 3
+    assert f"{bad}: line 3: not UTF-8 text" in message_of(result)
 
 
 def test_reconstruct_custom_zeros_table(tmp_path, zeros):

@@ -18,6 +18,7 @@ from oracles import (
     burg_scalar,
     mangoldt_by_factoring,
     mangoldt_by_trial_division,
+    mangoldt_sieve,
     zero_pair_sum_kahan,
 )
 
@@ -46,7 +47,7 @@ def test_mangoldt_segment_near_1e6_matches_factoring():
 
 
 def test_prefix_matches_fsum():
-    lam = ps.sieve_prime_power_logs(10**5)[1:]
+    lam = mangoldt_sieve(10**5)[1:]
     out, s, c = kern.half_jump_prefix(lam, 0.0, 0.0)
     assert abs((s - c) - math.fsum(lam.tolist())) < 1e-10
     for i in (10, 5000, 99_998):
@@ -55,7 +56,7 @@ def test_prefix_matches_fsum():
 
 
 def test_prefix_carry_chains_across_segments():
-    lam = ps.sieve_prime_power_logs(20_000)[1:]
+    lam = mangoldt_sieve(20_000)[1:]
     whole, _, _ = kern.half_jump_prefix(lam, 0.0, 0.0)
     mid = lam.size // 2
     first, s, c = kern.half_jump_prefix(lam[:mid], 0.0, 0.0)
