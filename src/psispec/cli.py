@@ -13,8 +13,9 @@ writes them, is checked and converted by ``_kernels.parse_rows`` with
 exact integer arithmetic, bit for bit what ``float`` gives; only the
 columns the command uses are converted.  Any other chunk (comments, blank
 lines, CRLF, exponents, ``nan``) falls back to ``np.loadtxt``.  Every
-number must be finite, and a bad row, or a line that is not UTF-8, is
-named by its line in the file.
+number must be finite.  The reader opens the file once and numbers its
+lines as it reads them, so a bad row, or a line that is not UTF-8, is
+named by its line in the file from its own chunk.
 
 Exit codes: 0 success; 2 usage or domain error; 3 data-format error;
 4 I/O error.
@@ -25,6 +26,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import warnings
@@ -143,6 +145,8 @@ def _parse_band(_ctx, _param, value: str) -> tuple[float, float]:
         f_min, f_max = float(parts[0]), float(parts[1])
     except ValueError:
         raise click.UsageError(f"--band expects two decimals, got {value!r}")
+    if not (math.isfinite(f_min) and math.isfinite(f_max)):
+        raise click.UsageError(f"--band expects finite decimals, got {value!r}")
     return f_min, f_max
 
 
@@ -182,8 +186,10 @@ def _read_rows(path, expected_header: str, usecols):
     comma-separated finite numbers.  A chunk of canonical rows, such as
     every command writes, is checked and converted by
     ``_kernels.parse_rows``; any other chunk is parsed by ``np.loadtxt``
-    (``_parse_chunk``).  A malformed or non-finite row, or a line that is
-    not UTF-8, is named by its line in the file.
+    (``_parse_chunk``).  Lines end at "\\n", "\\r\\n" or a lone "\\r", as
+    ``bytes.splitlines`` splits them, and are numbered as they are read,
+    so that a malformed or non-finite row, or a line that is not UTF-8,
+    is named by its line in the file from the text of its own chunk.
     """
     n_cols = len(expected_header.split(","))
     try:
@@ -192,12 +198,15 @@ def _read_rows(path, expected_header: str, usecols):
         raise DataFormatError(f"input file not found: {path}") from exc
     rows = 0
     with fh:
-        rest = _skip_header(path, fh, expected_header)
+        line, rest = _skip_header(path, fh, expected_header)
         for chunk in itertools.chain([rest], _chunks(fh)):
             columns = parse_rows(chunk, n_cols, usecols)
             if columns is None:
-                table = _parse_chunk(path, chunk, n_cols, rows)
+                table = _parse_chunk(path, chunk, n_cols, line)
                 columns = [table[:, c].copy() for c in usecols]
+                line += len(chunk.splitlines())
+            else:
+                line += columns[0].size  # one canonical row per line
             if columns[0].size:
                 rows += columns[0].size
                 yield columns
@@ -205,16 +214,18 @@ def _read_rows(path, expected_header: str, usecols):
         raise DataFormatError(f"{path}: no data rows")
 
 
-def _skip_header(path, fh, expected_header: str) -> bytes:
+def _skip_header(path, fh, expected_header: str) -> tuple[int, bytes]:
     """Read binary ``fh`` up to and including the header line, the first
-    with more than blanks and a comment, and check it; return the bytes
-    read past it, which a file with lone "\\r" line ends can hold."""
+    with more than blanks and a comment, and check it; return the number
+    of the next line and the bytes read past the header, which a file
+    with lone "\\r" line ends can hold."""
     lineno = 0
     for raw in fh:
-        lines = utf8_text(path, raw).splitlines(keepends=True)
-        for i, line in enumerate(lines, 1):
+        end = 0
+        for line in raw.splitlines(keepends=True):
             lineno += 1
-            header = line.split("#", 1)[0].strip()
+            end += len(line)
+            header = utf8_text(path, line, lineno).split("#", 1)[0].strip()
             if not header:
                 continue
             if header != expected_header:
@@ -222,7 +233,7 @@ def _skip_header(path, fh, expected_header: str) -> bytes:
                     f"{path}: line {lineno}: expected header "
                     f"{expected_header!r}, got {header!r}"
                 )
-            return "".join(lines[i:]).encode()
+            return lineno + 1, raw[end:]
     raise DataFormatError(f"{path}: no data rows")
 
 
@@ -233,33 +244,32 @@ def _chunks(fh):
         yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
 
 
-def _parse_chunk(path, chunk: bytes, n_cols: int, rows_before: int) -> np.ndarray:
-    """Rows of ``chunk`` as a (rows, ``n_cols``) array, by ``np.loadtxt``;
-    ``rows_before`` data rows precede it in the file at ``path``.  A
-    malformed file is then scanned line by line only to name its first
-    bad line."""
-    text = io.StringIO(utf8_text(path, chunk), newline=None)
+def _parse_chunk(path, chunk: bytes, n_cols: int, first_line: int) -> np.ndarray:
+    """Rows of ``chunk``, whose first line is line ``first_line`` of the
+    file at ``path``, as a (rows, ``n_cols``) array, by ``np.loadtxt``.
+    Only if that fails are the chunk's lines numbered, to retry or to name
+    the first bad one."""
+    text = io.StringIO(utf8_text(path, chunk, first_line), newline=None)
     table, reason = _parse_rows(text, n_cols)
+    if table is not None:
+        return table
+    text.seek(0)
+    lines = [
+        (lineno, line)
+        for lineno, line in enumerate(text, first_line)
+        if line.split("#", 1)[0].strip()
+    ]
+    # loadtxt skips a line only if nothing precedes its comment, so retry
+    # without lines of blanks and indented comments
+    table, reason = _parse_rows((line for _, line in lines), n_cols)
     if table is None:
-        # loadtxt skips a line only if nothing precedes its comment, so
-        # retry without lines of blanks and indented comments
-        text.seek(0)
-        content = (line for line in text if line.split("#", 1)[0].strip())
-        table, reason = _parse_rows(content, n_cols)
-    if table is None:
-        with open(path, errors="replace") as fh:
-            _raise_bad_row(path, fh, n_cols, reason)
-    finite = np.isfinite(table)
-    if not finite.all():
-        with open(path, errors="replace") as fh:
-            row = rows_before + int(np.argmin(finite.all(axis=1)))
-            _raise_non_finite(path, fh, row)
+        _raise_bad_row(path, lines, n_cols, reason)
     return table
 
 
 def _parse_rows(lines, n_cols: int):
-    """``(table, None)`` if ``lines`` hold rows of ``n_cols`` numbers, or
-    none, else ``(None, reason)``."""
+    """``(table, None)`` if ``lines`` hold rows of ``n_cols`` finite
+    numbers, or none, else ``(None, reason)``."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings(
@@ -270,55 +280,41 @@ def _parse_rows(lines, n_cols: int):
         return None, str(exc)
     if not table.shape[0]:
         return np.empty((0, n_cols)), None
-    if table.shape[1] == n_cols:
-        return table, None
-    return None, f"expected rows of {n_cols} numbers"
+    if table.shape[1] != n_cols:
+        return None, f"expected rows of {n_cols} numbers"
+    if not np.isfinite(table).all():
+        return None, "non-finite number"
+    return table, None
 
 
-def _data_lines(fh):
-    """``(line number, content)`` of each data line of a table: every line
-    after the header with more than blanks and a comment."""
-    lines = ((n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(fh, 1))
-    content = ((n, line) for n, line in lines if line)
-    next(content, None)  # the header
-    return content
+def _raise_bad_row(path, lines, n_cols: int, reason: str):
+    """Raise the DataFormatError that names the first bad line among
+    ``lines``, the ``(line number, line)`` pairs with content of a chunk
+    that ``_parse_rows`` refused.
 
-
-def _raise_bad_row(path, fh, n_cols: int, reason: str):
-    """Raise the DataFormatError that names the first malformed data line.
-
-    Runs only after the bulk parse in ``_read_rows`` failed, and checks the
-    lines after the header one by one.  ``reason``, the bulk parser's
-    message, is the fallback for a number ``float`` reads and the bulk
-    parser does not, such as ``1_000``.
+    Each line is checked for its field count, then by ``float``, then for
+    finite numbers.  ``reason``, loadtxt's message, is the last resort,
+    for a number that ``float`` reads and loadtxt does not, such as
+    ``1_000``.
     """
-    n_rows = 0
-    for lineno, line in _data_lines(fh):
-        parts = line.split(",")
+    for lineno, line in lines:
+        content = line.split("#", 1)[0].strip()
+        parts = content.split(",")
         if len(parts) != n_cols:
             raise DataFormatError(
                 f"{path}: line {lineno}: expected {n_cols} fields, got {len(parts)}"
             )
         try:
-            [float(p) for p in parts]
+            values = [float(p) for p in parts]
         except ValueError as exc:
             raise DataFormatError(
-                f"{path}: line {lineno}: non-numeric field in {line!r}"
+                f"{path}: line {lineno}: non-numeric field in {content!r}"
             ) from exc
-        n_rows += 1
-    if not n_rows:
-        raise DataFormatError(f"{path}: no data rows")
-    raise DataFormatError(f"{path}: {reason}")
-
-
-def _raise_non_finite(path, fh, row: int):
-    """Raise the DataFormatError that names data row ``row``, which holds
-    nan or an infinity."""
-    for index, (lineno, line) in enumerate(_data_lines(fh)):
-        if index == row:
+        if not all(map(math.isfinite, values)):
             raise DataFormatError(
-                f"{path}: line {lineno}: non-finite number in {line!r}"
+                f"{path}: line {lineno}: non-finite number in {content!r}"
             )
+    raise DataFormatError(f"{path}: {reason}")
 
 
 def read_sample_csv(path) -> BlockSeries:
@@ -603,11 +599,9 @@ def _estimator_options(command):
 @click.option("--x-start", type=int, default=2, show_default=True)
 @_OUT
 @_translate_errors
-def sample(n_samples, x_start, output_path):
+def sample(**params):
     """Emit x,psi,smooth,fluc on the integer grid."""
-    cmd_sample(RunConfig(
-        n_samples=n_samples, x_start=x_start, output_path=output_path,
-    ))
+    cmd_sample(RunConfig(**params))
 
 
 @main.command()
@@ -616,17 +610,12 @@ def sample(n_samples, x_start, output_path):
               default=None, help="Re-ingest a sample CSV instead of sieving.")
 @_OUT
 @_translate_errors
-def spectrum(n_samples, x_start, method, mem_order, welch_segment, n_freq,
-             f_lo, input_csv, synthetic, ar_coeff, seed, output_path):
+def spectrum(**params):
     """Emit the one-sided power spectral density of the fluctuation."""
-    _refuse_with("input_csv", ("synthetic", "n_samples", "x_start"))
+    _refuse_with("input_csv", ("synthetic", "n_samples", "x_start", "seed",
+                               "ar_coeff"))
     _refuse_with("synthetic", ("x_start",))
-    cmd_spectrum(RunConfig(
-        n_samples=n_samples, x_start=x_start, method=method,
-        mem_order=mem_order, welch_segment=welch_segment,
-        n_freq=n_freq, f_lo=f_lo, input_csv=input_csv, synthetic=synthetic,
-        ar_coeff=ar_coeff, seed=seed, output_path=output_path,
-    ))
+    cmd_spectrum(RunConfig(**params))
 
 
 @main.command()
@@ -637,17 +626,14 @@ def spectrum(n_samples, x_start, method, mem_order, welch_segment, n_freq,
                    "of running the pipeline.")
 @_OUT
 @_translate_errors
-def fit(n_samples, x_start, method, mem_order, welch_segment, n_freq, f_lo,
-        band, spectrum_csv, synthetic, ar_coeff, seed, output_path):
+def fit(**params):
     """Fit P(f) = a*f^b over a band; emit the JSON report."""
-    _refuse_with("spectrum_csv", ("n_samples", "x_start", "synthetic"))
+    # a table is fitted as it is: no estimator option applies to it
+    _refuse_with("spectrum_csv", ("n_samples", "x_start", "synthetic",
+                                  "method", "mem_order", "welch_segment",
+                                  "n_freq", "f_lo", "ar_coeff", "seed"))
     _refuse_with("synthetic", ("x_start",))
-    cmd_fit(RunConfig(
-        n_samples=n_samples, x_start=x_start, method=method,
-        mem_order=mem_order, welch_segment=welch_segment, n_freq=n_freq,
-        f_lo=f_lo, band=band, spectrum_csv=spectrum_csv, synthetic=synthetic,
-        ar_coeff=ar_coeff, seed=seed, output_path=output_path,
-    ))
+    cmd_fit(RunConfig(**params))
 
 
 @main.command()
@@ -662,12 +648,9 @@ def fit(n_samples, x_start, method, mem_order, welch_segment, n_freq, f_lo,
               help="Zeros to keep in the truncated sum (default: all).")
 @_OUT
 @_translate_errors
-def reconstruct(n_samples, x_start, zeros_path, n_zeros, output_path):
+def reconstruct(**params):
     """Cross-validate the sieve route against the zero-sum route."""
-    cmd_reconstruct(RunConfig(
-        n_samples=n_samples, x_start=x_start, zeros_path=zeros_path,
-        n_zeros=n_zeros, output_path=output_path,
-    ))
+    cmd_reconstruct(RunConfig(**params))
 
 
 @main.command()
@@ -675,9 +658,9 @@ def reconstruct(n_samples, x_start, zeros_path, n_zeros, output_path):
 @click.option("--n-freq", type=int, default=512, show_default=True)
 @_OUT
 @_translate_errors
-def analytic(band, n_freq, output_path):
+def analytic(**params):
     """Emit the asymptotic spectrum 2*ln^2(f/(2 pi))/f^2 over a band."""
-    cmd_analytic(RunConfig(band=band, n_freq=n_freq, output_path=output_path))
+    cmd_analytic(RunConfig(**params))
 
 
 if __name__ == "__main__":

@@ -23,22 +23,17 @@ class ResourceError(PsispecError, RuntimeError):
     """A request exceeds what this machine (or float64) can honour."""
 
 
-def utf8_text(path, data: bytes) -> str:
-    """``data``, whole lines of the file at ``path``, decoded as UTF-8.
+def utf8_text(path, data: bytes, first_line: int) -> str:
+    """``data``, whole lines of the file at ``path`` from its line
+    ``first_line`` on, decoded as UTF-8.
 
-    If they are not UTF-8, the file is scanned from its start and a
-    DataFormatError names its first line that is not.
+    If they are not, a DataFormatError names the line that holds the first
+    byte that is not.  Lines end at "\\n", "\\r\\n" or a lone "\\r", as
+    ``bytes.splitlines`` splits them.
     """
     try:
         return data.decode()
-    except UnicodeDecodeError:
-        pass
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, 1):
-            try:
-                line.decode()
-            except UnicodeDecodeError as exc:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: not UTF-8 text"
-                ) from exc
-    raise DataFormatError(f"{path}: not UTF-8 text")
+    except UnicodeDecodeError as exc:
+        # the data up to that byte ends on its line
+        line = first_line + len(data[: exc.start + 1].splitlines()) - 1
+        raise DataFormatError(f"{path}: line {line}: not UTF-8 text") from exc

@@ -246,15 +246,13 @@ def default_segment_len(n_samples: int) -> int:
 def welch_psd(
     series,
     segment_len: int | None = None,
-    overlap: float = 0.5,
-    window: str = "hann",
     demean: bool = False,
 ) -> PowerSpectrum:
     """Welch's averaged-periodogram estimate of the one-sided density.
 
     Segments of ``segment_len`` samples (a power of two; default the largest
-    power of two <= n/8) advance by ``segment_len * (1 - overlap)``.  Each is
-    tapered by a periodic window, transformed, and the squared magnitudes are
+    power of two <= n/8) advance by half a segment.  Each is tapered by a
+    periodic Hann window, transformed, and the squared magnitudes are
     averaged and scaled by ``1 / (fs * sum w^2)`` so the result is a density;
     interior bins are doubled to fold negative frequencies in.  With
     ``demean`` the series minus its mean is estimated.  The series is read
@@ -271,16 +269,9 @@ def welch_psd(
         raise DomainError(
             f"segment length {segment_len} exceeds series length {n}"
         )
-    if not 0.0 <= overlap < 1.0:
-        raise DomainError(f"overlap fraction must lie in [0, 1), got {overlap}")
     idx = np.arange(segment_len)
-    if window == "hann":
-        taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * idx / segment_len)
-    elif window == "boxcar":
-        taper = np.ones(segment_len)
-    else:
-        raise DomainError(f"unknown window {window!r} (use 'hann' or 'boxcar')")
-    step = max(int(segment_len * (1.0 - overlap)), 1)
+    taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * idx / segment_len)
+    step = segment_len // 2
     n_segments = (n - segment_len) // step + 1
     fs = 1.0 / dx
     acc = np.zeros(segment_len // 2 + 1)
@@ -316,8 +307,8 @@ def welch_psd(
         estimator={
             "method": "welch",
             "segment_len": int(segment_len),
-            "overlap": float(overlap),
-            "window": window,
+            "overlap": 0.5,
+            "window": "hann",
             "n_segments": int(n_segments),
             "n_samples": int(n),
         },

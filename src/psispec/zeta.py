@@ -11,6 +11,7 @@ together with the asymptotic spectrum ``P(f) = 2 ln^2(f/(2 pi)) / f^2`` of
 the fluctuation, provide an independent check on the prime-side pipeline.
 """
 
+import io
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -53,12 +54,13 @@ def load_zeros(path) -> ZetaZeros:
     """
     path = Path(path)
     try:
-        text = utf8_text(path, path.read_bytes())
+        text = utf8_text(path, path.read_bytes(), 1)
     except FileNotFoundError as exc:
         raise DataFormatError(f"zeros file not found: {path}") from exc
     ordinates = []
     prev = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end where the CSV reader's do: "\n", "\r\n" or a lone "\r"
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -160,6 +162,8 @@ def analytic_spectrum(
         raise DomainError(
             f"need 0 < f_min < f_max, got [{f_min}, {f_max}]"
         )
+    if not math.isfinite(f_max):
+        raise DomainError(f"f_max must be finite, got {f_max}")
     if n_freq < 2:
         raise DomainError(f"need at least two frequency points, got {n_freq}")
     freqs = np.logspace(math.log10(f_min), math.log10(f_max), n_freq)

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import psispec as ps
-from psispec import cli
+from psispec import cli, errors
 from psispec.cli import main
 
 from conftest import SMALL_CHUNK, SMALL_SEGMENT, ar1_sample, awkward_floats, csv_rows
@@ -357,6 +357,59 @@ def test_read_names_a_line_that_is_not_utf8(tmp_path, small_chunks, mutate, mess
     assert message.split(" in")[0] in message_of(result)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("nan", "non-finite number in"), ("x", "non-numeric field in"),
+     ("1\xff", "not UTF-8 text")],
+)
+def test_read_opens_its_input_once(tmp_path, small_chunks, monkeypatch, text, message):
+    # the last of 300 rows, on line 303, is in the last chunk
+    path = tmp_path / "sample.csv"
+    lines = replace_field(sample_lines(300), 302, 3, text)
+    path.write_bytes("".join(lines).encode("latin-1"))
+    opened = []
+
+    def spy(file, *args, **kwargs):
+        opened.append(file)
+        return builtins.open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", spy, raising=False)
+    monkeypatch.setattr(errors, "open", spy, raising=False)
+    with pytest.raises(ps.DataFormatError, match=f"line 303: {message}"):
+        cli.read_sample_csv(path)
+    assert opened == [path]
+
+
+def test_read_names_a_line_that_is_not_utf8_among_lone_cr_line_ends(tmp_path):
+    lines = replace_field(sample_lines(), 6, 3, "1\xff")
+    path = tmp_path / "sample.csv"
+    path.write_bytes("".join(lines).replace("\n", "\r").encode("latin-1"))
+    with pytest.raises(ps.DataFormatError, match="line 7: not UTF-8 text"):
+        cli.read_sample_csv(path)
+    result = run("spectrum", "--input", path)
+    assert result.exit_code == 3
+    assert "line 7: not UTF-8 text" in message_of(result)
+
+
+@pytest.mark.parametrize(
+    "lone_cr",
+    # from the header on, so in the bytes read with it; in a later chunk;
+    # and around the bad row
+    [slice(0, 100), slice(100, 160), slice(240, 260)],
+)
+@pytest.mark.parametrize(
+    "text, message", [("nan", "non-finite number in"), ("x", "non-numeric field in")]
+)
+def test_read_names_bad_lines_after_lone_cr_line_ends(
+    tmp_path, small_chunks, lone_cr, text, message
+):
+    lines = replace_field(sample_lines(300), 250, 3, text)
+    lines[lone_cr] = [line.replace("\n", "\r") for line in lines[lone_cr]]
+    path = write_sample(tmp_path, lines)
+    with pytest.raises(ps.DataFormatError, match=f"line 251: {message}"):
+        cli.read_sample_csv(path)
+
+
 def test_spectrum_input_holds_the_series_twice(tmp_path, monkeypatch):
     n = 200_000
     path = tmp_path / "sample.csv"
@@ -560,6 +613,24 @@ def test_spectrum_synthetic_deterministic_and_seed_sensitive():
          "--spectrum-csv cannot be combined with --x-start"),
         (["fit", "--spectrum-csv", "{csv}", "--synthetic", "ar1"],
          "--spectrum-csv cannot be combined with --synthetic"),
+        (["spectrum", "--input", "{csv}", "--seed", 3],
+         "--input cannot be combined with --seed"),
+        (["spectrum", "--input", "{csv}", "--ar-coeff", 0.2],
+         "--input cannot be combined with --ar-coeff"),
+        (["fit", "--spectrum-csv", "{csv}", "--method", "welch", "--segment", 8192],
+         "--spectrum-csv cannot be combined with --method"),
+        (["fit", "--spectrum-csv", "{csv}", "--segment", 8192],
+         "--spectrum-csv cannot be combined with --segment"),
+        (["fit", "--spectrum-csv", "{csv}", "--order", 7, "--seed", 3,
+          "--ar-coeff", 0.2], "--spectrum-csv cannot be combined with --order"),
+        (["fit", "--spectrum-csv", "{csv}", "--n-freq", 64],
+         "--spectrum-csv cannot be combined with --n-freq"),
+        (["fit", "--spectrum-csv", "{csv}", "--f-lo", 1e-3],
+         "--spectrum-csv cannot be combined with --f-lo"),
+        (["fit", "--spectrum-csv", "{csv}", "--ar-coeff", 0.2],
+         "--spectrum-csv cannot be combined with --ar-coeff"),
+        (["fit", "--spectrum-csv", "{csv}", "--seed", 3],
+         "--spectrum-csv cannot be combined with --seed"),
     ],
 )
 def test_options_of_another_source_are_refused(tmp_path, args, message):
@@ -846,6 +917,15 @@ def test_analytic_band_starting_at_two_pi():
 def test_analytic_rejects_nonpositive_band():
     assert run("analytic", "--band", "0:1").exit_code == 2
     assert run("analytic", "--band", "-1:1").exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["analytic", "fit"])
+@pytest.mark.parametrize("band", ["1:inf", "1e-3:nan", "-inf:1"])
+def test_non_finite_band_is_a_usage_error(command, band):
+    result = run(command, "--band", band)
+    assert result.exit_code == 2
+    assert f"--band expects finite decimals, got '{band}'" in message_of(result)
+    assert "Warning" not in message_of(result)
 
 
 def test_analytic_determinism():

@@ -68,6 +68,17 @@ def test_parse_rejects_small_first_ordinate(tmp_path):
         ps.load_zeros(p)
 
 
+def test_parse_numbers_lines_at_newlines_only(tmp_path):
+    # a form feed or a vertical tab ends no line; "\r" and "\r\n" do
+    p = tmp_path / "z.txt"
+    p.write_bytes(b"# page\x0cbreak\r14.13\x0b\r\n21.0\r13.0\n")
+    with pytest.raises(DataFormatError, match="line 4: ordinates must be"):
+        ps.load_zeros(p)
+    p.write_bytes(b"# page\x0cbreak\r14.13\r\n21.0\xff\n")
+    with pytest.raises(DataFormatError, match="line 3: not UTF-8 text"):
+        ps.load_zeros(p)
+
+
 def test_parse_rejects_empty_and_missing(tmp_path):
     p = tmp_path / "empty.txt"
     p.write_text("# only comments\n\n")
@@ -273,6 +284,13 @@ def test_analytic_spectrum_grid():
         ps.analytic_spectrum(0.5, 0.1)
     with pytest.raises(DomainError):
         ps.analytic_spectrum(1e-3, 1e-1, n_freq=1)
+
+
+def test_analytic_spectrum_needs_a_finite_band():
+    with pytest.raises(DomainError, match="f_max must be finite"):
+        ps.analytic_spectrum(1.0, math.inf)
+    with pytest.raises(DomainError):
+        ps.analytic_spectrum(math.nan, 1.0)
 
 
 def test_scalar_inputs_give_floats_and_sequences_give_arrays(zeros):
