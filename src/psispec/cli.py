@@ -7,15 +7,16 @@ bulk by numpy (``_kernels.format_rows``), ``_CHUNK_ROWS`` at a time, with
 the bytes of ``format(v, ".17g")`` for every value.
 
 Re-ingested tables (``--input``, ``--spectrum-csv``) are read in chunks of
-about ``_CHUNK_BYTES`` of whole lines.  A chunk of canonical rows, fields
-``-?[0-9]+(.[0-9]+)?`` with nothing else on the line, as every command
-writes them, is checked and converted by ``_kernels.parse_rows`` with
-exact integer arithmetic, bit for bit what ``float`` gives; only the
-columns the command uses are converted.  Any other chunk (comments, blank
-lines, CRLF, exponents, ``nan``) falls back to ``np.loadtxt``.  Every
-number must be finite.  The reader opens the file once and numbers its
-lines as it reads them, so a bad row, or a line that is not UTF-8, is
-named by its line in the file from its own chunk.
+about ``_CHUNK_BYTES`` of whole lines, which end at "\\n", "\\r\\n" or a
+lone "\\r".  A chunk of canonical rows, fields ``-?[0-9]+(.[0-9]+)?`` with
+nothing else on the line, as every command writes them, is checked and
+converted by ``_kernels.parse_rows`` with exact integer arithmetic, bit
+for bit what ``float`` gives; only the columns the command uses are
+converted.  Any other chunk (comments, blank lines, CRLF, exponents,
+``nan``) falls back to ``np.loadtxt``.  Every number must be finite.  The
+reader opens the file once and numbers its lines as it reads them, so a
+bad row, or a line that is not UTF-8, is named by its line in the file
+from its own chunk.
 
 Exit codes: 0 success; 2 usage or domain error; 3 data-format error;
 4 I/O error.
@@ -67,7 +68,7 @@ class RunConfig:
     zeros_path: Path | None = None
     n_zeros: int | None = None
     output_path: str = "-"
-    seed: int | None = None
+    seed: int = 0
     synthetic: str | None = None
     ar_coeff: float = 0.9
     input_csv: Path | None = None
@@ -198,8 +199,8 @@ def _read_rows(path, expected_header: str, usecols):
         raise DataFormatError(f"input file not found: {path}") from exc
     rows = 0
     with fh:
-        line, rest = _skip_header(path, fh, expected_header)
-        for chunk in itertools.chain([rest], _chunks(fh)):
+        line, rest, carry = _skip_header(path, fh, expected_header)
+        for chunk in itertools.chain([rest], _chunks(fh, carry)):
             columns = parse_rows(chunk, n_cols, usecols)
             if columns is None:
                 table = _parse_chunk(path, chunk, n_cols, line)
@@ -214,15 +215,20 @@ def _read_rows(path, expected_header: str, usecols):
         raise DataFormatError(f"{path}: no data rows")
 
 
-def _skip_header(path, fh, expected_header: str) -> tuple[int, bytes]:
-    """Read binary ``fh`` up to and including the header line, the first
-    with more than blanks and a comment, and check it; return the number
-    of the next line and the bytes read past the header, which a file
-    with lone "\\r" line ends can hold."""
+def _skip_header(path, fh, expected_header: str) -> tuple[int, bytes, bytes]:
+    """Read binary ``fh`` by ``_read_lines`` up to and including the
+    header line, the first with more than blanks and a comment, and check
+    it; return the number of the next line, the whole lines read past the
+    header and the bytes read past those.  A file with "\\n" line ends is
+    read one line at a time, and both are empty."""
     lineno = 0
-    for raw in fh:
+    carry = b""
+    while True:
+        chunk, carry = _read_lines(fh, 0, carry)
+        if not chunk:
+            raise DataFormatError(f"{path}: no data rows")
         end = 0
-        for line in raw.splitlines(keepends=True):
+        for line in chunk.splitlines(keepends=True):
             lineno += 1
             end += len(line)
             header = utf8_text(path, line, lineno).split("#", 1)[0].strip()
@@ -233,14 +239,37 @@ def _skip_header(path, fh, expected_header: str) -> tuple[int, bytes]:
                     f"{path}: line {lineno}: expected header "
                     f"{expected_header!r}, got {header!r}"
                 )
-            return lineno + 1, raw[end:]
-    raise DataFormatError(f"{path}: no data rows")
+            return lineno + 1, chunk[end:], carry
 
 
-def _chunks(fh):
-    """The rest of binary ``fh`` as chunks of whole lines, about
-    ``_CHUNK_BYTES`` each, every one ending in a newline."""
-    while chunk := fh.read(_CHUNK_BYTES) + fh.readline():
+def _read_lines(fh, size: int, carry: bytes) -> tuple[bytes, bytes]:
+    """``(lines, carry)``: ``carry`` and ``size`` more bytes of binary
+    ``fh``, cut or extended to end at a line end, and the bytes read past
+    that end.  The lines are empty only at the end of the file.
+
+    If a "\\r" follows the last "\\n" read, as in a file with lone "\\r"
+    line ends, the lines end at the last such "\\r", but not at the last
+    byte read, whose "\\n" may be unread.  Otherwise they run on to the
+    next "\\n", which ``fh.readline`` reads, ``_CHUNK_BYTES`` at a time.
+    """
+    lines = carry + fh.read(size)
+    while True:
+        end = lines.rfind(b"\r", lines.rfind(b"\n") + 1, -1) + 1
+        if end:
+            return lines[:end], lines[end:]
+        tail = fh.readline(_CHUNK_BYTES)
+        lines += tail
+        if tail.endswith(b"\n") or len(tail) < _CHUNK_BYTES:
+            return lines, b""
+
+
+def _chunks(fh, carry: bytes):
+    """``carry``, then the rest of binary ``fh``, as chunks of whole lines
+    of about ``_CHUNK_BYTES`` each, every one ending in a newline."""
+    while True:
+        chunk, carry = _read_lines(fh, _CHUNK_BYTES, carry)
+        if not chunk:
+            return
         yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
 
 
@@ -380,22 +409,23 @@ def _synthetic_series(kind: str, n: int, seed: int | None, ar_coeff: float):
     raise DomainError(f"unknown synthetic signal {kind!r} (use white or ar1)")
 
 
-def _pipeline_series(config: RunConfig):
+def _pipeline_series(config: RunConfig) -> BlockSeries:
     """The series the estimators run on, before its mean is removed: the
-    fluctuation as blocks straight from the sieve, one block read from
-    ``--input``, or an array for ``--synthetic``."""
+    fluctuation as blocks straight from the sieve, or one block read from
+    ``--input`` or generated by ``--synthetic``.  The estimators shift
+    every block in place, so each source hands them blocks of its own and
+    none is copied."""
     if config.input_csv is not None:
-        # one block, which the estimators demean in place, so the array
-        # read is estimated without the copy they make of an array
         return read_sample_csv(config.input_csv)
     if config.n_samples < 2:
         raise DomainError(
             f"spectral estimation needs at least 2 samples, got {config.n_samples}"
         )
     if config.synthetic is not None:
-        return _synthetic_series(
+        signal = _synthetic_series(
             config.synthetic, config.n_samples, config.seed, config.ar_coeff
         )
+        return BlockSeries(blocks=[signal], n=signal.size)
     segments = grid_segments(config.n_samples, x_start=config.x_start)
     return BlockSeries(
         blocks=(fluc for _, _, fluc in segments), n=config.n_samples
@@ -404,10 +434,10 @@ def _pipeline_series(config: RunConfig):
 
 def _estimate_spectrum(config: RunConfig, series) -> PowerSpectrum:
     if config.method == "mem":
-        model = burg_fit(series, order=config.mem_order, demean=True)
+        model = burg_fit(series, order=config.mem_order)
         return ar_psd(model, n_freq=config.n_freq, f_min=config.f_lo)
     if config.method == "welch":
-        return welch_psd(series, segment_len=config.welch_segment, demean=True)
+        return welch_psd(series, segment_len=config.welch_segment)
     raise DomainError(f"unknown method {config.method!r} (use mem or welch)")
 
 
@@ -568,23 +598,52 @@ _ESTIMATOR_OPTIONS = (
 )
 
 
+def _given(ctx, name: str) -> bool:
+    return ctx.get_parameter_source(name) is not ParameterSource.DEFAULT
+
+
+def _flags(ctx) -> dict:
+    return {param.name: param.opts[0] for param in ctx.command.params}
+
+
 def _refuse_with(option: str, others) -> None:
     """Exit 2 if ``option`` and any of ``others``, which it overrides or
     which do not apply to it, were both given (names of click parameters
     of the current command)."""
     ctx = click.get_current_context()
-
-    def given(name):
-        return ctx.get_parameter_source(name) is not ParameterSource.DEFAULT
-
-    if not given(option):
+    if not _given(ctx, option):
         return
     for other in others:
-        if given(other):
-            flags = {param.name: param.opts[0] for param in ctx.command.params}
+        if _given(ctx, other):
+            flags = _flags(ctx)
             raise click.UsageError(
                 f"{flags[option]} cannot be combined with {flags[other]}", ctx
             )
+
+
+#: Estimator options that apply only with a value of another option:
+#: (option, the option it needs, that option's value, or None for any).
+_NEEDS = (
+    ("seed", "synthetic", None),
+    ("ar_coeff", "synthetic", "ar1"),
+    ("welch_segment", "method", "welch"),
+    ("mem_order", "method", "mem"),
+    ("n_freq", "method", "mem"),
+    ("f_lo", "method", "mem"),
+)
+
+
+def _refuse_unapplied(params: dict) -> None:
+    """Exit 2 if an option of ``_NEEDS`` was given, though the option it
+    needs does not have the value with which it applies."""
+    ctx = click.get_current_context()
+    for option, needed, value in _NEEDS:
+        have = params[needed]
+        applies = have is not None if value is None else have == value
+        if _given(ctx, option) and not applies:
+            flags = _flags(ctx)
+            need = flags[needed] if value is None else f"{flags[needed]} {value}"
+            raise click.UsageError(f"{flags[option]} needs {need}", ctx)
 
 
 def _estimator_options(command):
@@ -615,6 +674,7 @@ def spectrum(**params):
     _refuse_with("input_csv", ("synthetic", "n_samples", "x_start", "seed",
                                "ar_coeff"))
     _refuse_with("synthetic", ("x_start",))
+    _refuse_unapplied(params)
     cmd_spectrum(RunConfig(**params))
 
 
@@ -633,6 +693,7 @@ def fit(**params):
                                   "method", "mem_order", "welch_segment",
                                   "n_freq", "f_lo", "ar_coeff", "seed"))
     _refuse_with("synthetic", ("x_start",))
+    _refuse_unapplied(params)
     cmd_fit(RunConfig(**params))
 
 

@@ -12,11 +12,11 @@ read as float64 samples at spacing 1, or a ``BlockSeries``, which gives
 its spacing ``dx``.  Both report frequency in cycles per unit of ``dx``;
 the usable axis ends at the Nyquist frequency ``0.5 / dx``.
 
-Both read their input in one pass, so a ``BlockSeries`` that delivers the
-series block by block is estimated in O(block) memory: Burg order 1 keeps
-running sums, Welch a buffer of one window.  With ``demean`` the mean is
-removed without a second pass: blocks are shifted by the first block's
-mean and the remainder is taken out of the sums at the end.
+Both estimate the series minus its mean, in one pass: a ``BlockSeries``
+that delivers the series block by block is estimated in O(block) memory
+(Burg order 1 keeps running sums, Welch a buffer of one window).  Blocks
+are shifted by the first block's mean, and the rest of the mean is taken
+out of the sums at the end.
 """
 
 from collections.abc import Iterable
@@ -63,21 +63,35 @@ class BlockSeries:
     dx: float = 1.0
 
 
-def _as_blocks(series, demean: bool):
+def _as_blocks(series):
     """``(blocks, n, dx)`` of a BlockSeries, or of any other series, read as
-    a float64 array at spacing 1, as a single block (a copy when
-    ``demean``, which shifts blocks in place)."""
+    a float64 array at spacing 1, as a single block: a copy, since the
+    estimators shift blocks in place."""
     if isinstance(series, BlockSeries):
         return series.blocks, int(series.n), float(series.dx)
     arr = np.asarray(series, dtype=np.float64)
     if arr.ndim != 1:
         raise DomainError("expected a one-dimensional real series")
-    return [arr.copy() if demean else arr], arr.size, 1.0
+    return [arr.copy()], arr.size, 1.0
+
+
+def _checked(blocks, n: int):
+    """The non-empty blocks of ``blocks``, each checked to be
+    one-dimensional; raises at the end unless they hold ``n`` samples."""
+    count = 0
+    for block in blocks:
+        if block.ndim != 1:
+            raise DomainError("expected a one-dimensional real series")
+        if block.size:
+            count += block.size
+            yield block
+    if count != n:
+        raise DomainError(f"series blocks hold {count} samples, expected {n}")
 
 
 class _Shifted:
-    """Iterate the blocks minus a provisional shift ``c``: the first
-    block's mean when demeaning, else 0.
+    """Iterate the blocks minus a provisional shift ``c``, the first
+    block's mean.
 
     After the pass, ``offset`` is ``d = mean - c``, built from the later
     blocks only: the first block's deviations from its own mean sum to 0,
@@ -85,34 +99,23 @@ class _Shifted:
     bits of estimating ``remove_mean(series)``.
     """
 
-    def __init__(self, blocks, n: int, demean: bool):
+    def __init__(self, blocks, n: int):
         self._blocks = blocks
         self.n = n
-        self._demean = demean
         self.offset = 0.0
 
     def __iter__(self):
         shift = None
         later = 0.0
-        count = 0
-        for block in self._blocks:
-            if block.ndim != 1:
-                raise DomainError("expected a one-dimensional real series")
-            if not block.size:
-                continue
-            if self._demean:
-                if shift is None:
-                    shift = block.mean()
+        for block in _checked(self._blocks, self.n):
+            if shift is None:
+                shift = block.mean()
                 block -= shift
-                if count:
-                    later += float(block.sum())
-            count += block.size
+            else:
+                block -= shift
+                later += float(block.sum())
             yield block
-        if count != self.n:
-            raise DomainError(
-                f"series blocks hold {count} samples, expected {self.n}"
-            )
-        self.offset = later / count
+        self.offset = later / self.n
 
 
 def remove_mean(series) -> np.ndarray:
@@ -123,16 +126,16 @@ def remove_mean(series) -> np.ndarray:
     return arr - arr.mean()
 
 
-def burg_fit(series, order: int = 1, demean: bool = False) -> ArModel:
-    """Fit an AR(order) model by Burg's method (maximum entropy).
+def burg_fit(series, order: int = 1) -> ArModel:
+    """Fit an AR(order) model to the series minus its mean by Burg's
+    method (maximum entropy).
 
     The recursion minimizes forward plus backward prediction error at each
     stage, which keeps every reflection coefficient within [-1, 1] and the
-    resulting model stable.  With ``demean`` the model is fitted to the
-    series minus its mean.  Order 1 reads the series in one pass; higher
+    resulting model stable.  Order 1 reads the series in one pass; higher
     orders gather it into one array, since each stage needs another pass.
     """
-    blocks, n, dx = _as_blocks(series, demean)
+    blocks, n, dx = _as_blocks(series)
     if order < 1:
         raise DomainError(f"autoregressive order must be >= 1, got {order}")
     if n < order + 1:
@@ -140,11 +143,11 @@ def burg_fit(series, order: int = 1, demean: bool = False) -> ArModel:
             f"need more than {order} samples to fit order {order}, got {n}"
         )
     if order == 1:
-        coeffs, noise_var = _burg1(_Shifted(blocks, n, demean))
+        coeffs, noise_var = _burg1(_Shifted(blocks, n))
     else:
-        arr = np.concatenate(list(_Shifted(blocks, n, demean=False)))
-        if demean:
-            arr -= arr.mean()
+        gathered = list(_checked(blocks, n))
+        arr = gathered[0] if len(gathered) == 1 else np.concatenate(gathered)
+        arr -= arr.mean()
         _check_not_constant(np.all(arr == arr[0]))
         coeffs, noise_var = _kernels.burg_recursion(arr, order)
     return ArModel(
@@ -243,22 +246,18 @@ def default_segment_len(n_samples: int) -> int:
     return 1 << (target.bit_length() - 1)
 
 
-def welch_psd(
-    series,
-    segment_len: int | None = None,
-    demean: bool = False,
-) -> PowerSpectrum:
-    """Welch's averaged-periodogram estimate of the one-sided density.
+def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
+    """Welch's averaged-periodogram estimate of the one-sided density of
+    the series minus its mean.
 
     Segments of ``segment_len`` samples (a power of two; default the largest
     power of two <= n/8) advance by half a segment.  Each is tapered by a
     periodic Hann window, transformed, and the squared magnitudes are
     averaged and scaled by ``1 / (fs * sum w^2)`` so the result is a density;
-    interior bins are doubled to fold negative frequencies in.  With
-    ``demean`` the series minus its mean is estimated.  The series is read
-    in one pass that holds one segment beyond the current block.
+    interior bins are doubled to fold negative frequencies in.  The series
+    is read in one pass that holds one segment beyond the current block.
     """
-    blocks, n, dx = _as_blocks(series, demean)
+    blocks, n, dx = _as_blocks(series)
     if segment_len is None:
         segment_len = default_segment_len(n)
     if segment_len < 2 or segment_len & (segment_len - 1):
@@ -277,7 +276,7 @@ def welch_psd(
     acc = np.zeros(segment_len // 2 + 1)
     # sum of the segment transforms, for removing the offset d at the end
     total = np.zeros(segment_len // 2 + 1, dtype=np.complex128)
-    shifted = _Shifted(blocks, n, demean)
+    shifted = _Shifted(blocks, n)
     pending = np.empty(0)
     for block in shifted:
         pending = np.concatenate([pending, block]) if pending.size else block

@@ -1,6 +1,7 @@
 import builtins
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -410,6 +411,55 @@ def test_read_names_bad_lines_after_lone_cr_line_ends(
         cli.read_sample_csv(path)
 
 
+def test_read_lone_cr_sample_holds_about_one_chunk(tmp_path):
+    n = 200_000
+    path = tmp_path / "sample.csv"
+    assert run("sample", "--n", n, "--out", path).exit_code == 0
+    want = cli.read_sample_csv(path).blocks[0]
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    tracemalloc.start()
+    try:
+        got = cli.read_sample_csv(path).blocks[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    # "\n" ends peak at 8.9 MiB; the 12 MiB file read whole takes 85 MiB
+    assert peak < 16 * 2**20
+
+
+def test_read_counts_a_crlf_across_a_chunk_edge_once(tmp_path, small_chunks):
+    # 43-byte rows: a read of SMALL_CHUNK = 7 * 43 - 1 bytes from the start
+    # of a row ends between the "\r" and the "\n" of its seventh
+    assert (SMALL_CHUNK + 1) % 43 == 0
+    rows = [f"{i:020d},{i:020d}\r\n" for i in range(1, 201)]
+    path = tmp_path / "spectrum.csv"
+    path.write_text("f,P\r\n" + "".join(rows), newline="")
+    assert np.array_equal(cli.read_spectrum_csv(path).freqs, np.arange(1.0, 201.0))
+    rows[180] = f"{'x':>20},{181:020d}\r\n"
+    path.write_text("f,P\r\n" + "".join(rows), newline="")
+    with pytest.raises(ps.DataFormatError, match="line 182: non-numeric field in"):
+        cli.read_spectrum_csv(path)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 5, 8, 13, 64])
+@pytest.mark.parametrize("ends", [(b"\r",), (b"\n", b"\r", b"\r\n")])
+def test_chunks_end_at_line_ends_of_either_kind(monkeypatch, chunk_bytes, ends):
+    rng = np.random.default_rng(chunk_bytes)
+    data = b"".join(
+        b"7" * int(rng.integers(0, 6)) + ends[rng.integers(len(ends))]
+        for _ in range(2000)
+    )
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
+    chunks = list(cli._chunks(io.BytesIO(data), b""))
+    assert all(chunk.endswith(b"\n") for chunk in chunks)
+    # no line split in two, and no "\r\n" counted as two line ends
+    assert b"".join(chunks).splitlines() == data.splitlines()
+    if ends == (b"\r",):
+        # about chunk_bytes each: a line of at most 6 bytes more, and "\n"
+        assert max(map(len, chunks)) <= chunk_bytes + 7
+
+
 def test_spectrum_input_holds_the_series_twice(tmp_path, monkeypatch):
     n = 200_000
     path = tmp_path / "sample.csv"
@@ -498,7 +548,7 @@ def test_spectrum_mem_matches_library():
     header, rows = data_rows(result.output)
     assert header == "f,P"
     table = np.array([[float(v) for v in r.split(",")] for r in rows])
-    y = ps.remove_mean(ps.fluctuation_series(4096))
+    y = ps.fluctuation_series(4096)
     spec = ps.ar_psd(ps.burg_fit(y, order=1))
     assert np.array_equal(table[:, 0], spec.freqs)
     assert np.array_equal(table[:, 1], spec.power)
@@ -511,7 +561,7 @@ def test_spectrum_welch_matches_library():
     assert result.exit_code == 0
     _, rows = data_rows(result.output)
     table = np.array([[float(v) for v in r.split(",")] for r in rows])
-    y = ps.remove_mean(ps.fluctuation_series(4096))
+    y = ps.fluctuation_series(4096)
     spec = ps.welch_psd(y, segment_len=512)
     assert np.array_equal(table[:, 0], spec.freqs)
     assert np.array_equal(table[:, 1], spec.power)
@@ -595,6 +645,18 @@ def test_spectrum_synthetic_deterministic_and_seed_sensitive():
     assert a.output != c.output
 
 
+def test_run_config_seeds_synthetic_signals_like_the_cli(tmp_path):
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        cli.cmd_spectrum(
+            cli.RunConfig(synthetic="white", n_samples=1000, output_path=str(out))
+        )
+    text = outs[0].read_text()
+    assert "# synthetic=white seed=0\n" in text
+    assert outs[1].read_text() == text
+    assert text == run("spectrum", "--synthetic", "white", "--n", 1000).output
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -641,6 +703,29 @@ def test_options_of_another_source_are_refused(tmp_path, args, message):
     assert message in message_of(result)
 
 
+@pytest.mark.parametrize("command", ["spectrum", "fit"])
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--n", 1000, "--seed", 3, "--ar-coeff", 0.1], "--seed needs --synthetic"),
+        (["--n", 1000, "--ar-coeff", 0.5], "--ar-coeff needs --synthetic ar1"),
+        (["--synthetic", "white", "--n", 1000, "--ar-coeff", 0.5],
+         "--ar-coeff needs --synthetic ar1"),
+        (["--n", 1000, "--segment", 64], "--segment needs --method welch"),
+        (["--n", 1000, "--method", "welch", "--segment", 64, "--order", 3,
+          "--n-freq", 9, "--f-lo", 0.01], "--order needs --method mem"),
+        (["--n", 1000, "--method", "welch", "--n-freq", 9],
+         "--n-freq needs --method mem"),
+        (["--n", 1000, "--method", "welch", "--f-lo", 0.01],
+         "--f-lo needs --method mem"),
+    ],
+)
+def test_options_that_apply_to_nothing_are_refused(command, args, message):
+    result = run(command, *args)
+    assert result.exit_code == 2
+    assert message in message_of(result)
+
+
 # ---------------------------------------------------------------------------
 # streaming: many segments, memory of one segment
 # ---------------------------------------------------------------------------
@@ -682,7 +767,7 @@ def test_streamed_spectra_match_materialised(small_segments):
 
 def test_higher_order_matches_library(small_segments):
     result = run("spectrum", "--n", 10_000, "--order", 3)
-    y = ps.remove_mean(ps.fluctuation_series(10_000))
+    y = ps.fluctuation_series(10_000)
     spec = ps.ar_psd(ps.burg_fit(y, order=3))
     assert np.array_equal(spectrum_table(result)[:, 1], spec.power)
     assert "# order=3" in result.output

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psispec as ps
+from psispec import _kernels
 from psispec.errors import DegenerateInputError, DomainError
 
 import oracles
@@ -131,7 +132,7 @@ def test_welch_matches_scipy_reference():
     y = ar1_sample(99, 2**13, coeff=0.6)
     spec = ps.welch_psd(y, segment_len=1024)
     f_ref, p_ref = scipy_signal.welch(
-        y,
+        ps.remove_mean(y),
         fs=1.0,
         window="hann",
         nperseg=1024,
@@ -143,13 +144,37 @@ def test_welch_matches_scipy_reference():
     assert np.allclose(spec.power, p_ref, rtol=1e-10, atol=1e-13)
 
 
+def test_welch_default_segment_matches_scipy_on_fluctuation():
+    """Each step of psi_fluc, (Lambda(n) + Lambda(n-1))/2 - 1, averages
+    two terms of Lambda, with power gain cos^2(pi f), which is 0 at
+    f = 1/2: the top bins hold almost no power, and only there can the
+    relative error be large."""
+    scipy_signal = pytest.importorskip("scipy.signal")
+    y = ps.fluctuation_series(2**20)
+    spec = ps.welch_psd(y)
+    assert spec.estimator["segment_len"] == 2**17
+    _, p_ref = scipy_signal.welch(
+        ps.remove_mean(y),
+        fs=1.0,
+        window="hann",
+        nperseg=2**17,
+        noverlap=2**16,
+        detrend=False,
+        scaling="density",
+    )
+    low = spec.freqs <= 0.4
+    assert np.allclose(spec.power[low], p_ref[low], rtol=1e-10, atol=0)
+    at = {f: spec.power[np.searchsorted(spec.freqs, f)] for f in (0.45, 0.5)}
+    assert at[0.5] / at[0.45] < 1e-6
+
+
 def test_welch_one_sided_folding_identity():
     rng = np.random.default_rng(11)
     y = rng.standard_normal(256)
     spec = ps.welch_psd(y, segment_len=256)  # one Hann segment
     assert spec.estimator["n_segments"] == 1
     w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(256) / 256)
-    tapered = np.fft.fft(y * w)
+    tapered = np.fft.fft(ps.remove_mean(y) * w)
     spectrum_full = np.abs(tapered) ** 2 / np.sum(w * w)  # two-sided density, fs=1
     folded = spectrum_full[:129].copy()
     folded[1:-1] += spectrum_full[-1:-128:-1]
@@ -271,13 +296,13 @@ def _split(values, sizes):
 
 @pytest.mark.parametrize("n, x_start", [(40_000, 2), (30_000, 100_000)])
 def test_streamed_estimators_match_materialised(small_segments, n, x_start):
-    y = ps.remove_mean(ps.fluctuation_series(n, x_start))
-    got = ps.burg_fit(_fluctuation_blocks(n, x_start), order=1, demean=True)
+    y = ps.fluctuation_series(n, x_start)
+    got = ps.burg_fit(_fluctuation_blocks(n, x_start), order=1)
     want = ps.burg_fit(y, order=1)
     assert got.coeffs[0] == pytest.approx(want.coeffs[0], rel=1e-10, abs=0)
     assert got.noise_var == pytest.approx(want.noise_var, rel=1e-10, abs=0)
     assert got.n_samples == want.n_samples == n
-    got = ps.welch_psd(_fluctuation_blocks(n, x_start), 512, demean=True)
+    got = ps.welch_psd(_fluctuation_blocks(n, x_start), 512)
     want = ps.welch_psd(y, 512)
     assert np.array_equal(got.freqs, want.freqs)
     assert np.allclose(got.power, want.power, rtol=1e-10, atol=0)
@@ -288,19 +313,15 @@ def test_irregular_blocks_match_one_array():
     # blocks shorter than a segment, an empty block, and a large offset
     x = ar1_sample(3, 5000, coeff=0.6) + 40.0
     sizes = [1, 700, 0, 300, 17, 2500]
-    y = ps.remove_mean(x)
-    got = ps.burg_fit(_split(x, sizes), order=1, demean=True)
-    want = ps.burg_fit(y, order=1)
+    got = ps.burg_fit(_split(x, sizes), order=1)
+    want = ps.burg_fit(x, order=1)
     assert got.coeffs[0] == pytest.approx(want.coeffs[0], rel=1e-10, abs=0)
     assert got.noise_var == pytest.approx(want.noise_var, rel=1e-10, abs=0)
     for segment_len in (256, 512):
-        got = ps.welch_psd(_split(x, sizes), segment_len, demean=True)
-        want = ps.welch_psd(y, segment_len)
+        got = ps.welch_psd(_split(x, sizes), segment_len)
+        want = ps.welch_psd(x, segment_len)
         assert np.allclose(got.power, want.power, rtol=1e-10, atol=0)
         assert got.estimator == want.estimator
-    # without demean the blocks are estimated as they are
-    got = ps.welch_psd(_split(x, sizes), 256)
-    assert np.array_equal(got.power, ps.welch_psd(x, 256).power)
 
 
 def test_demean_of_one_array_keeps_the_bits():
@@ -308,19 +329,17 @@ def test_demean_of_one_array_keeps_the_bits():
     before = x.copy()
     y = ps.remove_mean(x)
     for order in (1, 3):
-        got = ps.burg_fit(x, order=order, demean=True)
-        want = ps.burg_fit(y, order=order)
-        assert np.array_equal(got.coeffs, want.coeffs)
-        assert got.noise_var == want.noise_var
-    got = ps.welch_psd(x, 512, demean=True)
-    assert np.array_equal(got.power, ps.welch_psd(y, 512).power)
+        got = ps.burg_fit(x, order=order)
+        coeffs, noise_var = _kernels.burg_recursion(y, order)
+        assert np.array_equal(got.coeffs, coeffs)
+        assert got.noise_var == noise_var
     assert np.array_equal(x, before)  # the caller's array is left as it was
 
 
 def test_higher_order_gathers_the_blocks(small_segments):
     n = 20_000
-    y = ps.remove_mean(ps.fluctuation_series(n))
-    got = ps.burg_fit(_fluctuation_blocks(n), order=3, demean=True)
+    y = ps.fluctuation_series(n)
+    got = ps.burg_fit(_fluctuation_blocks(n), order=3)
     want = ps.burg_fit(y, order=3)
     assert np.array_equal(got.coeffs, want.coeffs)
     assert got.noise_var == want.noise_var
@@ -328,7 +347,7 @@ def test_higher_order_gathers_the_blocks(small_segments):
 
 def test_block_series_validation():
     with pytest.raises(DegenerateInputError):
-        ps.burg_fit(_split(np.full(100, 3.25), [10, 50]), demean=True)
+        ps.burg_fit(_split(np.full(100, 3.25), [10, 50]))
     with pytest.raises(DomainError):
         ps.burg_fit(ps.BlockSeries(blocks=[np.ones(5), np.zeros(5)], n=12))
     with pytest.raises(DomainError):
