@@ -1,10 +1,12 @@
 """The six hot loops of the pipeline, vectorized with numpy.
 
-``mangoldt_segment`` sieves the von Mangoldt function on one segment,
-``half_jump_prefix`` accumulates psi over it, ``burg_recursion`` fits the
-autoregressive model, ``zero_pair_sum`` totals the explicit formula,
-``format_rows`` writes CSV rows at 17 significant digits and
-``parse_rows`` reads them back, bit for bit.
+``mangoldt_segment`` sieves the von Mangoldt function on one segment from
+tables of base primes and their powers built once per run, striking
+composites with a wheel, slices and one scatter; ``half_jump_prefix``
+accumulates psi over it, ``burg_recursion`` fits the autoregressive model,
+``zero_pair_sum`` totals the explicit formula, ``format_rows`` writes CSV
+rows at 17 significant digits and ``parse_rows`` reads them back, bit for
+bit.
 
 Accuracy note: the prefix carries its running total as a Kahan pair and the
 zero sum totals the terms of each point by numpy's pairwise summation, so
@@ -22,33 +24,96 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 
-def mangoldt_segment(lo, hi, base_primes, base_logs):
+#: 2 * 3 * 5 * 7 * 11 * 13: the multiples of the wheel primes repeat with
+#: this period.
+_WHEEL = 30030
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@functools.lru_cache(maxsize=1)
+def _wheel(span):
+    """Flags of the multiples of the wheel primes, the primes included,
+    among 0 ... ``_WHEEL + span - 1``: any ``span`` of them from offset
+    ``lo % _WHEEL`` are the flags of ``lo, lo + 1, ...``."""
+    flags = np.zeros(_WHEEL + span, dtype=bool)
+    for p in _WHEEL_PRIMES:
+        flags[::p] = True
+    flags.setflags(write=False)
+    return flags
+
+
+def mangoldt_segment(lo, hi, base_primes, powers, power_logs):
     """Lambda(m) for every integer m in [lo, hi).
 
-    ``base_primes`` must contain every prime <= isqrt(hi - 1); ``base_logs``
-    are their natural logs.  Entries for m < 2 are zero.
+    ``base_primes`` must hold every prime <= isqrt(hi - 1), in order;
+    ``powers`` every power p**k (k >= 1) of them below hi, sorted, and
+    ``power_logs`` the log p of each (``prime_series._base_primes`` builds
+    the three for a whole grid, and primes or powers beyond the segment
+    are ignored).  Entries for m < 2 are zero.
+
+    The powers take their log p from the table, one ``searchsorted`` per
+    segment.  Composites are struck in three tiers, so that the Python work
+    per segment does not grow with the number of base primes:
+
+    - the multiples of 2 ... 13 are copied from one periodic pattern, and
+      the six primes themselves cleared again;
+    - each prime 17 <= p < (hi - lo) / 64 strikes its multiples by a slice;
+    - every larger prime strikes a few times at most, and all of them
+      strike in one scatter.
+
+    Each prime starts at max(p*p, first multiple >= lo): smaller multiples
+    have a prime factor below p.  Survivors that are no power in the table
+    are primes above the base primes and carry their own log.
     """
     n = hi - lo
+    offset = lo % _WHEEL
+    # n rounded up to a power of two, so that full segments share a pattern
+    composite = _wheel(1 << (n - 1).bit_length())[offset : offset + n].copy()
+    for p in _WHEEL_PRIMES:
+        if lo <= p < hi:
+            composite[p - lo] = False
+    primes = base_primes[: np.searchsorted(base_primes, math.isqrt(hi - 1), "right")]
+    dense, sparse = np.searchsorted(primes, (_WHEEL_PRIMES[-1] + 1, n / 64))
+    sparse = max(dense, sparse)
+    sliced = primes[dense:sparse]
+    for p, start in zip(sliced.tolist(), _first_strikes(lo, sliced).tolist()):
+        composite[start::p] = True
+    if sparse < primes.size:
+        _strike_sparse(composite, lo, primes[sparse:])
     lam = np.zeros(n, dtype=np.float64)
-    composite = np.zeros(n, dtype=bool)
-    for p, lp in zip(base_primes.tolist(), base_logs.tolist()):
-        # Strike multiples of p from max(p*p, first multiple >= lo): smaller
-        # multiples have a prime factor below p and are struck by that prime.
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start < hi:
-            composite[start - lo :: p] = True
-        # Prime powers p, p^2, ... inside the segment carry log p.
-        q = p
-        while q < hi:
-            if q >= lo:
-                lam[q - lo] = lp
-            q *= p
-    # Survivors above the base primes are primes themselves.
-    fresh = np.flatnonzero(~composite & (lam == 0.0)) + lo
-    fresh = fresh[fresh >= 2]
-    if fresh.size:
-        lam[fresh - lo] = np.log(fresh.astype(np.float64))
+    i, j = np.searchsorted(powers, (lo, hi))
+    at = powers[i:j] - lo
+    lam[at] = power_logs[i:j]
+    composite[at] = True
+    if lo < 2:
+        composite[: 2 - lo] = True
+    fresh = np.flatnonzero(np.logical_not(composite, out=composite))
+    lam[fresh] = np.log((fresh + lo).astype(np.float64))
     return lam
+
+
+def _first_strikes(lo, primes):
+    """Offset from ``lo`` of max(p*p, first multiple >= lo) for each p."""
+    return np.maximum(primes * primes, -(-lo // primes) * primes) - lo
+
+
+def _strike_sparse(composite, lo, primes):
+    """Flag in ``composite``, the segment from ``lo``, the multiples of each
+    of ``primes`` from max(p*p, first multiple >= lo), by one scatter."""
+    n = composite.size
+    first = _first_strikes(lo, primes)
+    hits = first < n
+    p, first = primes[hits], first[hits]
+    if not p.size:
+        return
+    counts = (n - 1 - first) // p + 1
+    # one cumsum walks every prime's run: each run's first step jumps from
+    # the last strike of the run before it to the prime's first multiple
+    steps = np.repeat(p, counts)
+    starts = np.cumsum(counts) - counts
+    steps[starts] = np.diff(first, prepend=0)
+    steps[starts[1:]] -= (counts[:-1] - 1) * p[:-1]
+    composite[np.cumsum(steps, out=steps)] = True
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ lone "\\r".  A chunk of canonical rows, fields ``-?[0-9]+(.[0-9]+)?`` with
 nothing else on the line, as every command writes them, is checked and
 converted by ``_kernels.parse_rows`` with exact integer arithmetic, bit
 for bit what ``float`` gives; only the columns the command uses are
-converted.  Any other chunk (comments, blank lines, CRLF, exponents,
-``nan``) falls back to ``np.loadtxt``.  Every number must be finite.  The
-reader opens the file once and numbers its lines as it reads them, so a
-bad row, or a line that is not UTF-8, is named by its line in the file
-from its own chunk.
+converted; "\\r\\n" and lone "\\r" line ends are first made "\\n".  Any
+other chunk (comments, blank lines, exponents, ``nan``) falls back to
+``np.loadtxt``.  Every number must be finite.  The reader opens the file
+once and numbers its lines as it reads them, so a bad row, or a line that
+is not UTF-8, is named by its line in the file from its own chunk.
 
 Exit codes: 0 success; 2 usage or domain error; 3 data-format error;
 4 I/O error.
@@ -188,7 +188,8 @@ def _read_rows(path, expected_header: str, usecols):
     every command writes, is checked and converted by
     ``_kernels.parse_rows``; any other chunk is parsed by ``np.loadtxt``
     (``_parse_chunk``).  Lines end at "\\n", "\\r\\n" or a lone "\\r", as
-    ``bytes.splitlines`` splits them, and are numbered as they are read,
+    ``bytes.splitlines`` splits them; a chunk's line ends become "\\n"
+    before it is parsed.  Lines are numbered as they are read,
     so that a malformed or non-finite row, or a line that is not UTF-8,
     is named by its line in the file from the text of its own chunk.
     """
@@ -201,6 +202,9 @@ def _read_rows(path, expected_header: str, usecols):
     with fh:
         line, rest, carry = _skip_header(path, fh, expected_header)
         for chunk in itertools.chain([rest], _chunks(fh, carry)):
+            if b"\r" in chunk:
+                # the same lines, so the same line numbers, with "\n" ends
+                chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             columns = parse_rows(chunk, n_cols, usecols)
             if columns is None:
                 table = _parse_chunk(path, chunk, n_cols, line)

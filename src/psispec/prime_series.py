@@ -19,8 +19,12 @@ from .errors import DomainError, ResourceError
 
 LN_2PI = math.log(2.0 * math.pi)
 
-#: Sieve segment length (integers per kernel call).
-_SEGMENT = 1 << 20
+#: Sieve segment length (integers per kernel call).  A multiple of
+#: ``_kernels._PREFIX_CHUNK``, so that the prefix's chunks, and with them
+#: every bit of psi, do not depend on it.  Shorter segments hold less, but
+#: below 2**18 glibc returns the CSV formatter's temporaries to the system
+#: after every chunk and ``sample`` spends its time in page faults.
+_SEGMENT = 1 << 18
 
 #: Largest admissible grid point: beyond 2**53 consecutive integers are no
 #: longer exactly representable in float64 and psi itself outgrows the
@@ -42,20 +46,30 @@ def _check_limit(limit: int) -> None:
 
 
 def _base_primes(limit: int):
-    """Primes up to isqrt(limit) and their natural logs."""
+    """Primes up to isqrt(limit), in order, and every power p**k <= limit
+    (k >= 1) of them, sorted, with the log p of each: the base tables of
+    ``_kernels.mangoldt_segment`` for any segment below limit + 1."""
     root = math.isqrt(limit)
-    if root < 2:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
-    is_prime = np.ones(root + 1, dtype=bool)
+    is_prime = np.ones(max(root + 1, 2), dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(root) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
     primes = np.flatnonzero(is_prime).astype(np.int64)
-    return primes, np.log(primes.astype(np.float64))
+    powers, owners = [primes], [np.arange(primes.size)]
+    while True:
+        owner = owners[-1]
+        # q * p <= limit without overflow
+        keep = powers[-1] <= limit // primes[owner]
+        owner = owner[keep]
+        if not owner.size:
+            break
+        powers.append(powers[-1][keep] * primes[owner])
+        owners.append(owner)
+    powers, owners = np.concatenate(powers), np.concatenate(owners)
+    order = np.argsort(powers)
+    logs = np.log(primes.astype(np.float64))
+    return primes, powers[order], logs[owners[order]]
 
 
 def grid_segments(n: int, x_start: int = 2, fluctuation: bool = True):
@@ -85,7 +99,7 @@ def grid_segments(n: int, x_start: int = 2, fluctuation: bool = True):
 
 
 def _segments(x_start: int, limit: int, fluctuation: bool):
-    primes, logs = _base_primes(limit)
+    base = _base_primes(limit)
     carry = [0.0, 0.0]
     if x_start == 1:
         # Lambda(1) = 0, so psi(1) = 0 and the sieve starts at 2
@@ -93,18 +107,17 @@ def _segments(x_start: int, limit: int, fluctuation: bool):
     for lo in range(2, limit + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, limit + 1)
         if hi <= x_start:
-            _segment(lo, hi, lo, primes, logs, carry, fluctuation=False)
+            _segment(lo, hi, lo, base, carry, fluctuation=False)
         else:
             # yielded straight from the call, so this frame keeps no
             # reference to a block once its consumer has dropped it
-            yield _segment(lo, hi, max(lo, x_start), primes, logs, carry,
-                           fluctuation)
+            yield _segment(lo, hi, max(lo, x_start), base, carry, fluctuation)
 
 
-def _segment(lo, hi, x0, primes, logs, carry, fluctuation):
+def _segment(lo, hi, x0, base, carry, fluctuation):
     """One block of ``grid_segments``: Lambda and psi on [lo, hi), advancing
     the Kahan pair ``carry`` in place; returned from ``x0`` on."""
-    lam = _kernels.mangoldt_segment(lo, hi, primes, logs)
+    lam = _kernels.mangoldt_segment(lo, hi, *base)
     psi, carry[0], carry[1] = _kernels.half_jump_prefix(lam, carry[0], carry[1])
     if not fluctuation:
         return x0, lam[x0 - lo :], psi[x0 - lo :]

@@ -2,7 +2,8 @@
 
 Each oracle recomputes a quantity the library produces, by a different
 route: trial division or one unsegmented sieve instead of the segmented
-one, a longdouble cumsum instead of the compensated float64 prefix, the
+one, a loop over every base prime instead of the kernel's strike tiers, a
+longdouble cumsum instead of the compensated float64 prefix, the
 truncated series instead of the closed form, Yule-Walker and a scalar
 recursion instead of the sliced Burg kernel, a Kahan loop instead of
 ``math.fsum`` for the zero sum, and the Riemann-Siegel Z function (via
@@ -42,6 +43,38 @@ def mangoldt_by_factoring(m: int) -> float:
     while m % p == 0:
         m //= p
     return math.log(p) if m == 1 else 0.0
+
+
+def mangoldt_segment_by_loop(lo: int, hi: int) -> np.ndarray:
+    """Lambda on [lo, hi) by one Python loop over the primes p <=
+    isqrt(hi - 1): each strikes its multiples from max(p*p, first multiple
+    >= lo) by a slice and puts log p at its powers; unstruck m >= 2 that
+    carry nothing yet are primes, with log m.  No wheel, no strike tiers and
+    no table of prime powers, so it checks ``_kernels.mangoldt_segment``
+    bit for bit."""
+    root = math.isqrt(hi - 1)
+    is_prime = np.ones(root + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    primes = np.flatnonzero(is_prime)
+    logs = np.log(primes.astype(np.float64))
+    n = hi - lo
+    lam = np.zeros(n)
+    composite = np.zeros(n, dtype=bool)
+    for p, lp in zip(primes.tolist(), logs.tolist()):
+        start = max(p * p, -(-lo // p) * p)
+        composite[start - lo :: p] = True
+        q = p
+        while q < hi:
+            if q >= lo:
+                lam[q - lo] = lp
+            q *= p
+    fresh = np.flatnonzero(~composite & (lam == 0.0)) + lo
+    fresh = fresh[fresh >= 2]
+    lam[fresh - lo] = np.log(fresh.astype(np.float64))
+    return lam
 
 
 def psi_grid_brute(limit: int) -> np.ndarray:

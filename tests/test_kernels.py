@@ -18,6 +18,7 @@ from oracles import (
     burg_scalar,
     mangoldt_by_factoring,
     mangoldt_by_trial_division,
+    mangoldt_segment_by_loop,
     mangoldt_sieve,
     zero_pair_sum_kahan,
 )
@@ -31,19 +32,59 @@ def _assert_same_mangoldt(got, expected):
 
 @pytest.mark.parametrize("lo, hi", [(1, 513), (2, 10_001)])
 def test_mangoldt_segment_matches_trial_division(lo, hi):
-    primes, logs = _base_primes(hi - 1)
-    lam = kern.mangoldt_segment(lo, hi, primes, logs)
+    lam = kern.mangoldt_segment(lo, hi, *_base_primes(hi - 1))
     _assert_same_mangoldt(lam, mangoldt_by_trial_division(hi - 1)[lo:hi])
 
 
 def test_mangoldt_segment_near_1e6_matches_factoring():
     lo, hi = 999_950, 1_000_051
-    primes, logs = _base_primes(hi - 1)
-    lam = kern.mangoldt_segment(lo, hi, primes, logs)
+    lam = kern.mangoldt_segment(lo, hi, *_base_primes(hi - 1))
     expected = [mangoldt_by_factoring(m) for m in range(lo, hi)]
     # the range holds nine primes among its composites
     assert sum(v > 0.0 for v in expected) == 9
     _assert_same_mangoldt(lam, expected)
+
+
+@pytest.mark.parametrize("lo", [0, 1, 2, 5, 12, 100])
+@pytest.mark.parametrize("n", [1, 7, 64, 5000])
+def test_mangoldt_segment_keeps_the_small_primes(lo, n):
+    # a grid up to 8 or 12 has only 2 as a base prime: 3 ... 13 must
+    # survive the wheel, which flags them as multiples of themselves
+    hi = lo + n
+    lam = kern.mangoldt_segment(lo, hi, *_base_primes(hi - 1))
+    assert lam.tobytes() == mangoldt_segment_by_loop(lo, hi).tobytes()
+
+
+@pytest.mark.parametrize(
+    "lo, n",
+    [
+        (10**7 + 12_345, 1 << 16),
+        (10**10 - 4_321, 1 << 14),
+        (10**12 + 777, 1 << 13),
+    ],
+)
+def test_mangoldt_segment_is_bit_identical_to_the_per_prime_loop(lo, n):
+    # every tier strikes: 17 <= p < n/64 by slices, and the rest, up to
+    # 10**6 at 10**12, by one scatter; the base tables may reach further
+    # than the segment needs, as they do for every segment but the last
+    hi = lo + n
+    got = kern.mangoldt_segment(lo, hi, *_base_primes(hi + 10**6))
+    assert got.tobytes() == mangoldt_segment_by_loop(lo, hi).tobytes()
+
+
+def test_mangoldt_segment_near_the_square_of_a_sparse_prime():
+    # 1_000_003 is prime and strikes a segment of 2**18 integers once at
+    # most: first at its own square, which carries log p from the table
+    p = 1_000_003
+    half, window = 1 << 17, 100
+    lo = p * p - half
+    lam = kern.mangoldt_segment(lo, lo + 2 * half, *_base_primes(lo + 2 * half))
+    got = lam[half - window : half + window + 1]
+    expected = [mangoldt_by_factoring(m) for m in range(p * p - window, p * p + window + 1)]
+    assert got[window] == math.log(p)
+    # four primes besides p * p
+    assert sum(v > 0.0 for v in expected) == 5
+    _assert_same_mangoldt(got, expected)
 
 
 def test_prefix_matches_fsum():

@@ -230,6 +230,19 @@ def test_windows_are_bit_identical_to_full_prefix(small_segments):
         assert np.array_equal(window, full[x_start - 1 : x_start - 1 + n])
 
 
+@pytest.mark.parametrize("segment", [SMALL_SEGMENT, 1 << 20])
+def test_segment_length_leaves_every_bit(monkeypatch, segment):
+    # segments are whole prefix chunks, so the chunks, and psi, do not move;
+    # the grid starts off an edge and crosses 2**18 and many 4096 edges
+    n, x_start = (1 << 18) + 9_000, (1 << 18) - 4_321
+    want = ps.psi_series(n, x_start), ps.fluctuation_series(n, x_start)
+    assert ps.prime_series._SEGMENT == 1 << 18
+    monkeypatch.setattr(ps.prime_series, "_SEGMENT", segment)
+    got = ps.psi_series(n, x_start), ps.fluctuation_series(n, x_start)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_fluctuation_at_is_bit_identical_across_segments(small_segments):
     n = 3 * SMALL_SEGMENT + 77
     fl = ps.fluctuation_series(n)
@@ -266,7 +279,8 @@ def test_fluctuation_at_memory_is_one_segment():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48 * 2**20
+    # 6.3 MiB with segments of 2**18 integers
+    assert peak < 16 * 2**20
 
 
 def test_empty_points_give_empty_arrays(zeros):
