@@ -16,7 +16,14 @@ converted; "\\r\\n" and lone "\\r" line ends are first made "\\n".  Any
 other chunk (comments, blank lines, exponents, ``nan``) falls back to
 ``np.loadtxt``.  Every number must be finite.  The reader opens the file
 once and numbers its lines as it reads them, so a bad row, or a line that
-is not UTF-8, is named by its line in the file from its own chunk.
+is not UTF-8, is named by its line in the file from its own chunk.  An
+``--input`` table goes to the estimators as it is read, one ``fluc`` block
+per chunk, in a ``BlockSeries`` whose length they count, so it is never
+held whole unless the estimator gathers it (Burg above order 1, and Welch
+without ``--segment``, whose default segment depends on the length).
+
+``--n`` and ``--x-start`` take any decimal spelling of an integer, such as
+``1e7``.
 
 Exit codes: 0 success; 2 usage or domain error; 3 data-format error;
 4 I/O error.
@@ -136,6 +143,38 @@ def _write_table(output_path: str, head_lines: list[str], blocks) -> None:
         for columns in blocks:
             for lo in range(0, len(columns[0]), _CHUNK_ROWS):
                 fh.write(format_rows([c[lo : lo + _CHUNK_ROWS] for c in columns]))
+
+
+class _Integer(click.ParamType):
+    """An integer in any decimal spelling whose exact value is one, such
+    as ``1000``, ``1e3`` or ``1.0e3``; read by ``decimal``, never rounded
+    through a float.  Like ``int``, it refuses more than 4300 digits."""
+
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, int):
+            return value
+        with contextlib.suppress(ValueError):
+            return int(value)
+        # imported only for other spellings: it adds 0.5 MB to every run
+        import decimal
+
+        try:
+            number = decimal.Decimal(value)
+        except decimal.InvalidOperation:
+            number = None
+        if (
+            number is None
+            or not number.is_finite()
+            or number.adjusted() >= 4300
+            or number != number.to_integral_value()
+        ):
+            self.fail(f"{value!r} is not a valid integer.", param, ctx)
+        return int(number)
+
+
+_INTEGER = _Integer()
 
 
 def _parse_band(_ctx, _param, value: str) -> tuple[float, float]:
@@ -352,10 +391,18 @@ def _raise_bad_row(path, lines, n_cols: int, reason: str):
 
 def read_sample_csv(path) -> BlockSeries:
     """Re-ingest a ``sample`` CSV's fluctuation column as a BlockSeries of
-    one block, which the estimators may overwrite (round-trip hook for
-    ``spectrum --input``).  The ``x`` column must hold consecutive
-    integers; of ``psi`` and ``smooth`` only the syntax is checked."""
-    flucs = []
+    unknown length, whose blocks are read from the file, one chunk each,
+    as the estimators take them and which they may overwrite (round-trip
+    hook for ``spectrum --input``).  Nothing is read before the first
+    block is taken, and the file's errors are raised from the blocks."""
+    return BlockSeries(blocks=_sample_flucs(path))
+
+
+def _sample_flucs(path):
+    """The ``fluc`` column of a ``sample`` CSV, one array per chunk.  The
+    ``x`` column must hold consecutive integers, which is checked at the
+    end, so that a bad row later in the file is named first; of ``psi``
+    and ``smooth`` only the syntax is checked."""
     first = last = None
     consecutive = True
     for x, fluc in _read_rows(path, "x,psi,smooth,fluc", (0, 3)):
@@ -366,13 +413,11 @@ def read_sample_csv(path) -> BlockSeries:
             consecutive &= x[0] - last == 1.0
         consecutive &= bool(np.all(np.diff(x) == 1.0))
         last = x[-1]
-        flucs.append(fluc)
+        yield fluc
     if not consecutive:
         raise DataFormatError(
             f"{path}: x column must be consecutive integers with step 1"
         )
-    values = np.concatenate(flucs)
-    return BlockSeries(blocks=[values], n=values.size)
 
 
 def read_spectrum_csv(path) -> PowerSpectrum:
@@ -415,12 +460,15 @@ def _synthetic_series(kind: str, n: int, seed: int | None, ar_coeff: float):
 
 def _pipeline_series(config: RunConfig) -> BlockSeries:
     """The series the estimators run on, before its mean is removed: the
-    fluctuation as blocks straight from the sieve, or one block read from
-    ``--input`` or generated by ``--synthetic``.  The estimators shift
-    every block in place, so each source hands them blocks of its own and
-    none is copied."""
+    fluctuation as blocks straight from the sieve or from the chunks of
+    the ``--input`` table, whose length the estimators count, or one block
+    generated by ``--synthetic``.  The estimators shift every block in
+    place, so each source hands them blocks of its own and none is
+    copied."""
     if config.input_csv is not None:
-        return read_sample_csv(config.input_csv)
+        # built here, not by read_sample_csv: psibench's trace of that
+        # function adds up the n of its result, which a stream leaves None
+        return BlockSeries(blocks=_sample_flucs(config.input_csv))
     if config.n_samples < 2:
         raise DomainError(
             f"spectral estimation needs at least 2 samples, got {config.n_samples}"
@@ -478,14 +526,20 @@ def cmd_sample(config: RunConfig) -> None:
 
 def _sample_blocks(segments):
     """``[x, psi, smooth, fluc]`` for every ``_CHUNK_ROWS`` points of the
-    psi segments, so that only psi is held whole."""
-    for x0, _, psi in segments:
+    psi segments, so that only psi is held whole, and only one segment's:
+    the segment's Lambda is dropped at once, the rows hold a copy of their
+    slice of psi, not a view, and psi is dropped before the next segment
+    is sieved."""
+    for segment in segments:
+        x0, psi = segment[0], segment[2]
+        del segment
         for lo in range(0, psi.size, _CHUNK_ROWS):
             x = np.arange(x0 + lo, x0 + min(lo + _CHUNK_ROWS, psi.size),
                           dtype=np.float64)
-            part = psi[lo : lo + _CHUNK_ROWS]
+            part = psi[lo : lo + _CHUNK_ROWS].copy()
             smooth = smooth_part(x)
             yield [x, part, smooth, part - smooth]
+        del psi
 
 
 def cmd_spectrum(config: RunConfig) -> None:
@@ -576,8 +630,9 @@ _BAND = click.option(
 )
 #: Options of the estimator pipeline that ``spectrum`` and ``fit`` share.
 _ESTIMATOR_OPTIONS = (
-    click.option("--n", "n_samples", type=int, default=0, help="Grid points."),
-    click.option("--x-start", type=int, default=2, show_default=True),
+    click.option("--n", "n_samples", type=_INTEGER, default=0,
+                 help="Grid points."),
+    click.option("--x-start", type=_INTEGER, default=2, show_default=True),
     click.option("--method", type=click.Choice(["mem", "welch"]),
                  default="mem", show_default=True),
     click.option("--order", "mem_order", type=int, default=1,
@@ -658,8 +713,9 @@ def _estimator_options(command):
 
 
 @main.command()
-@click.option("--n", "n_samples", type=int, required=True, help="Grid points.")
-@click.option("--x-start", type=int, default=2, show_default=True)
+@click.option("--n", "n_samples", type=_INTEGER, required=True,
+              help="Grid points.")
+@click.option("--x-start", type=_INTEGER, default=2, show_default=True)
 @_OUT
 @_translate_errors
 def sample(**params):
@@ -702,10 +758,10 @@ def fit(**params):
 
 
 @main.command()
-@click.option("--n", "n_samples", type=int, required=True,
+@click.option("--n", "n_samples", type=_INTEGER, required=True,
               help="Range length; evaluation happens at the n-1 half-integer "
                    "points inside [x-start, x-start + n - 1].")
-@click.option("--x-start", type=int, default=2, show_default=True)
+@click.option("--x-start", type=_INTEGER, default=2, show_default=True)
 @click.option("--zeros", "zeros_path", type=click.Path(path_type=Path),
               default=None,
               help="Zero-ordinate table (default: bundled 2000-zero table).")

@@ -150,23 +150,36 @@ def psi_series(n: int, x_start: int = 2) -> np.ndarray:
     return _gather(n, x_start, fluctuation=False)
 
 
+#: From 2**18 on the log term of the smooth part cannot change a bit of
+#: it: there |log1p(-1/x**2)/2| <= 7.3e-12, less than half an ulp of x
+#: (at least 2.9e-11), so ``x - log1p(-1/x**2)/2`` rounds to x.
+_SMOOTH_LOG_BELOW = float(1 << 18)
+
+
 def smooth_part(x):
     """Smooth part ``x - log(1 - x^-2)/2 - log(2 pi)`` of psi.
 
     Accepts a scalar or array; every entry must exceed 1.  Equivalent to
     the series ``x + sum_{k>=1} x^(-2k)/(2k) - log(2 pi)``; the closed form
-    is evaluated through ``log1p`` so it stays accurate for large x.
+    is evaluated through ``log1p`` so it stays accurate for large x.  When
+    no entry lies below ``_SMOOTH_LOG_BELOW`` its log term is skipped,
+    which leaves every bit as it is.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(arr > 1.0):
+    least = arr.min(initial=np.inf)  # nan if any entry is
+    if not least > 1.0:
         raise DomainError("smooth part requires x > 1")
     # one temporary, updated in place, whatever the size of x
-    out = np.multiply(arr, arr, out=np.empty_like(arr))
-    np.divide(-1.0, out, out=out)
-    np.log1p(out, out=out)
-    out *= 0.5
-    np.subtract(arr, out, out=out)
-    out -= LN_2PI
+    out = np.empty(arr.shape)
+    if least < _SMOOTH_LOG_BELOW:
+        np.multiply(arr, arr, out=out)
+        np.divide(-1.0, out, out=out)
+        np.log1p(out, out=out)
+        out *= 0.5
+        np.subtract(arr, out, out=out)
+        out -= LN_2PI
+    else:
+        np.subtract(arr, LN_2PI, out=out)
     return _scalar_or_array(x, out)
 
 

@@ -16,7 +16,9 @@ Both estimate the series minus its mean, in one pass: a ``BlockSeries``
 that delivers the series block by block is estimated in O(block) memory
 (Burg order 1 keeps running sums, Welch a buffer of one window).  Blocks
 are shifted by the first block's mean, and the rest of the mean is taken
-out of the sums at the end.
+out of the sums at the end.  A ``BlockSeries`` of unknown length is
+counted as it is read, and the checks on its length run at the end of
+the pass.
 """
 
 from collections.abc import Iterable
@@ -52,14 +54,16 @@ class PowerSpectrum:
 @dataclass(frozen=True, eq=False)
 class BlockSeries:
     """A series of ``n`` samples at spacing ``dx`` that arrives as
-    consecutive one-dimensional float64 blocks.
+    consecutive one-dimensional float64 blocks; ``n`` is None when the
+    length is not known before the blocks are read, and the estimators
+    then count the samples as they read them.
 
     ``blocks`` is read once.  The estimators own the blocks they are given
     and may overwrite them.
     """
 
     blocks: Iterable
-    n: int
+    n: int | None = None
     dx: float = 1.0
 
 
@@ -68,16 +72,21 @@ def _as_blocks(series):
     a float64 array at spacing 1, as a single block: a copy, since the
     estimators shift blocks in place."""
     if isinstance(series, BlockSeries):
-        return series.blocks, int(series.n), float(series.dx)
+        n = None if series.n is None else int(series.n)
+        return series.blocks, n, float(series.dx)
     arr = np.asarray(series, dtype=np.float64)
     if arr.ndim != 1:
         raise DomainError("expected a one-dimensional real series")
     return [arr.copy()], arr.size, 1.0
 
 
-def _checked(blocks, n: int):
+def _checked(blocks, n: int | None, check_length):
     """The non-empty blocks of ``blocks``, each checked to be
-    one-dimensional; raises at the end unless they hold ``n`` samples."""
+    one-dimensional.  ``check_length(count)`` raises if the series is too
+    short: before the first block when ``n`` is known, and the blocks must
+    then hold ``n`` samples, else on the count at the end."""
+    if n is not None:
+        check_length(n)
     count = 0
     for block in blocks:
         if block.ndim != 1:
@@ -85,37 +94,44 @@ def _checked(blocks, n: int):
         if block.size:
             count += block.size
             yield block
-    if count != n:
+    if n is None:
+        check_length(count)
+    elif count != n:
         raise DomainError(f"series blocks hold {count} samples, expected {n}")
 
 
 class _Shifted:
-    """Iterate the blocks minus a provisional shift ``c``, the first
-    block's mean.
+    """Iterate the checked blocks (``_checked``) minus a provisional shift
+    ``c``, the first block's mean.
 
-    After the pass, ``offset`` is ``d = mean - c``, built from the later
-    blocks only: the first block's deviations from its own mean sum to 0,
-    so ``d`` is exactly 0 for a single block and the estimates keep the
-    bits of estimating ``remove_mean(series)``.
+    After the pass, ``n`` is the number of samples and ``offset`` is
+    ``d = mean - c``, built from the later blocks only: the first block's
+    deviations from its own mean sum to 0, so ``d`` is exactly 0 for a
+    single block and the estimates keep the bits of estimating
+    ``remove_mean(series)``.
     """
 
-    def __init__(self, blocks, n: int):
+    def __init__(self, blocks, n: int | None, check_length):
         self._blocks = blocks
+        self._check_length = check_length
         self.n = n
         self.offset = 0.0
 
     def __iter__(self):
         shift = None
         later = 0.0
-        for block in _checked(self._blocks, self.n):
+        count = 0
+        for block in _checked(self._blocks, self.n, self._check_length):
             if shift is None:
                 shift = block.mean()
                 block -= shift
             else:
                 block -= shift
                 later += float(block.sum())
+            count += block.size
             yield block
-        self.offset = later / self.n
+        self.n = count
+        self.offset = later / count
 
 
 def remove_mean(series) -> np.ndarray:
@@ -138,15 +154,21 @@ def burg_fit(series, order: int = 1) -> ArModel:
     blocks, n, dx = _as_blocks(series)
     if order < 1:
         raise DomainError(f"autoregressive order must be >= 1, got {order}")
-    if n < order + 1:
-        raise DomainError(
-            f"need more than {order} samples to fit order {order}, got {n}"
-        )
+
+    def check_length(count):
+        if count < order + 1:
+            raise DomainError(
+                f"need more than {order} samples to fit order {order}, got {count}"
+            )
+
     if order == 1:
-        coeffs, noise_var = _burg1(_Shifted(blocks, n))
+        shifted = _Shifted(blocks, n, check_length)
+        coeffs, noise_var = _burg1(shifted)
+        n = shifted.n
     else:
-        gathered = list(_checked(blocks, n))
+        gathered = list(_checked(blocks, n, check_length))
         arr = gathered[0] if len(gathered) == 1 else np.concatenate(gathered)
+        n = arr.size
         arr -= arr.mean()
         _check_not_constant(np.all(arr == arr[0]))
         coeffs, noise_var = _kernels.burg_recursion(arr, order)
@@ -255,31 +277,42 @@ def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
     periodic Hann window, transformed, and the squared magnitudes are
     averaged and scaled by ``1 / (fs * sum w^2)`` so the result is a density;
     interior bins are doubled to fold negative frequencies in.  The series
-    is read in one pass that holds one segment beyond the current block.
+    is read in one pass that holds one segment beyond the current block;
+    only the default segment of a series of unknown length needs the
+    blocks held, as they are, to count them first.
     """
     blocks, n, dx = _as_blocks(series)
     if segment_len is None:
+        if n is None:
+            blocks = list(blocks)
+            n = sum(block.size for block in blocks)
         segment_len = default_segment_len(n)
     if segment_len < 2 or segment_len & (segment_len - 1):
         raise DomainError(
             f"segment length must be a power of two >= 2, got {segment_len}"
         )
-    if segment_len > n:
-        raise DomainError(
-            f"segment length {segment_len} exceeds series length {n}"
-        )
-    idx = np.arange(segment_len)
-    taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * idx / segment_len)
+
+    def check_length(count):
+        if segment_len > count:
+            raise DomainError(
+                f"segment length {segment_len} exceeds series length {count}"
+            )
+
     step = segment_len // 2
-    n_segments = (n - segment_len) // step + 1
     fs = 1.0 / dx
-    acc = np.zeros(segment_len // 2 + 1)
-    # sum of the segment transforms, for removing the offset d at the end
-    total = np.zeros(segment_len // 2 + 1, dtype=np.complex128)
-    shifted = _Shifted(blocks, n)
+    shifted = _Shifted(blocks, n, check_length)
     pending = np.empty(0)
+    taper = None
     for block in shifted:
         pending = np.concatenate([pending, block]) if pending.size else block
+        if taper is None and pending.size >= segment_len:
+            # made once a whole segment has come, so that a segment longer
+            # than a series of unknown length allocates nothing
+            idx = np.arange(segment_len)
+            taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * idx / segment_len)
+            acc = np.zeros(segment_len // 2 + 1)
+            # sum of the segment transforms, for removing the offset d
+            total = np.zeros(segment_len // 2 + 1, dtype=np.complex128)
         start = 0
         while start + segment_len <= pending.size:
             spec = np.fft.rfft(pending[start : start + segment_len] * taper)
@@ -287,6 +320,8 @@ def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
             total += spec
             start += step
         pending = pending[start:].copy()
+    n = shifted.n
+    n_segments = (n - segment_len) // step + 1
     # |S - d W|^2 summed over segments, with W the transform of the taper
     d = shifted.offset
     w = np.fft.rfft(taper)

@@ -166,6 +166,11 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["earlier.csv"]
 
 
+def read_fluc(path):
+    """The fluc column that ``read_sample_csv`` streams, in one array."""
+    return np.concatenate(list(cli.read_sample_csv(path).blocks))
+
+
 def sample_lines(n=6):
     """Lines of a ``sample`` CSV, with their line ends."""
     return run("sample", "--n", n).output.splitlines(keepends=True)
@@ -174,16 +179,16 @@ def sample_lines(n=6):
 def test_read_single_data_row(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("".join(sample_lines(1)))
-    series = cli.read_sample_csv(path)
-    assert series.n == 1
-    assert np.array_equal(series.blocks[0], ps.fluctuation_series(1))
+    got = read_fluc(path)
+    assert got.size == 1
+    assert np.array_equal(got, ps.fluctuation_series(1))
 
 
 def test_read_skips_comments_and_blank_lines_and_crlf(tmp_path):
     lines = sample_lines()
     clean = tmp_path / "clean.csv"
     clean.write_text("".join(lines))
-    want = cli.read_sample_csv(clean).blocks[0]
+    want = read_fluc(clean)
     assert np.array_equal(want, ps.fluctuation_series(6))
     noisy = lines[:2] + [lines[2].rstrip("\n") + " # columns\n", lines[3]]
     noisy += ["\n", "# between rows\n", "   \n", "  # indented\n"]
@@ -194,7 +199,7 @@ def test_read_skips_comments_and_blank_lines_and_crlf(tmp_path):
     }
     for name, data in variants.items():
         (tmp_path / name).write_bytes(data)
-        assert np.array_equal(cli.read_sample_csv(tmp_path / name).blocks[0], want)
+        assert np.array_equal(read_fluc(tmp_path / name), want)
 
 
 @pytest.mark.parametrize(
@@ -227,7 +232,7 @@ def test_read_malformed_names_the_line(tmp_path, mutate, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # nothing may leak from the parser
         with pytest.raises(ps.DataFormatError, match=message):
-            cli.read_sample_csv(path)
+            read_fluc(path)
     result = run("spectrum", "--input", path)
     assert result.exit_code == 3
     assert message.split(" in")[0] in message_of(result)
@@ -270,9 +275,9 @@ def chunk_kinds(monkeypatch):
 
 def test_read_rows_straddling_chunks(tmp_path, small_chunks, chunk_kinds):
     path = write_sample(tmp_path, sample_lines(300))
-    series = cli.read_sample_csv(path)
-    assert series.n == 300
-    assert series.blocks[0].tobytes() == ps.fluctuation_series(300).tobytes()
+    got = read_fluc(path)
+    assert got.size == 300
+    assert got.tobytes() == ps.fluctuation_series(300).tobytes()
     # about SMALL_CHUNK bytes each, and every one canonical
     assert len(chunk_kinds) > path.stat().st_size // (SMALL_CHUNK + 100)
     assert not any(chunk_kinds)
@@ -293,19 +298,19 @@ def test_read_rows_straddling_chunks(tmp_path, small_chunks, chunk_kinds):
 def test_read_fallback_chunk_between_canonical_ones(
     tmp_path, small_chunks, chunk_kinds, mutate
 ):
-    want = cli.read_sample_csv(write_sample(tmp_path, sample_lines(300)))
+    want = read_fluc(write_sample(tmp_path, sample_lines(300)))
     chunk_kinds.clear()
-    got = cli.read_sample_csv(write_sample(tmp_path, mutate(sample_lines(300))))
-    assert got.blocks[0].tobytes() == want.blocks[0].tobytes()
+    got = read_fluc(write_sample(tmp_path, mutate(sample_lines(300))))
+    assert got.tobytes() == want.tobytes()
     assert chunk_kinds[0] is False and chunk_kinds[-1] is False
     assert any(chunk_kinds)
 
 
 def test_read_lone_cr_line_ends(tmp_path):
     lines = sample_lines()
-    want = cli.read_sample_csv(write_sample(tmp_path, lines)).blocks[0]
+    want = read_fluc(write_sample(tmp_path, lines))
     path = write_sample(tmp_path, [line.replace("\n", "\r") for line in lines])
-    assert cli.read_sample_csv(path).blocks[0].tobytes() == want.tobytes()
+    assert read_fluc(path).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -327,7 +332,7 @@ def test_read_names_bad_lines_after_the_first_chunk(
 ):
     path = write_sample(tmp_path, mutate(sample_lines(300)))
     with pytest.raises(ps.DataFormatError, match=message):
-        cli.read_sample_csv(path)
+        read_fluc(path)
     result = run("spectrum", "--input", path)
     assert result.exit_code == 3
     assert message.split(" in")[0] in message_of(result)
@@ -352,10 +357,23 @@ def test_read_names_a_line_that_is_not_utf8(tmp_path, small_chunks, mutate, mess
     # latin-1 writes each of these characters as the one byte of its code
     path.write_bytes("".join(mutate(sample_lines(300))).encode("latin-1"))
     with pytest.raises(ps.DataFormatError, match=message):
-        cli.read_sample_csv(path)
+        read_fluc(path)
     result = run("spectrum", "--input", path)
     assert result.exit_code == 3
     assert message.split(" in")[0] in message_of(result)
+
+
+def test_read_names_a_bad_row_after_an_x_gap(tmp_path, small_chunks):
+    # the gap, at line 101, is in an earlier chunk than the bad row
+    lines = sample_lines(300)
+    lines = replace_field(lines[:100] + lines[101:], 250, 3, "nan")
+    path = write_sample(tmp_path, lines)
+    with pytest.raises(ps.DataFormatError, match="line 251: non-finite number in"):
+        read_fluc(path)
+    result = run("spectrum", "--input", path)
+    assert result.exit_code == 3
+    assert "line 251: non-finite number" in message_of(result)
+    assert "consecutive" not in message_of(result)
 
 
 @pytest.mark.parametrize(
@@ -377,7 +395,7 @@ def test_read_opens_its_input_once(tmp_path, small_chunks, monkeypatch, text, me
     monkeypatch.setattr(cli, "open", spy, raising=False)
     monkeypatch.setattr(errors, "open", spy, raising=False)
     with pytest.raises(ps.DataFormatError, match=f"line 303: {message}"):
-        cli.read_sample_csv(path)
+        read_fluc(path)
     assert opened == [path]
 
 
@@ -386,7 +404,7 @@ def test_read_names_a_line_that_is_not_utf8_among_lone_cr_line_ends(tmp_path):
     path = tmp_path / "sample.csv"
     path.write_bytes("".join(lines).replace("\n", "\r").encode("latin-1"))
     with pytest.raises(ps.DataFormatError, match="line 7: not UTF-8 text"):
-        cli.read_sample_csv(path)
+        read_fluc(path)
     result = run("spectrum", "--input", path)
     assert result.exit_code == 3
     assert "line 7: not UTF-8 text" in message_of(result)
@@ -408,18 +426,18 @@ def test_read_names_bad_lines_after_lone_cr_line_ends(
     lines[lone_cr] = [line.replace("\n", "\r") for line in lines[lone_cr]]
     path = write_sample(tmp_path, lines)
     with pytest.raises(ps.DataFormatError, match=f"line 251: {message}"):
-        cli.read_sample_csv(path)
+        read_fluc(path)
 
 
 def test_read_lone_cr_sample_holds_about_one_chunk(tmp_path):
     n = 200_000
     path = tmp_path / "sample.csv"
     assert run("sample", "--n", n, "--out", path).exit_code == 0
-    want = cli.read_sample_csv(path).blocks[0]
+    want = read_fluc(path)
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
     tracemalloc.start()
     try:
-        got = cli.read_sample_csv(path).blocks[0]
+        got = read_fluc(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -432,7 +450,7 @@ def test_read_lone_cr_sample_holds_about_one_chunk(tmp_path):
 def test_read_crlf_and_lone_cr_tables_take_the_kernel(tmp_path, monkeypatch, chunk_bytes):
     path = tmp_path / "sample.csv"
     assert run("sample", "--n", 5000, "--out", path).exit_code == 0
-    want = np.concatenate(cli.read_sample_csv(path).blocks)
+    want = read_fluc(path)
     data = path.read_bytes()
     lines = data.splitlines(keepends=True)
     copies = [
@@ -448,7 +466,7 @@ def test_read_crlf_and_lone_cr_tables_take_the_kernel(tmp_path, monkeypatch, chu
     monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
     for copy in copies:
         path.write_bytes(copy)
-        got = np.concatenate(cli.read_sample_csv(path).blocks)
+        got = read_fluc(path)
         assert got.tobytes() == want.tobytes()
 
 
@@ -484,21 +502,105 @@ def test_chunks_end_at_line_ends_of_either_kind(monkeypatch, chunk_bytes, ends):
         assert max(map(len, chunks)) <= chunk_bytes + 7
 
 
+def traced_peak(command, config):
+    """The tracemalloc peak of ``command(config)``, in bytes."""
+    tracemalloc.start()
+    try:
+        command(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_spectrum_input_holds_the_series_twice(tmp_path, monkeypatch):
     n = 200_000
     path = tmp_path / "sample.csv"
     assert run("sample", "--n", n, "--out", path).exit_code == 0
     monkeypatch.setattr(cli, "_CHUNK_BYTES", 1 << 16)
     config = cli.RunConfig(input_csv=path, output_path=str(tmp_path / "out"))
-    tracemalloc.start()
-    try:
-        cli.cmd_spectrum(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # fluc as chunks and as one array, and the temporaries of one chunk;
-    # all four columns as float64 alone would take 32 bytes per row
+    peak = traced_peak(cli.cmd_spectrum, config)
+    # at most fluc twice and the temporaries of one chunk; all four
+    # columns as float64 alone would take 32 bytes per row
     assert peak < 2 * 8 * n + 2**20
+
+
+def test_spectrum_input_peak_does_not_grow_with_rows(tmp_path):
+    peaks = []
+    for n in (100_000, 400_000):
+        path = tmp_path / f"sample{n}.csv"
+        assert run("sample", "--n", n, "--out", path).exit_code == 0
+        config = cli.RunConfig(input_csv=path, output_path=os.devnull)
+        peaks.append(traced_peak(cli.cmd_spectrum, config))
+    # 7.71 and 7.76 MiB, one chunk at a time; 8.17 and 10.48 MiB when the
+    # reader gathered fluc into one array
+    assert peaks[1] - peaks[0] < 0.5 * 2**20
+
+
+def comment_lines(result):
+    return [line for line in result.output.splitlines() if line.startswith("#")]
+
+
+def welch_floor(power):
+    """Absolute tolerance of a Welch density cut into other blocks: near
+    Nyquist the density of psi's steps falls some 14 orders below its
+    peak, and there the rounding of the transforms, which depends on the
+    cut, exceeds 1e-10 of the bin (up to 4e-10; one array is itself 1.7e-10
+    from a long-double Welch at 10**6 samples)."""
+    return 1e-15 * float(np.max(power))
+
+
+def test_spectrum_input_over_many_chunks_matches_library(tmp_path):
+    n = 70_000  # about 4 MB of rows, so four chunks of 1 MiB
+    path = tmp_path / "sample.csv"
+    assert run("sample", "--n", n, "--out", path).exit_code == 0
+    assert path.stat().st_size > 3 * cli._CHUNK_BYTES
+    y = ps.fluctuation_series(n)
+    model = ps.burg_fit(y, order=1)
+    welch = ps.welch_psd(y, 8192)
+    cases = [
+        ((), ps.ar_psd(model), 0.0),
+        (("--method", "welch", "--segment", 8192), welch, welch_floor(welch.power)),
+    ]
+    for options, want, atol in cases:
+        result = run("spectrum", "--input", path, *options)
+        assert result.exit_code == 0
+        assert f"# n_samples={n}" in comment_lines(result)
+        table = spectrum_table(result)
+        assert np.array_equal(table[:, 0], want.freqs)
+        assert np.allclose(table[:, 1], want.power, rtol=1e-10, atol=atol)
+
+
+def test_spectrum_input_default_welch_segment(tmp_path):
+    n = 30_000
+    path = tmp_path / "sample.csv"
+    assert run("sample", "--n", n, "--out", path).exit_code == 0
+    reread = run("spectrum", "--input", path, "--method", "welch")
+    direct = run("spectrum", "--n", n, "--method", "welch")
+    assert reread.exit_code == direct.exit_code == 0
+    head = comment_lines(reread)
+    assert head == [line for line in comment_lines(direct) if not line.startswith("# x_start=")]
+    table, want = spectrum_table(reread), spectrum_table(direct)
+    assert "# segment_len=2048" in head and "# n_segments=28" in head
+    assert np.array_equal(table[:, 0], want[:, 0])
+    assert np.allclose(table[:, 1], want[:, 1], rtol=1e-10, atol=welch_floor(want[:, 1]))
+
+
+@pytest.mark.parametrize(
+    "n, options, message",
+    [
+        (1, (), "need more than 1 samples to fit order 1, got 1"),
+        (3, ("--order", 3), "need more than 3 samples to fit order 3, got 3"),
+        (3, ("--method", "welch", "--segment", 8),
+         "segment length 8 exceeds series length 3"),
+        (3, ("--method", "welch"), "segment length 8 exceeds series length 3"),
+    ],
+)
+def test_spectrum_input_too_short_is_counted(tmp_path, n, options, message):
+    path = tmp_path / "sample.csv"
+    path.write_text("".join(sample_lines(n)))
+    result = run("spectrum", "--input", path, *options)
+    assert result.exit_code == 2
+    assert message in message_of(result)
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +641,40 @@ def test_sample_full_precision_round_trip():
     fl = ps.fluctuation_series(50)
     emitted = np.array([float(r.split(",")[3]) for r in rows])
     assert np.array_equal(emitted, fl)  # 17 digits: exact round trip
+
+
+def test_sample_peak_holds_one_segment():
+    config = cli.RunConfig(n_samples=2**19 + 123, output_path=os.devnull)
+    # 6.4 MiB; 10.1 MiB while the previous segment's Lambda and psi
+    # stayed alive during the sieve of the next
+    assert traced_peak(cli.cmd_sample, config) < 8 * 2**20
+
+
+def test_integer_options_take_any_exact_spelling():
+    want = run("sample", "--n", 1000, "--x-start", 30)
+    assert want.exit_code == 0
+    for n, x_start in (("1e3", "3e1"), ("1.0e3", "30.0"), ("10000e-1", "30")):
+        got = run("sample", "--n", n, "--x-start", x_start)
+        assert got.exit_code == 0
+        assert got.output.encode() == want.output.encode()
+    assert run("fit", "--n", "1e4", "--x-start", "1e2").exit_code == 0
+    assert run("reconstruct", "--n", "1e1", "--x-start", "1e3").exit_code == 0
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e-3", "nan", "inf", "-inf", "1e5000", "0x10", ""])
+def test_integer_options_refuse_non_integers(text):
+    for command in ("sample", "spectrum", "fit", "reconstruct"):
+        for option in ("--n", "--x-start"):
+            result = run(command, "--n", 100, option, text)
+            assert result.exit_code == 2
+            assert f"{text!r} is not a valid integer" in message_of(result)
+
+
+def test_integer_options_keep_their_limits():
+    result = run("sample", "--n", "1e20")
+    assert result.exit_code == 2
+    assert "past the float64-exact range" in message_of(result)
+    assert run("sample", "--n", "0e5").exit_code == 2
 
 
 def test_sample_determinism(tmp_path):
@@ -810,12 +946,7 @@ def test_streamed_commands_hold_about_one_segment(tmp_path, name, command, optio
         output_path=str(tmp_path / "out"),
         **options,
     )
-    tracemalloc.start()
-    try:
-        command(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(command, config)
     # 8.3 MiB (fit) and 8.7 MiB (spectrum) with segments of 2**18 integers
     assert peak < 16 * 2**20
 

@@ -287,3 +287,17 @@ def test_empty_points_give_empty_arrays(zeros):
     for out in (ps.fluctuation_at([]), ps.psi_fluc_from_zeros([], zeros, 10)):
         assert isinstance(out, np.ndarray)
         assert out.dtype == np.float64 and out.shape == (0,)
+
+
+@pytest.mark.parametrize("x_start", [2**18 - 3000, 10**6, 10**9])
+def test_smooth_part_keeps_the_bits_of_the_full_formula(x_start):
+    # windows that straddle 2**18, where the log term stops changing a bit,
+    # and lie above it; integers and points between them
+    x = x_start + np.arange(6000.0)
+    x = np.concatenate([x, x + 0.5, x + 0.25, x[::-1]])
+    full = x - 0.5 * np.log1p(-1.0 / (x * x)) - math.log(2.0 * math.pi)
+    assert ps.smooth_part(x).tobytes() == full.tobytes()
+    for part in (x[x < 2**18], x[x >= 2**18]):
+        want = part - 0.5 * np.log1p(-1.0 / (part * part)) - math.log(2.0 * math.pi)
+        assert ps.smooth_part(part).tobytes() == want.tobytes()
+        assert [ps.smooth_part(v) for v in part[:50].tolist()] == want[:50].tolist()

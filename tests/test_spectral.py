@@ -354,3 +354,54 @@ def test_block_series_validation():
         ps.welch_psd(ps.BlockSeries(blocks=[np.arange(64.0)], n=64), 128)
     with pytest.raises(DomainError):
         ps.welch_psd(ps.BlockSeries(blocks=[np.zeros((8, 8))], n=64), 32)
+
+
+def _stream(values, sizes):
+    """``values`` in copied blocks of the given sizes, then the rest, as a
+    BlockSeries of unknown length that can be read once."""
+    edges = np.cumsum(sizes)
+    return ps.BlockSeries(blocks=(b.copy() for b in np.split(values, edges)))
+
+
+def test_unknown_length_is_counted():
+    x = ar1_sample(5, 5000, coeff=0.6) + 40.0
+    sizes = [1, 700, 0, 300, 17, 2500]
+    for order in (1, 3):
+        got = ps.burg_fit(_stream(x, sizes), order=order)
+        want = ps.burg_fit(_split(x, sizes), order=order)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert got.noise_var == want.noise_var
+        assert got.n_samples == want.n_samples == x.size
+    for segment_len in (256, None):
+        got = ps.welch_psd(_stream(x, sizes), segment_len)
+        want = ps.welch_psd(_split(x, sizes), segment_len)
+        assert np.array_equal(got.power, want.power)
+        assert got.estimator == want.estimator
+    assert got.estimator["segment_len"] == 512 and got.estimator["n_samples"] == 5000
+
+
+@pytest.mark.parametrize(
+    "n, estimate, message",
+    [
+        (0, lambda s: ps.burg_fit(s), "need more than 1 samples to fit order 1, got 0"),
+        (1, lambda s: ps.burg_fit(s), "need more than 1 samples to fit order 1, got 1"),
+        (3, lambda s: ps.burg_fit(s, order=3), "need more than 3 samples to fit order 3, got 3"),
+        (64, lambda s: ps.welch_psd(s, 128), "segment length 128 exceeds series length 64"),
+        # refused before a taper of 2**40 points is made
+        (64, lambda s: ps.welch_psd(s, 2**40), "segment length 1099511627776 exceeds"),
+        (3, lambda s: ps.welch_psd(s), "segment length 8 exceeds series length 3"),
+    ],
+)
+def test_length_checks_run_up_front_or_on_the_count(n, estimate, message):
+    read = []
+
+    def blocks():
+        read.append(True)
+        yield from ([np.arange(1.0, n + 1.0)] if n else [])
+
+    with pytest.raises(DomainError, match=message):
+        estimate(ps.BlockSeries(blocks=blocks(), n=n))
+    assert not read  # a known length is checked before any block is read
+    with pytest.raises(DomainError, match=message):
+        estimate(ps.BlockSeries(blocks=blocks()))
+    assert read
