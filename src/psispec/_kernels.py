@@ -4,14 +4,15 @@
 tables of base primes and their powers built once per run, striking
 composites with a wheel, slices and one scatter; ``half_jump_prefix``
 accumulates psi over it, ``burg_recursion`` fits the autoregressive model,
-``zero_pair_sum`` totals the explicit formula, ``format_rows`` writes CSV
-rows at 17 significant digits and ``parse_rows`` reads them back, bit for
-bit.
+``zero_pair_sum`` totals the explicit formula, term by term at sparse
+points and by interpolation from Chebyshev nodes in ln x where points
+crowd, ``format_rows`` writes CSV rows at 17 significant digits and
+``parse_rows`` reads them back, bit for bit.
 
 Accuracy note: the prefix carries its running total as a Kahan pair and the
-zero sum totals the terms of each point by numpy's pairwise summation, so
-neither accumulates rounding error that grows linearly with the length of
-the input.
+zero sum totals the terms of each point or node by numpy's pairwise
+summation, so neither accumulates rounding error that grows linearly with
+the length of the input.
 """
 
 import functools
@@ -195,27 +196,78 @@ def burg_recursion(x, order):
 # Pair sum over nontrivial zeta zeros
 # ---------------------------------------------------------------------------
 #
-# out[i] = -2 sqrt(x) * sum_k (cos(t_k L)/2 + t_k sin(t_k L)) / (1/4 + t_k^2)
-# with L = ln x and ``t_desc`` the ordinates in descending order.  The terms
-# are formed in tiles of points x zeros, and each point's row is totalled by
-# numpy's pairwise sum: against a Kahan-compensated loop over the terms, 200
-# points near 10^6 with 2000 zeros deviate by 4.5e-16 of the largest |value|.
-# Each row is totalled on its own, so the result does not depend on the
-# tile size.  The tiles run on one thread: two threads halved
-# the kernel's time but shortened the ``numeric`` benchmark's wall time in
-# only 8 of 10 interleaved pairs on a 2-core machine.
+# out[i] = -2 sqrt(x) * S(L),  S(L) = sum_k (cos(t_k L)/2 + t_k sin(t_k L))
+# / (1/4 + t_k^2), with L = ln x and ``t_desc`` the ordinates in descending
+# order.  S is evaluated by one of two routes:
+#
+# - Direct: the terms are formed in tiles of points x zeros, and each
+#   point's row is totalled by numpy's pairwise sum: against a
+#   Kahan-compensated loop over the terms, 200 points near 10^6 with 2000
+#   zeros deviate by 4.5e-16 of the largest |value|.  Each row is totalled
+#   on its own, so the result does not depend on the tile size.
+# - Interpolated: term k has amplitude 1/|rho_k| = (1/4 + t_k^2)^(-1/2) and
+#   frequency t_k in L, so S is band-limited to t_max = t_desc[0] and is a
+#   polynomial to machine precision over a short window in L (the idea of
+#   Odlyzko and Schoenhage, Trans. AMS 309, 1988).  The points, sorted by
+#   L, fall in windows of half-width h = 8 / t_max laid from the smallest
+#   L.  A window holding more than 2M points, M = ``_NODES`` = 40, takes the
+#   direct route only at M Chebyshev points of the second kind spanning it,
+#   and fills its points by the barycentric formula (Berrut and Trefethen,
+#   SIAM Rev. 46, 2004).  The truncation error of M-point interpolation at
+#   these nodes is at most 4 (h t_max / 2)^M / M! ~ 6e-24 times
+#   sum_k 1/|rho_k|; what remains is the rounding of t_k L within each
+#   term, as on the direct route.  The weights are those of the exact
+#   nodes, not of the nodes as rounded to float64: weights computed from
+#   the rounded nodes moved the results by at most 1.3e-14 of the largest
+#   |value| (5000 points near 10^6).
+#
+# Every other point takes the direct route, whose bits do not depend on the
+# other points.  Both routes depend only on the set of points, not on their
+# order, and hold one tile of at most ``_TILE_TERMS`` values.  The tiles
+# run on one thread: two threads halved the direct route's time but
+# shortened the ``numeric`` benchmark's wall time in only 8 of 10
+# interleaved pairs on a 2-core machine.
 
 #: Terms per tile: 2^17 float64 values, 1 MB per temporary.  Two are live
 #: per tile.
 _TILE_TERMS = 1 << 17
+#: Chebyshev points per interpolated window.
+_NODES = 40
+#: Half-width of a window in L times the largest ordinate.
+_WINDOW_PHASE = 8.0
+
+
+@functools.cache
+def _chebyshev():
+    """The ``_NODES`` Chebyshev points cos(j pi / (M - 1)) and their
+    barycentric weights, (-1)^j halved at both ends; made on the first
+    call, since numpy's cos adds about 0.4 MB of resident code to a
+    process that has not used it yet."""
+    j = np.arange(_NODES)
+    weights = np.where(j % 2, -1.0, 1.0)
+    weights[[0, -1]] *= 0.5
+    return np.cos(np.pi * j / (_NODES - 1)), weights
 
 
 def zero_pair_sum(xs, t_desc):
-    n = xs.shape[0]
-    out = np.empty(n, dtype=np.float64)
+    """The explicit-formula sum -2 sqrt(x) S(ln x) at each of the points
+    ``xs`` (one-dimensional), over the ordinates ``t_desc`` (descending)."""
     # math.log, not np.log: numpy's vectorised log can differ by one ulp,
     # and t up to a few thousand carries that into the sum
-    lx = np.array([math.log(x) for x in xs.tolist()], dtype=np.float64)
+    lx = np.fromiter(map(math.log, xs.tolist()), dtype=np.float64, count=xs.size)
+    out = np.empty(lx.size, dtype=np.float64)
+    rest = slice(None)
+    if t_desc.size and lx.size > 2 * _NODES:
+        rest = _interpolate_windows(lx, t_desc, out)
+    out[rest] = _direct_sums(lx[rest], t_desc)
+    out *= -2.0 * np.sqrt(xs)
+    return out
+
+
+def _direct_sums(lx, t_desc):
+    """S at each of ``lx``, term by term."""
+    n = lx.shape[0]
+    out = np.empty(n, dtype=np.float64)
     weight = 0.25 + t_desc * t_desc
     rows = max(1, _TILE_TERMS // max(1, t_desc.shape[0]))
     for lo in range(0, n, rows):
@@ -227,7 +279,45 @@ def zero_pair_sum(xs, t_desc):
         theta += sin
         theta /= weight
         theta.sum(axis=1, out=out[lo : lo + rows])
-    out *= -2.0 * np.sqrt(xs)
+    return out
+
+
+def _interpolate_windows(lx, t_desc, out):
+    """Write S into ``out`` at the points of every window that holds more
+    than 2M of ``lx``, and return the indices of the other points."""
+    half = _WINDOW_PHASE / t_desc[0]
+    order = np.argsort(lx)
+    ls = lx[order]
+    window = np.floor((ls - ls[0]) / (2.0 * half))
+    starts = np.flatnonzero(np.diff(window, prepend=-1.0))
+    ends = np.append(starts[1:], ls.size)
+    dense = ends - starts > 2 * _NODES
+    if dense.any():
+        centres = ls[0] + (window[starts[dense]] + 0.5) * (2.0 * half)
+        nodes = centres[:, None] + half * _chebyshev()[0]
+        values = _direct_sums(nodes.ravel(), t_desc).reshape(nodes.shape)
+        for lo, hi, node, value in zip(
+            starts[dense].tolist(), ends[dense].tolist(), nodes, values
+        ):
+            out[order[lo:hi]] = _barycentric(ls[lo:hi], node, value)
+    return order[np.repeat(~dense, ends - starts)]
+
+
+def _barycentric(ls, nodes, values):
+    """The polynomial through (``nodes``, ``values``) at each of ``ls``, by
+    the second barycentric formula; a point equal to a node takes its
+    value."""
+    weights = _chebyshev()[1]
+    out = np.empty(ls.size, dtype=np.float64)
+    rows = max(1, _TILE_TERMS // _NODES)
+    for lo in range(0, ls.size, rows):
+        q = np.subtract.outer(ls[lo : lo + rows], nodes)
+        hit_row, hit_node = np.nonzero(q == 0.0)
+        q[hit_row, hit_node] = 1.0
+        np.divide(weights, q, out=q)
+        tile = out[lo : lo + rows]
+        np.divide((q * values).sum(axis=1), q.sum(axis=1), out=tile)
+        tile[hit_row] = values[hit_node]
     return out
 
 

@@ -268,6 +268,48 @@ def default_segment_len(n_samples: int) -> int:
     return 1 << (target.bit_length() - 1)
 
 
+def _segments(blocks, segment_len: int, step: int):
+    """The segments of ``segment_len`` samples, ``step`` apart, of the series
+    that ``blocks`` deliver, in order.
+
+    A segment inside one block is a view of it.  One that straddles blocks
+    is assembled in a buffer of one segment, which the next segment
+    overwrites.  Until a whole segment has come, the buffer grows by
+    doubling with the samples held, so that a series shorter than its
+    segment allocates no more than itself.
+    """
+    buf = np.empty(0)
+    held = 0  # samples of the next segment in buf[:held], from earlier blocks
+    for block in blocks:
+        start = -held  # where the next segment starts, relative to the block
+        while start + segment_len <= block.size:
+            if start >= 0:
+                yield block[start : start + segment_len]
+            else:
+                buf = _room(buf, held, segment_len, segment_len)
+                buf[held:] = block[: start + segment_len]
+                yield buf
+                held = max(held - step, 0)
+                buf[:held] = buf[step : step + held]
+            start += step
+        rest = block[max(start, 0) :]
+        end = held + rest.size
+        buf = _room(buf, held, end, segment_len)
+        buf[held:end] = rest
+        held = end
+
+
+def _room(buf, held: int, size: int, limit: int):
+    """``buf`` if it has room for ``size`` samples; else a new buffer that
+    starts with ``buf[:held]``, twice as large, but at least ``size`` and at
+    most ``limit`` samples."""
+    if size <= buf.size:
+        return buf
+    grown = np.empty(min(limit, max(size, 2 * buf.size)))
+    grown[:held] = buf[:held]
+    return grown
+
+
 def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
     """Welch's averaged-periodogram estimate of the one-sided density of
     the series minus its mean.
@@ -277,9 +319,9 @@ def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
     periodic Hann window, transformed, and the squared magnitudes are
     averaged and scaled by ``1 / (fs * sum w^2)`` so the result is a density;
     interior bins are doubled to fold negative frequencies in.  The series
-    is read in one pass that holds one segment beyond the current block;
-    only the default segment of a series of unknown length needs the
-    blocks held, as they are, to count them first.
+    is read in one pass that holds one segment beyond the current block
+    (``_segments``); only the default segment of a series of unknown length
+    needs the blocks held, as they are, to count them first.
     """
     blocks, n, dx = _as_blocks(series)
     if segment_len is None:
@@ -301,11 +343,9 @@ def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
     step = segment_len // 2
     fs = 1.0 / dx
     shifted = _Shifted(blocks, n, check_length)
-    pending = np.empty(0)
     taper = None
-    for block in shifted:
-        pending = np.concatenate([pending, block]) if pending.size else block
-        if taper is None and pending.size >= segment_len:
+    for segment in _segments(shifted, segment_len, step):
+        if taper is None:
             # made once a whole segment has come, so that a segment longer
             # than a series of unknown length allocates nothing
             idx = np.arange(segment_len)
@@ -313,13 +353,9 @@ def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
             acc = np.zeros(segment_len // 2 + 1)
             # sum of the segment transforms, for removing the offset d
             total = np.zeros(segment_len // 2 + 1, dtype=np.complex128)
-        start = 0
-        while start + segment_len <= pending.size:
-            spec = np.fft.rfft(pending[start : start + segment_len] * taper)
-            acc += np.abs(spec) ** 2
-            total += spec
-            start += step
-        pending = pending[start:].copy()
+        spec = np.fft.rfft(segment * taper)
+        acc += np.abs(spec) ** 2
+        total += spec
     n = shifted.n
     n_segments = (n - segment_len) // step + 1
     # |S - d W|^2 summed over segments, with W the transform of the taper

@@ -96,10 +96,15 @@ def psi_fluc_from_zeros(x, zeros: ZetaZeros, n_zeros: int):
     """Truncated zero-sum reconstruction of the fluctuation at ``x``.
 
     Uses the first ``n_zeros`` ordinates; accepts a scalar or an array of
-    finite points ``x >= 2``.  The terms of each point decay only like
-    ``1/t_k`` and are totalled by pairwise summation, whose error grows like
-    ``log K``: 200 points near 10^6 with all 2000 zeros deviate from a
-    Kahan-compensated sum by 4.5e-16 of the largest |value|.
+    any shape of finite points ``x >= 2``, and returns the same shape.  The
+    terms of each point decay only like ``1/t_k`` and are totalled by
+    pairwise summation, whose error grows like ``log K``.  Where more than
+    80 points crowd into a window of half-width 8 / t_K in ln x, the sum is
+    taken only at 40 Chebyshev points of that window and interpolated
+    (``_kernels.zero_pair_sum``).  Either way the error is set by the
+    rounding of t_k ln x in each term: against a 30-digit sum at points
+    among 5000 near 10^6 with all 2000 zeros, both routes err by at most
+    2.4e-13 of the largest |value|.
     """
     if n_zeros < 0:
         raise DomainError(f"zero count must be nonnegative, got {n_zeros}")
@@ -111,7 +116,7 @@ def psi_fluc_from_zeros(x, zeros: ZetaZeros, n_zeros: int):
     if not np.all(np.isfinite(arr) & (arr >= 2.0)):
         raise DomainError("reconstruction is defined for finite x >= 2 only")
     t_desc = zeros.ordinates[:n_zeros][::-1].copy()
-    out = _kernels.zero_pair_sum(arr, t_desc)
+    out = _kernels.zero_pair_sum(arr.ravel(), t_desc).reshape(arr.shape)
     return _scalar_or_array(x, out)
 
 

@@ -5,9 +5,9 @@ route: trial division or one unsegmented sieve instead of the segmented
 one, a loop over every base prime instead of the kernel's strike tiers, a
 longdouble cumsum instead of the compensated float64 prefix, the
 truncated series instead of the closed form, Yule-Walker and a scalar
-recursion instead of the sliced Burg kernel, a Kahan loop instead of
-``math.fsum`` for the zero sum, and the Riemann-Siegel Z function (via
-mpmath) for zero ordinates.
+recursion instead of the sliced Burg kernel, a Kahan loop and a 30-digit
+mpmath loop instead of the tiled or interpolated zero sum, and the
+Riemann-Siegel Z function (via mpmath) for zero ordinates.
 """
 
 import math
@@ -234,3 +234,21 @@ def zero_pair_sum_kahan(xs, t_desc) -> np.ndarray:
             s = t
         out[i] = -2.0 * math.sqrt(x) * (s - c)
     return out
+
+
+def zero_pair_sum_mpmath(xs, t_desc, dps: int = 30) -> np.ndarray:
+    """The truncated explicit formula at each x, every term and the log in
+    ``dps``-digit arithmetic, with the float64 ordinates taken as exact."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        ts = [mpmath.mpf(t) for t in np.asarray(t_desc).tolist()]
+        out = []
+        for x in np.asarray(xs).tolist():
+            lx = mpmath.log(mpmath.mpf(x))
+            s = mpmath.fsum(
+                (mpmath.cos(t * lx) / 2 + t * mpmath.sin(t * lx)) / (0.25 + t * t)
+                for t in ts
+            )
+            out.append(float(-2 * mpmath.sqrt(x) * s))
+    return np.array(out)

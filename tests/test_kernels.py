@@ -21,6 +21,7 @@ from oracles import (
     mangoldt_segment_by_loop,
     mangoldt_sieve,
     zero_pair_sum_kahan,
+    zero_pair_sum_mpmath,
 )
 
 
@@ -167,6 +168,113 @@ def test_zero_pair_sum_matches_kahan_loop_near_1e6(zeros):
     got = kern.zero_pair_sum(xs, t_desc)
     expected = zero_pair_sum_kahan(xs, t_desc)
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+def _count_direct_rows(monkeypatch):
+    """Count the points that the zero sum evaluates term by term."""
+    rows = []
+    direct = kern._direct_sums
+
+    def counted(lx, t_desc):
+        rows.append(lx.size)
+        return direct(lx, t_desc)
+
+    monkeypatch.setattr(kern, "_direct_sums", counted)
+    return rows
+
+
+def test_zero_sum_routes_match_a_30_digit_sum(zeros, monkeypatch):
+    pytest.importorskip("mpmath")
+    grid = 1_000_000.5 + np.arange(5000)
+    at = np.array([0, 1, 613, 1777, 2500, 3331, 4096, 4999])
+    t_desc = zeros.ordinates[::-1].copy()
+    rows = _count_direct_rows(monkeypatch)
+    interpolated = kern.zero_pair_sum(grid, t_desc)
+    # the grid spans one or two windows, each summed at its 40 nodes only
+    assert sum(rows) <= 2 * kern._NODES
+    direct = kern.zero_pair_sum(grid[at], t_desc)
+    assert rows[-1] == at.size
+    expected = zero_pair_sum_mpmath(grid[at], t_desc)
+    scale = np.max(np.abs(interpolated))
+    err_direct = np.max(np.abs(direct - expected))
+    err_interpolated = np.max(np.abs(interpolated[at] - expected))
+    assert err_direct <= 1e-12 * scale
+    assert err_interpolated <= 1e-12 * scale
+    assert err_interpolated <= 2.0 * err_direct
+
+
+def _run(n):
+    """``n`` points within one window near 2 * 10^4."""
+    return 20_050.5 + 0.25 * np.arange(n)
+
+
+def _mixed_points():
+    # dense runs (one of them across a window edge), sparse points,
+    # repeated points and a run of exactly 2M points in one window
+    return np.concatenate([
+        1_000_000.5 + np.arange(3000),
+        5.5 + 26.0 * np.arange(20),
+        np.full(5, 777.25),
+        _run(2 * kern._NODES),
+        1e9 + 7.0 * np.arange(300),
+    ])
+
+
+@pytest.mark.parametrize("tile_rows", [1, 7, None])
+def test_zero_pair_sum_independent_of_order_and_tiles(zeros, monkeypatch, tile_rows):
+    xs = _mixed_points()
+    t_desc = zeros.ordinates[::-1].copy()
+    whole = kern.zero_pair_sum(xs, t_desc)
+    if tile_rows is not None:
+        # 7 rows per barycentric tile; 1 row per tile of the direct route
+        monkeypatch.setattr(kern, "_TILE_TERMS", tile_rows * kern._NODES)
+    perm = np.random.default_rng(tile_rows).permutation(xs.size)
+    got = np.empty_like(whole)
+    got[perm] = kern.zero_pair_sum(xs[perm], t_desc)
+    assert np.array_equal(got, whole)
+
+
+def test_sparse_points_keep_the_direct_bits(zeros):
+    t_desc = zeros.ordinates[::-1].copy()
+    xs = _mixed_points()
+    got = kern.zero_pair_sum(xs, t_desc)
+    # beside dense windows, the sparse points, the repeated ones and the
+    # run of 2M points keep the bits each has on its own
+    outside = xs < 999_999
+    alone = [kern.zero_pair_sum(np.array([x]), t_desc)[0] for x in xs[outside]]
+    assert np.array_equal(got[outside], alone)
+    sparse = 5.5 + 26.0 * np.arange(20)
+    assert np.array_equal(kern.zero_pair_sum(sparse, t_desc), alone[:20])
+
+
+@pytest.mark.parametrize("n_run, rows", [(80, [100]), (81, [40, 20])])
+def test_a_window_of_more_than_2m_points_is_interpolated(
+    zeros, monkeypatch, n_run, rows
+):
+    xs = np.concatenate([5.5 + 26.0 * np.arange(20), _run(n_run)])
+    counted = _count_direct_rows(monkeypatch)
+    kern.zero_pair_sum(xs, zeros.ordinates[::-1].copy())
+    assert counted == rows
+
+
+def test_zero_pair_sum_of_no_zeros_or_no_points(zeros):
+    no_zeros = np.empty(0)
+    grid = 1_000_000.5 + np.arange(500)
+    assert np.array_equal(kern.zero_pair_sum(grid, no_zeros), np.zeros(grid.size))
+    for t_desc in (no_zeros, zeros.ordinates[::-1].copy()):
+        out = kern.zero_pair_sum(np.empty(0), t_desc)
+        assert out.shape == (0,) and out.dtype == np.float64
+
+
+def test_barycentric_reproduces_polynomials_and_nodes():
+    nodes = 13.8 + 0.003 * kern._chebyshev()[0]
+    poly = np.polynomial.Polynomial([0.3, -2.0, 0.5, 4.0, -1.0, 2.5])
+    values = poly((nodes - 13.8) / 0.003)
+    ls = np.concatenate([13.797 + 0.006 * np.random.default_rng(0).random(200), nodes])
+    got = kern._barycentric(ls, nodes, values)
+    assert np.allclose(got, poly((ls - 13.8) / 0.003), rtol=0, atol=1e-13)
+    # a point on a node takes the node's value, without dividing by zero
+    assert np.array_equal(got[200:], values)
 
 
 def test_format_rows_awkward_values():

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psispec as ps
-from psispec import _kernels
+from psispec import _kernels, spectral
 from psispec.errors import DegenerateInputError, DomainError
 
 import oracles
@@ -378,6 +380,47 @@ def test_unknown_length_is_counted():
         assert np.array_equal(got.power, want.power)
         assert got.estimator == want.estimator
     assert got.estimator["segment_len"] == 512 and got.estimator["n_samples"] == 5000
+
+
+@pytest.mark.parametrize(
+    "sizes", [[5000], [1, 700, 0, 300, 17, 3982], [255, 2, 256, 1, 4486], [100] * 50]
+)
+def test_segments_are_views_or_one_buffer(sizes):
+    x = np.arange(5000.0)
+    segment_len, step = 256, 128
+    blocks = [b.copy() for b in np.split(x, np.cumsum(sizes)[:-1])]
+    buffers = set()
+    got = []
+    for segment in spectral._segments(iter(blocks), segment_len, step):
+        if not any(np.shares_memory(segment, b) for b in blocks):
+            buffers.add(id(segment))
+            assert segment.size == segment_len
+        got.append(segment.copy())
+    want = [x[i : i + segment_len] for i in range(0, x.size - segment_len + 1, step)]
+    assert np.array_equal(got, want)
+    # segments that straddle blocks all come in one buffer
+    assert len(buffers) == (len(blocks) > 1)
+
+
+def test_welch_short_blocks_hold_a_few_segments():
+    # 2^19 samples arrive in blocks of 1000 for segments of 2^16, so every
+    # segment straddles blocks and is built in the one buffer
+    segment_len, n, size = 1 << 16, 1 << 19, 1000
+
+    def blocks():
+        rng = np.random.default_rng(3)
+        for lo in range(0, n, size):
+            yield rng.standard_normal(min(size, n - lo))
+
+    tracemalloc.start()
+    try:
+        spec = ps.welch_psd(ps.BlockSeries(blocks=blocks(), n=n), segment_len)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.estimator["n_segments"] == 15
+    # taper, the two sums, the buffer and the temporaries of one transform
+    assert peak < 12 * 8 * segment_len
 
 
 @pytest.mark.parametrize(

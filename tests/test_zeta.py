@@ -185,6 +185,22 @@ def test_reconstruction_array_input(zeros):
     )
 
 
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.array([[10.5, 11.5], [12.5, 13.5]]),
+        np.array(10.5),
+        # dense enough in ln x to take the interpolated route
+        (1_000_000.5 + np.arange(240)).reshape(2, 3, 40),
+    ],
+)
+def test_reconstruction_keeps_the_shape_of_its_input(zeros, x):
+    out = ps.psi_fluc_from_zeros(x, zeros, 2000)
+    assert np.shape(out) == np.shape(ps.fluctuation_at(x)) == x.shape
+    flat = ps.psi_fluc_from_zeros(x.ravel(), zeros, 2000)
+    assert np.array_equal(np.ravel(out), flat)
+
+
 @given(
     x=st.floats(min_value=2.0, max_value=1000.0),
     k=st.integers(min_value=1, max_value=2000),
