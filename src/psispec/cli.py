@@ -13,14 +13,16 @@ nothing else on the line, as every command writes them, is checked and
 converted by ``_kernels.parse_rows`` with exact integer arithmetic, bit
 for bit what ``float`` gives; only the columns the command uses are
 converted; "\\r\\n" and lone "\\r" line ends are first made "\\n".  Any
-other chunk (comments, blank lines, exponents, ``nan``) falls back to
-``np.loadtxt``.  Every number must be finite.  The reader opens the file
-once and numbers its lines as it reads them, so a bad row, or a line that
-is not UTF-8, is named by its line in the file from its own chunk.  An
-``--input`` table goes to the estimators as it is read, one ``fluc`` block
-per chunk, in a ``BlockSeries`` whose length they count, so it is never
-held whole unless the estimator gathers it (Burg above order 1, and Welch
-without ``--segment``, whose default segment depends on the length).
+other chunk goes to the kernel again without its comments and blank
+lines, and if it is still refused (spaces, exponents, ``nan``), every
+field is read by ``float``, in ASCII without "_".  Every number must be
+finite.  The reader opens the file once and numbers its lines as it reads
+them, so a bad row, or a line that is not UTF-8, is named by its line in
+the file from its own chunk.  An ``--input`` table goes to the estimators
+as it is read, one ``fluc`` block per chunk, in a ``BlockSeries`` whose
+length they count, so it is never held whole unless the estimator gathers
+it (Burg above order 1, and Welch without ``--segment``, whose default
+segment depends on the length).
 
 ``--n`` and ``--x-start`` take any decimal spelling of an integer, such as
 ``1e7``.
@@ -31,13 +33,11 @@ Exit codes: 0 success; 2 usage or domain error; 3 data-format error;
 
 import contextlib
 import functools
-import io
 import itertools
 import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,6 +52,7 @@ from .errors import (
     DegenerateInputError,
     DomainError,
     ResourceError,
+    ascii_floats,
     utf8_text,
 )
 from .powerlaw import DEFAULT_BAND, fit_power_law
@@ -225,12 +226,12 @@ def _read_rows(path, expected_header: str, usecols):
     ``expected_header``, and every later one must hold as many
     comma-separated finite numbers.  A chunk of canonical rows, such as
     every command writes, is checked and converted by
-    ``_kernels.parse_rows``; any other chunk is parsed by ``np.loadtxt``
-    (``_parse_chunk``).  Lines end at "\\n", "\\r\\n" or a lone "\\r", as
-    ``bytes.splitlines`` splits them; a chunk's line ends become "\\n"
-    before it is parsed.  Lines are numbered as they are read,
-    so that a malformed or non-finite row, or a line that is not UTF-8,
-    is named by its line in the file from the text of its own chunk.
+    ``_kernels.parse_rows``; any other chunk by ``_parse_lines``.  Lines
+    end at "\\n", "\\r\\n" or a lone "\\r", as ``bytes.splitlines`` splits
+    them; a chunk's line ends become "\\n" before it is parsed.  Lines are
+    numbered as they are read, so that a malformed or non-finite row, or a
+    line that is not UTF-8, is named by its line in the file from the text
+    of its own chunk.
     """
     n_cols = len(expected_header.split(","))
     try:
@@ -246,11 +247,8 @@ def _read_rows(path, expected_header: str, usecols):
                 chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             columns = parse_rows(chunk, n_cols, usecols)
             if columns is None:
-                table = _parse_chunk(path, chunk, n_cols, line)
-                columns = [table[:, c].copy() for c in usecols]
-                line += len(chunk.splitlines())
-            else:
-                line += columns[0].size  # one canonical row per line
+                columns = _parse_lines(path, chunk, n_cols, usecols, line)
+            line += chunk.count(b"\n")
             if columns[0].size:
                 rows += columns[0].size
                 yield columns
@@ -316,77 +314,48 @@ def _chunks(fh, carry: bytes):
         yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
 
 
-def _parse_chunk(path, chunk: bytes, n_cols: int, first_line: int) -> np.ndarray:
-    """Rows of ``chunk``, whose first line is line ``first_line`` of the
-    file at ``path``, as a (rows, ``n_cols``) array, by ``np.loadtxt``.
-    Only if that fails are the chunk's lines numbered, to retry or to name
-    the first bad one."""
-    text = io.StringIO(utf8_text(path, chunk, first_line), newline=None)
-    table, reason = _parse_rows(text, n_cols)
-    if table is not None:
-        return table
-    text.seek(0)
-    lines = [
-        (lineno, line)
-        for lineno, line in enumerate(text, first_line)
-        if line.split("#", 1)[0].strip()
-    ]
-    # loadtxt skips a line only if nothing precedes its comment, so retry
-    # without lines of blanks and indented comments
-    table, reason = _parse_rows((line for _, line in lines), n_cols)
-    if table is None:
-        _raise_bad_row(path, lines, n_cols, reason)
-    return table
+def _content_lines(path, chunk: bytes, first_line: int):
+    """``(line number, content)`` of each line of ``chunk``, line
+    ``first_line`` of ``path`` on, with more than blanks and a ``#``
+    comment.  Lines end at "\\n" only: ``str.splitlines`` also ends them at
+    "\\f", "\\x85", "\\u2028" and others, which would misnumber them."""
+    text = utf8_text(path, chunk, first_line)
+    for lineno, line in enumerate(text.split("\n"), first_line):
+        content = line.partition("#")[0].strip()
+        if content:
+            yield lineno, content
 
 
-def _parse_rows(lines, n_cols: int):
-    """``(table, None)`` if ``lines`` hold rows of ``n_cols`` finite
-    numbers, or none, else ``(None, reason)``."""
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings(
-                "ignore", "loadtxt: input contained no data", UserWarning
-            )
-            table = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
-    except ValueError as exc:
-        return None, str(exc)
-    if not table.shape[0]:
-        return np.empty((0, n_cols)), None
-    if table.shape[1] != n_cols:
-        return None, f"expected rows of {n_cols} numbers"
-    if not np.isfinite(table).all():
-        return None, "non-finite number"
-    return table, None
-
-
-def _raise_bad_row(path, lines, n_cols: int, reason: str):
-    """Raise the DataFormatError that names the first bad line among
-    ``lines``, the ``(line number, line)`` pairs with content of a chunk
-    that ``_parse_rows`` refused.
-
-    Each line is checked for its field count, then by ``float``, then for
-    finite numbers.  ``reason``, loadtxt's message, is the last resort,
-    for a number that ``float`` reads and loadtxt does not, such as
-    ``1_000``.
-    """
-    for lineno, line in lines:
-        content = line.split("#", 1)[0].strip()
-        parts = content.split(",")
-        if len(parts) != n_cols:
+def _parse_lines(path, chunk: bytes, n_cols: int, usecols, first_line: int):
+    """Columns ``usecols`` of ``chunk``, line ``first_line`` of ``path`` on,
+    which ``parse_rows`` refused: by the kernel again without comments and
+    blank lines, else by ``ascii_floats`` of every line, naming the first
+    line with the wrong field count, a non-number or a non-finite one."""
+    lines = list(_content_lines(path, chunk, first_line))
+    text = "".join(content + "\n" for _, content in lines)
+    columns = parse_rows(text.encode(), n_cols, usecols)
+    if columns is not None:
+        return columns
+    values = []
+    for lineno, content in lines:
+        fields = content.count(",") + 1
+        if fields != n_cols:
             raise DataFormatError(
-                f"{path}: line {lineno}: expected {n_cols} fields, got {len(parts)}"
+                f"{path}: line {lineno}: expected {n_cols} fields, got {fields}"
             )
         try:
-            values = [float(p) for p in parts]
+            row = ascii_floats(content)
         except ValueError as exc:
             raise DataFormatError(
                 f"{path}: line {lineno}: non-numeric field in {content!r}"
             ) from exc
-        if not all(map(math.isfinite, values)):
+        if not all(map(math.isfinite, row)):
             raise DataFormatError(
                 f"{path}: line {lineno}: non-finite number in {content!r}"
             )
-    raise DataFormatError(f"{path}: {reason}")
+        values += row  # numpy converts one flat list faster than a list per row
+    table = np.array(values).reshape(-1, n_cols)
+    return [table[:, c].copy() for c in usecols]
 
 
 def read_sample_csv(path) -> BlockSeries:

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the UTF-8 check of
-input files."""
+"""Exception types shared across the package, and the checks of the text
+of input files: UTF-8, and numbers in ASCII."""
 
 
 class PsispecError(Exception):
@@ -37,3 +37,15 @@ def utf8_text(path, data: bytes, first_line: int) -> str:
         # the data up to that byte ends on its line
         line = first_line + len(data[: exc.start + 1].splitlines()) - 1
         raise DataFormatError(f"{path}: line {line}: not UTF-8 text") from exc
+
+
+def ascii_floats(text: str) -> list[float]:
+    """``float`` of each comma-separated field of ``text``, a line of an
+    input file, which must be ASCII and hold no "_": ``float`` alone also
+    reads digit separators, as in ``1_000``, and the digits of other
+    scripts, as in ``١٢``.  Raises ValueError for those, and wherever
+    ``float`` would.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not ASCII decimals: {text!r}")
+    return list(map(float, text.split(",")))

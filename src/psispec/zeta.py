@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import DataFormatError, DomainError, utf8_text
+from .errors import DataFormatError, DomainError, ascii_floats, utf8_text
 from .prime_series import _scalar_or_array
 from .spectral import PowerSpectrum
 
@@ -48,9 +48,10 @@ def load_zeros(path) -> ZetaZeros:
     """Parse a zero table: one decimal ordinate per line, ascending.
 
     Blank lines and ``#`` comments are skipped.  Violations (text that is
-    not UTF-8, non-numeric, nonpositive, non-ascending, or a first ordinate
-    at or below 14) raise :class:`DataFormatError` naming the offending
-    line.
+    not UTF-8, a line that is not one number in ASCII without "_", as
+    ``errors.ascii_floats`` reads it, nonpositive, non-ascending, or a first
+    ordinate at or below 14) raise :class:`DataFormatError` naming the
+    offending line.
     """
     path = Path(path)
     try:
@@ -65,7 +66,7 @@ def load_zeros(path) -> ZetaZeros:
         if not line or line.startswith("#"):
             continue
         try:
-            t = float(line)
+            (t,) = ascii_floats(line)  # a second field fails to unpack
         except ValueError as exc:
             raise DataFormatError(
                 f"{path}: line {lineno}: not a decimal ordinate: {line!r}"

@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import psispec as ps
 from psispec import cli, errors
@@ -224,6 +226,10 @@ def test_read_skips_comments_and_blank_lines_and_crlf(tmp_path):
          "line 7: non-finite number in"),
         (lambda ls: ls[:-1] + ["# note\n", ls[-1].rsplit(",", 1)[0] + ",-inf\n"],
          "line 10: non-finite number in"),
+        # float reads these, loadtxt does not; "\f" and "\u2028" end no line
+        *[pytest.param(lambda ls, text=text: replace_field(ls, 5, 3, text),
+                       "line 6: non-numeric field in", id=f"field {text!r}")
+          for text in ["1_000", "\u0661\u0662", "\uff11", "1\f2", "1\u20282"]],
     ],
 )
 def test_read_malformed_names_the_line(tmp_path, mutate, message):
@@ -239,7 +245,7 @@ def test_read_malformed_names_the_line(tmp_path, mutate, message):
 
 
 # ---------------------------------------------------------------------------
-# reader chunks: canonical rows by the kernel, anything else by loadtxt
+# reader chunks: canonical rows by the kernel, anything else line by line
 # ---------------------------------------------------------------------------
 
 
@@ -258,8 +264,8 @@ def replace_field(lines, index, column, text):
 
 @pytest.fixture
 def chunk_kinds(monkeypatch):
-    """Per chunk with data that the reader parses: True where it fell back
-    from the kernel to loadtxt."""
+    """Per call of the kernel with data: True where it refused the data, a
+    chunk, or a chunk's lines without comments and blank lines."""
     kinds = []
     parse = cli.parse_rows
 
@@ -306,6 +312,77 @@ def test_read_fallback_chunk_between_canonical_ones(
     assert any(chunk_kinds)
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda ls: ls[:150] + ["# a comment\n", "\n", "  # indented\n", " \t\n"] + ls[150:],
+        lambda ls: [line.replace("\n", "  # a note\n") for line in ls],
+        lambda ls: ["  " + line.replace("\n", " \t\n") for line in ls],
+    ],
+)
+def test_read_chunk_canonical_but_for_comments_takes_the_kernel_again(
+    tmp_path, chunk_kinds, mutate
+):
+    want = read_fluc(write_sample(tmp_path, sample_lines(300)))
+    chunk_kinds.clear()
+    got = read_fluc(write_sample(tmp_path, mutate(sample_lines(300))))
+    assert got.tobytes() == want.tobytes()
+    # one chunk: refused as it is, then taken without its comments
+    assert chunk_kinds == [True, False]
+
+
+def spell(value, style):
+    """A spelling of ``value`` that ``float`` and ``np.loadtxt`` read back,
+    none of them canonical but the plain one."""
+    text = repr(value)
+    if style == "exponent":
+        return format(value, ".17e")
+    if style == "upper":
+        return format(value, ".16E")
+    if style == "plus":
+        return text if text.startswith("-") else "+" + text
+    if style == "point":  # .5, -.5
+        return re.sub(r"^(-?)0\.", r"\1.", text) if "e" not in text else text
+    if style == "trailing":  # 1., -0.
+        return text[:-1] if text.endswith(".0") else text
+    return text
+
+
+_SPELLED = st.tuples(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["plain", "exponent", "upper", "plus", "point", "trailing"]),
+).map(lambda pair: spell(*pair)) | st.sampled_from(
+    ["-0", "+0", "-0.", "1.", ".5", "-.5", "+.5e1", "1E5", "-1e-400", "0e0"]
+)
+
+
+@given(
+    rows=st.lists(st.tuples(_SPELLED, _SPELLED, _SPELLED), min_size=1, max_size=40),
+    blanks=st.lists(st.sampled_from([" ", "  ", "\t", " \t"]), min_size=4, max_size=4),
+    comment=st.sampled_from(["", " # note", "# note", "\t#"]),
+)
+@settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_read_non_canonical_rows_give_the_bits_of_loadtxt(
+    tmp_path, small_chunks, chunk_kinds, rows, blanks, comment
+):
+    # a blank inside the first separator keeps every line from the kernel
+    lead, left, right, tail = blanks
+    body = "".join(
+        f"{lead}{a}{left},{right}{b}, {c}{tail}{comment}\n" for a, b, c in rows
+    )
+    path = tmp_path / "table.csv"
+    path.write_text("a,b,c\n" + body)
+    chunk_kinds.clear()
+    got = [np.concatenate(c) for c in zip(*cli._read_rows(path, "a,b,c", (0, 1, 2)))]
+    want = np.loadtxt(io.StringIO(body), delimiter=",", comments="#", ndmin=2)
+    assert all(chunk_kinds)
+    for column, values in enumerate(got):
+        assert values.view(np.uint64).tolist() == want[:, column].view(np.uint64).tolist()
+
+
 def test_read_lone_cr_line_ends(tmp_path):
     lines = sample_lines()
     want = read_fluc(write_sample(tmp_path, lines))
@@ -325,6 +402,7 @@ def test_read_lone_cr_line_ends(tmp_path):
         (lambda ls: replace_field(ls, 180, 1, "1.2.3"), "line 181: non-numeric field in"),
         (lambda ls: replace_field(ls, 190, 2, "--5"), "line 191: non-numeric field in"),
         (lambda ls: ls[:200] + ls[201:], "x column must be consecutive"),
+        (lambda ls: replace_field(ls, 240, 3, "1_000"), "line 241: non-numeric field in"),
     ],
 )
 def test_read_names_bad_lines_after_the_first_chunk(
@@ -459,10 +537,10 @@ def test_read_crlf_and_lone_cr_tables_take_the_kernel(tmp_path, monkeypatch, chu
         b"".join(lines[:2500] + [lines[2500].replace(b"\n", b"\r\n")] + lines[2501:]),
     ]
 
-    def refuse(lines, n_cols):
-        raise AssertionError("a chunk fell back to np.loadtxt")
+    def refuse(path, chunk, n_cols, usecols, first_line):
+        raise AssertionError("a chunk fell back to the line walker")
 
-    monkeypatch.setattr(cli, "_parse_rows", refuse)
+    monkeypatch.setattr(cli, "_parse_lines", refuse)
     monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
     for copy in copies:
         path.write_bytes(copy)

@@ -54,6 +54,23 @@ def test_parse_rejects_non_numeric(tmp_path):
         ps.load_zeros(p)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # float reads it as 1.41e16, so the next ordinate would be named
+        ("14_134725141734693\n21.0\n", 1),
+        ("14.13\n\u0662\u0661.02\n", 2),
+        ("14.13\n21.0\n\uff12\uff15.01\n", 3),
+        ("14.13\n21.0,25.01\n", 2),
+    ],
+)
+def test_parse_rejects_digit_separators_and_other_scripts(tmp_path, text, line):
+    p = tmp_path / "z.txt"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(DataFormatError, match=f"line {line}: not a decimal ordinate"):
+        ps.load_zeros(p)
+
+
 def test_parse_rejects_nonpositive(tmp_path):
     p = tmp_path / "z.txt"
     p.write_text("# c\n-3.0\n")
