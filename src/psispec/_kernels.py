@@ -3,11 +3,12 @@
 ``mangoldt_segment`` sieves the von Mangoldt function on one segment from
 tables of base primes and their powers built once per run, striking
 composites with a wheel, slices and one scatter; ``half_jump_prefix``
-accumulates psi over it, ``burg_recursion`` fits the autoregressive model,
-``zero_pair_sum`` totals the explicit formula, term by term at sparse
-points and by interpolation from Chebyshev nodes in ln x where points
-crowd, ``format_rows`` writes CSV rows at 17 significant digits and
-``parse_rows`` reads them back, bit for bit.
+accumulates psi over it in cache-sized chunks, written over Lambda itself
+where nothing needs Lambda after, ``burg_recursion`` fits the
+autoregressive model, ``zero_pair_sum`` totals the explicit formula, term
+by term at sparse points and by interpolation from Chebyshev nodes in ln x
+where points crowd, ``format_rows`` writes CSV rows at 17 significant
+digits and ``parse_rows`` reads them back, bit for bit.
 
 Accuracy note: the prefix carries its running total as a Kahan pair and the
 zero sum totals the terms of each point or node by numpy's pairwise
@@ -128,31 +129,30 @@ def _strike_sparse(composite, lo, primes):
 _PREFIX_CHUNK = 4096
 
 
-def half_jump_prefix(lam, s, c):
+def half_jump_prefix(lam, s, c, out=None):
     """Cumsum in chunks of ``_PREFIX_CHUNK``: each chunk starts from a base
     carried as a Kahan pair over the pairwise chunk totals, so long inputs
-    do not accumulate O(n) rounding error."""
-    n = lam.shape[0]
-    full = n - n % _PREFIX_CHUNK
-    rows = lam[:full].reshape(-1, _PREFIX_CHUNK)
-    totals = rows.sum(axis=1).tolist()
-    if full < n:
-        totals.append(float(lam[full:].sum()))
-    bases = np.empty(len(totals), dtype=np.float64)
-    for i, v in enumerate(totals):
-        bases[i] = s - c
-        y = v - c
+    do not accumulate O(n) rounding error.
+
+    Writes into ``out``, a fresh array when None; ``out=lam`` writes psi
+    over Lambda.  Each chunk is summed, halved into one reused scratch of
+    a chunk and then overwritten, so the call allocates nothing larger
+    than 32 KB beyond a fresh ``out`` and its passes stay in cache."""
+    if out is None:
+        out = np.empty_like(lam)
+    half = np.empty(min(lam.shape[0], _PREFIX_CHUNK))
+    for lo in range(0, lam.shape[0], _PREFIX_CHUNK):
+        row = lam[lo : lo + _PREFIX_CHUNK]
+        dst, h = out[lo : lo + _PREFIX_CHUNK], half[: row.shape[0]]
+        base = s - c
+        y = float(row.sum()) - c
         t = s + y
         c = (t - s) - y
         s = t
-    out = np.empty(n, dtype=np.float64)
-    grid = out[:full].reshape(-1, _PREFIX_CHUNK)
-    np.cumsum(rows, axis=1, out=grid)
-    grid += bases[: rows.shape[0], None]
-    if full < n:
-        np.cumsum(lam[full:], out=out[full:])
-        out[full:] += bases[-1]
-    out -= 0.5 * lam
+        np.multiply(row, 0.5, out=h)
+        np.cumsum(row, out=dst)
+        dst += base
+        dst -= h
     return out, s, c
 
 

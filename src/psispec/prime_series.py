@@ -82,8 +82,9 @@ def grid_segments(n: int, x_start: int = 2, fluctuation: bool = True):
     memory stays O(segment) whatever the grid.  Yields ``(x0, lam, values)``
     per block that meets the grid: ``values`` is psi, or the fluctuation,
     at ``x0, x0 + 1, ...`` and ``lam`` is Lambda at the same points, or None
-    for the fluctuation, so that a consumer holds one array per block.
-    The arrays are fresh and the consumer may overwrite them.
+    for the fluctuation, so that a consumer holds one array per block:
+    the fluctuation is written over the segment's Lambda.  The arrays are
+    fresh and the consumer may overwrite them.
     """
     if n < 1:
         raise DomainError(f"need at least one grid point, got n={n}")
@@ -107,7 +108,8 @@ def _segments(x_start: int, limit: int, fluctuation: bool):
     for lo in range(2, limit + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, limit + 1)
         if hi <= x_start:
-            _segment(lo, hi, lo, base, carry, fluctuation=False)
+            # sieved for the carry alone: from x0 = hi nothing is returned
+            _segment(lo, hi, hi, base, carry, fluctuation=True)
         else:
             # yielded straight from the call, so this frame keeps no
             # reference to a block once its consumer has dropped it
@@ -116,14 +118,22 @@ def _segments(x_start: int, limit: int, fluctuation: bool):
 
 def _segment(lo, hi, x0, base, carry, fluctuation):
     """One block of ``grid_segments``: Lambda and psi on [lo, hi), advancing
-    the Kahan pair ``carry`` in place; returned from ``x0`` on."""
+    the Kahan pair ``carry`` in place; returned from ``x0`` on.
+
+    The fluctuation needs no Lambda after the prefix, so psi is written
+    over it and the smooth part subtracted one prefix chunk at a time: the
+    block is the one 2 MiB array of the segment, and nothing larger than
+    32 KB is allocated after the sieve.  The psi route keeps Lambda and
+    takes psi in a second array."""
     lam = _kernels.mangoldt_segment(lo, hi, *base)
-    psi, carry[0], carry[1] = _kernels.half_jump_prefix(lam, carry[0], carry[1])
+    out = lam if fluctuation else None
+    psi, carry[0], carry[1] = _kernels.half_jump_prefix(lam, *carry, out=out)
     if not fluctuation:
         return x0, lam[x0 - lo :], psi[x0 - lo :]
-    del lam
     psi = psi[x0 - lo :]
-    psi -= smooth_part(np.arange(x0, hi, dtype=np.float64))
+    for i in range(0, psi.size, _kernels._PREFIX_CHUNK):
+        row = psi[i : i + _kernels._PREFIX_CHUNK]
+        row -= smooth_part(np.arange(x0 + i, x0 + i + row.size, dtype=np.float64))
     return x0, None, psi
 
 

@@ -47,11 +47,11 @@ def bundled_zeros_path() -> Path:
 def load_zeros(path) -> ZetaZeros:
     """Parse a zero table: one decimal ordinate per line, ascending.
 
-    Blank lines and ``#`` comments are skipped.  Violations (text that is
-    not UTF-8, a line that is not one number in ASCII without "_", as
-    ``errors.ascii_floats`` reads it, nonpositive, non-ascending, or a first
-    ordinate at or below 14) raise :class:`DataFormatError` naming the
-    offending line.
+    Blank lines and ``#`` comments, on lines of their own or after an
+    ordinate, are skipped.  Violations (text that is not UTF-8, a line that
+    is not one number in ASCII without "_", as ``errors.ascii_floats``
+    reads it, nonpositive, non-ascending, or a first ordinate at or below
+    14) raise :class:`DataFormatError` naming the offending line.
     """
     path = Path(path)
     try:
@@ -62,8 +62,8 @@ def load_zeros(path) -> ZetaZeros:
     prev = None
     # lines end where the CSV reader's do: "\n", "\r\n" or a lone "\r"
     for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         try:
             (t,) = ascii_floats(line)  # a second field fails to unpack

@@ -1011,13 +1011,16 @@ def test_higher_order_matches_library(small_segments):
     assert "# order=3" in result.output
 
 
-@pytest.mark.parametrize(
+STREAMED_COMMANDS = pytest.mark.parametrize(
     "name, command, options",
     [
         ("fit", cli.cmd_fit, {"method": "mem"}),
         ("spectrum", cli.cmd_spectrum, {"method": "welch", "welch_segment": 8192}),
     ],
 )
+
+
+@STREAMED_COMMANDS
 def test_streamed_commands_hold_about_one_segment(tmp_path, name, command, options):
     config = cli.RunConfig(
         n_samples=3 * 2**20 + 12_345,
@@ -1025,8 +1028,22 @@ def test_streamed_commands_hold_about_one_segment(tmp_path, name, command, optio
         **options,
     )
     peak = traced_peak(command, config)
-    # 8.3 MiB (fit) and 8.7 MiB (spectrum) with segments of 2**18 integers
+    # 5.0 MiB (fit) and 5.5 MiB (spectrum) with segments of 2**18 integers
     assert peak < 16 * 2**20
+
+
+@STREAMED_COMMANDS
+def test_streamed_commands_take_one_array_per_segment(tmp_path, name, command, options):
+    config = cli.RunConfig(
+        n_samples=3 * 2**20 + 12_345,
+        output_path=str(tmp_path / "out"),
+        **options,
+    )
+    peak = traced_peak(command, config)
+    # psi is written over Lambda and the smooth part taken in rows of 4096:
+    # 5.0 MiB (fit) and 5.5 MiB (spectrum); 8.3 and 8.7 MiB while the
+    # prefix, its half of Lambda and the smooth part took 2 MiB each
+    assert peak < 6.5 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,33 @@ def test_prefix_carry_chains_across_segments():
     assert float(np.max(np.abs(glued - whole))) < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 2**18, 2**18 + 5])
+def test_prefix_over_its_input_keeps_every_bit(n):
+    lo, mid = 10**6, 10**6 + 2**18
+    base = _base_primes(mid + 2**18)
+    _, s, c = kern.half_jump_prefix(kern.mangoldt_segment(lo, mid, *base), 0.0, 0.0)
+    assert c != 0.0  # the carry is a pair, not a plain total
+    lam = kern.mangoldt_segment(mid, mid + n, *base)
+    fresh, s_fresh, c_fresh = kern.half_jump_prefix(lam, s, c)
+    assert not np.shares_memory(fresh, lam)
+    assert lam.tobytes() == kern.mangoldt_segment(mid, mid + n, *base).tobytes()
+    out, s_over, c_over = kern.half_jump_prefix(lam, s, c, out=lam)
+    assert out is lam
+    assert out.tobytes() == fresh.tobytes()
+    assert (s_over, c_over) == (s_fresh, c_fresh)
+
+
+def test_psi_route_leaves_lambda_untouched():
+    n, x_start = 2**18 + 5000, 1000
+    base = _base_primes(x_start + n - 1)
+    blocks = list(ps.grid_segments(n, x_start, fluctuation=False))
+    assert len(blocks) == 2
+    for x0, lam, psi in blocks:
+        assert not np.shares_memory(lam, psi)
+        want = kern.mangoldt_segment(x0, x0 + lam.size, *base)
+        assert lam.tobytes() == want.tobytes()
+
+
 def test_burg_matches_scalar_recursion():
     y = ps.remove_mean(ar1_sample(42, 20_000, coeff=0.8))
     for order in (1, 2, 5):

@@ -279,8 +279,20 @@ def test_fluctuation_at_memory_is_one_segment():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 6.3 MiB with segments of 2**18 integers
+    # 4.3 MiB with segments of 2**18 integers
     assert peak < 16 * 2**20
+
+
+def test_fluctuation_at_takes_no_half_of_lambda():
+    tracemalloc.start()
+    try:
+        ps.fluctuation_at(3 * 2**20 + 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Lambda and psi of one segment, 4.3 MiB; 6.3 MiB while the prefix
+    # took 0.5 * Lambda in a third array
+    assert peak < 5 * 2**20
 
 
 def test_empty_points_give_empty_arrays(zeros):

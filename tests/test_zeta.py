@@ -40,6 +40,19 @@ def test_parse_with_comments_and_blanks(tmp_path):
     assert z.source == str(p)
 
 
+def test_parse_takes_comments_after_an_ordinate(tmp_path):
+    p = tmp_path / "z.txt"
+    p.write_text("14.134725142 # first zero\n21.022039639#second\n# c\n25.0 # x\n")
+    assert ps.load_zeros(p).ordinates.tolist() == [14.134725142, 21.022039639, 25.0]
+    # the lines after a trailing comment keep their numbers
+    p.write_text("14.134725142 # first zero\n21.0 # 2\n\n3e1#\n20.0 # 5\n")
+    with pytest.raises(DataFormatError, match="line 5: ordinates must be"):
+        ps.load_zeros(p)
+    p.write_text("14.134725142 # first zero\n21.0, 25.0 # two\n")
+    with pytest.raises(DataFormatError, match="line 2: not a decimal ordinate"):
+        ps.load_zeros(p)
+
+
 def test_parse_rejects_descending(tmp_path):
     p = tmp_path / "z.txt"
     p.write_text("21.0\n14.1\n")
