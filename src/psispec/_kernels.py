@@ -129,6 +129,13 @@ def _strike_sparse(composite, lo, primes):
 _PREFIX_CHUNK = 4096
 
 
+def kahan_add(s, c, x):
+    """The Kahan pair ``(s, c)``, whose total is ``s - c``, plus ``x``."""
+    y = x - c
+    t = s + y
+    return t, (t - s) - y
+
+
 def half_jump_prefix(lam, s, c, out=None):
     """Cumsum in chunks of ``_PREFIX_CHUNK``: each chunk starts from a base
     carried as a Kahan pair over the pairwise chunk totals, so long inputs
@@ -145,10 +152,7 @@ def half_jump_prefix(lam, s, c, out=None):
         row = lam[lo : lo + _PREFIX_CHUNK]
         dst, h = out[lo : lo + _PREFIX_CHUNK], half[: row.shape[0]]
         base = s - c
-        y = float(row.sum()) - c
-        t = s + y
-        c = (t - s) - y
-        s = t
+        s, c = kahan_add(s, c, float(row.sum()))
         np.multiply(row, 0.5, out=h)
         np.cumsum(row, out=dst)
         dst += base

@@ -19,10 +19,11 @@ field is read by ``float``, in ASCII without "_".  Every number must be
 finite.  The reader opens the file once and numbers its lines as it reads
 them, so a bad row, or a line that is not UTF-8, is named by its line in
 the file from its own chunk.  An ``--input`` table goes to the estimators
-as it is read, one ``fluc`` block per chunk, in a ``BlockSeries`` whose
-length they count, so it is never held whole unless the estimator gathers
-it (Burg above order 1, and Welch without ``--segment``, whose default
-segment depends on the length).
+as it is read, one ``fluc`` block per chunk, and is held whole only where
+the estimator gathers it (Burg above order 1, Welch without ``--segment``).
+The estimators cut every series into the same rows, so neither a source
+constant (``_CHUNK_BYTES``, ``prime_series._SEGMENT``) nor a table's line
+ends change a byte of output.
 
 ``--n`` and ``--x-start`` take any decimal spelling of an integer, such as
 ``1e7``.
@@ -57,8 +58,10 @@ from .errors import (
 )
 from .powerlaw import DEFAULT_BAND, fit_power_law
 from .prime_series import fluctuation_at, grid_segments, smooth_part
-from .spectral import BlockSeries, PowerSpectrum, ar_psd, burg_fit, welch_psd
-from .zeta import analytic_spectrum, bundled_zeros_path, load_zeros, psi_fluc_from_zeros
+from .spectral import (BlockSeries, PowerSpectrum, ar_psd, burg_fit,
+                       check_psd_grid, welch_psd)
+from .zeta import (analytic_spectrum, bundled_zeros_path, check_zero_count,
+                   load_zeros, psi_fluc_from_zeros)
 
 
 @dataclass
@@ -455,6 +458,7 @@ def _pipeline_series(config: RunConfig) -> BlockSeries:
 
 def _estimate_spectrum(config: RunConfig, series) -> PowerSpectrum:
     if config.method == "mem":
+        check_psd_grid(config.n_freq, config.f_lo, series.dx)  # before any sieving
         model = burg_fit(series, order=config.mem_order)
         return ar_psd(model, n_freq=config.n_freq, f_min=config.f_lo)
     if config.method == "welch":
@@ -553,6 +557,7 @@ def cmd_reconstruct(config: RunConfig) -> None:
     zeros_path = config.zeros_path or bundled_zeros_path()
     zeros = load_zeros(zeros_path)
     n_zeros = zeros.count if config.n_zeros is None else config.n_zeros
+    check_zero_count(zeros, n_zeros)  # before the sieve of fluctuation_at
     # half-integer points strictly inside [x_start, x_start + n - 1]
     points = config.x_start + 0.5 + np.arange(config.n_samples - 1)
     direct = fluctuation_at(points)

@@ -14,11 +14,13 @@ the usable axis ends at the Nyquist frequency ``0.5 / dx``.
 
 Both estimate the series minus its mean, in one pass: a ``BlockSeries``
 that delivers the series block by block is estimated in O(block) memory
-(Burg order 1 keeps running sums, Welch a buffer of one window).  Blocks
-are shifted by the first block's mean, and the rest of the mean is taken
-out of the sums at the end.  A ``BlockSeries`` of unknown length is
-counted as it is read, and the checks on its length run at the end of
-the pass.
+(Burg order 1 keeps running sums, Welch a buffer of one window).  Every
+series is read in rows of ``_kernels._PREFIX_CHUNK`` samples counted from
+its first sample, so an estimate depends on the samples, not on where
+blocks end.  Rows are shifted by the first row's mean, and the rest of the
+mean is taken out of the sums at the end.  A ``BlockSeries`` of unknown
+length is counted as it is read, and the checks on its length run at the
+end of the pass.
 """
 
 from collections.abc import Iterable
@@ -81,19 +83,18 @@ def _as_blocks(series):
 
 
 def _checked(blocks, n: int | None, check_length):
-    """The non-empty blocks of ``blocks``, each checked to be
-    one-dimensional.  ``check_length(count)`` raises if the series is too
-    short: before the first block when ``n`` is known, and the blocks must
-    then hold ``n`` samples, else on the count at the end."""
+    """The blocks of ``blocks``, each checked to be one-dimensional.
+    ``check_length(count)`` raises if the series is too short: before the
+    first block when ``n`` is known, and the blocks must then hold ``n``
+    samples, else on the count at the end."""
     if n is not None:
         check_length(n)
     count = 0
     for block in blocks:
         if block.ndim != 1:
             raise DomainError("expected a one-dimensional real series")
-        if block.size:
-            count += block.size
-            yield block
+        count += block.size
+        yield block
     if n is None:
         check_length(count)
     elif count != n:
@@ -101,13 +102,13 @@ def _checked(blocks, n: int | None, check_length):
 
 
 class _Shifted:
-    """Iterate the checked blocks (``_checked``) minus a provisional shift
-    ``c``, the first block's mean.
+    """Iterate the checked blocks (``_checked``) in rows (``_rows``) minus
+    a provisional shift ``c``, the first row's mean.
 
     After the pass, ``n`` is the number of samples and ``offset`` is
-    ``d = mean - c``, built from the later blocks only: the first block's
+    ``d = mean - c``, built from the later rows only: the first row's
     deviations from its own mean sum to 0, so ``d`` is exactly 0 for a
-    single block and the estimates keep the bits of estimating
+    series of one row and the estimates keep the bits of estimating
     ``remove_mean(series)``.
     """
 
@@ -121,15 +122,13 @@ class _Shifted:
         shift = None
         later = 0.0
         count = 0
-        for block in _checked(self._blocks, self.n, self._check_length):
+        for row in _rows(_checked(self._blocks, self.n, self._check_length)):
             if shift is None:
-                shift = block.mean()
-                block -= shift
-            else:
-                block -= shift
-                later += float(block.sum())
-            count += block.size
-            yield block
+                shift = row.mean()
+            row -= shift
+            later += float(row.sum()) if count else 0.0
+            count += row.size
+            yield row
         self.n = count
         self.offset = later / count
 
@@ -189,32 +188,31 @@ def _check_not_constant(constant) -> None:
 
 
 def _burg1(shifted: _Shifted):
-    """Order-1 Burg fit from running sums over the blocks of ``shifted``.
+    """Order-1 Burg fit from running sums over the rows of ``shifted``.
 
     With ``f = x[1:]`` and ``b = x[:-1]`` the fit needs only <x,x>, <f,f>,
-    <b,b> and <f,b>; the offset ``d`` left by the provisional shift is
-    removed from them analytically at the end.  One block gives the bits
-    of ``_kernels.burg_recursion(x, 1)``.
+    <b,b> and <f,b>, each a Kahan pair (``_kernels.kahan_add``) over the
+    rows' partial sums; the offset ``d`` left by the provisional shift is
+    removed from them analytically at the end.  One row gives the bits of
+    ``_kernels.burg_recursion(x, 1)``.
     """
-    xx = ff = bb = fb = 0.0
+    sums = [(0.0, 0.0)] * 4  # <x,x>, <f,f>, <b,b> and <f,b>
     first = last = None
     constant = True
     for y in shifted:
+        yy = float(np.dot(y, y))
+        bb_row = float(np.dot(y[:-1], y[:-1]))
+        fb_row = float(np.dot(y[1:], y[:-1]))
         if first is None:
             first = float(y[0])
-            xx = float(np.dot(y, y))
-            ff = float(np.dot(y[1:], y[1:]))
-            bb = float(np.dot(y[:-1], y[:-1]))
-            fb = float(np.dot(y[1:], y[:-1]))
+            parts = (yy, float(np.dot(y[1:], y[1:])), bb_row, fb_row)
         else:
-            yy = float(np.dot(y, y))
-            xx += yy
-            ff += yy
-            bb += last * last + float(np.dot(y[:-1], y[:-1]))
-            fb += last * float(y[0]) + float(np.dot(y[1:], y[:-1]))
+            parts = (yy, yy, last * last + bb_row, last * float(y[0]) + fb_row)
+        sums = [_kernels.kahan_add(*sc, part) for sc, part in zip(sums, parts)]
         constant = constant and bool(np.all(y == first))
         last = float(y[-1])
     _check_not_constant(constant)
+    xx, ff, bb, fb = (s - c for s, c in sums)
     n = shifted.n
     d = shifted.offset
     # sums of (y - d) from sums of y, using sum(y) = n d
@@ -229,19 +227,23 @@ def _burg1(shifted: _Shifted):
     return np.array([k]), e
 
 
+def check_psd_grid(n_freq: int, f_min: float, dx: float) -> None:
+    if n_freq < 2:
+        raise DomainError(f"need at least two frequency points, got {n_freq}")
+    if not 0.0 < f_min < 0.5 / dx:
+        raise DomainError(
+            f"f_min must lie in (0, {0.5 / dx}) cycles per sample unit, got {f_min}"
+        )
+
+
 def ar_psd(model: ArModel, n_freq: int = 512, f_min: float = 1e-4) -> PowerSpectrum:
     """Evaluate the AR model's one-sided density on a log frequency grid.
 
     ``P(f) = 2 noise_var dx / |1 + sum_k a_k exp(-2 pi i k f dx)|^2`` on
     ``n_freq`` points log-spaced from ``f_min`` to Nyquist.
     """
+    check_psd_grid(n_freq, f_min, model.dx)
     nyquist = 0.5 / model.dx
-    if n_freq < 2:
-        raise DomainError(f"need at least two frequency points, got {n_freq}")
-    if not 0.0 < f_min < nyquist:
-        raise DomainError(
-            f"f_min must lie in (0, {nyquist}) cycles per sample unit, got {f_min}"
-        )
     freqs = np.logspace(np.log10(f_min), np.log10(nyquist), n_freq)
     # pin the endpoints: 10**log10(x) can land one ulp off x
     freqs[0] = f_min
@@ -270,15 +272,16 @@ def default_segment_len(n_samples: int) -> int:
 
 def _segments(blocks, segment_len: int, step: int):
     """The segments of ``segment_len`` samples, ``step`` apart, of the series
-    that ``blocks`` deliver, in order.
+    that ``blocks`` deliver, in order; returns the samples held of the first
+    segment that did not come whole.
 
     A segment inside one block is a view of it.  One that straddles blocks
     is assembled in a buffer of one segment, which the next segment
-    overwrites.  Until a whole segment has come, the buffer grows by
-    doubling with the samples held, so that a series shorter than its
-    segment allocates no more than itself.
+    overwrites.  The buffer starts a row long (``_rows``), not to fragment
+    the heap, and doubles until a whole segment has come, so that a series
+    shorter than its segment allocates no more than a row or itself.
     """
-    buf = np.empty(0)
+    buf = np.empty(min(segment_len, _kernels._PREFIX_CHUNK))
     held = 0  # samples of the next segment in buf[:held], from earlier blocks
     for block in blocks:
         start = -held  # where the next segment starts, relative to the block
@@ -297,6 +300,15 @@ def _segments(blocks, segment_len: int, step: int):
         buf = _room(buf, held, end, segment_len)
         buf[held:end] = rest
         held = end
+    return buf[:held]
+
+
+def _rows(blocks):
+    """``_segments`` one row long and one row apart, then the shorter rest."""
+    row = _kernels._PREFIX_CHUNK
+    rest = yield from _segments(blocks, row, row)
+    if rest.size:
+        yield rest
 
 
 def _room(buf, held: int, size: int, limit: int):
@@ -319,7 +331,7 @@ def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
     periodic Hann window, transformed, and the squared magnitudes are
     averaged and scaled by ``1 / (fs * sum w^2)`` so the result is a density;
     interior bins are doubled to fold negative frequencies in.  The series
-    is read in one pass that holds one segment beyond the current block
+    is read in one pass that holds one segment beyond the current row
     (``_segments``); only the default segment of a series of unknown length
     needs the blocks held, as they are, to count them first.
     """

@@ -93,6 +93,15 @@ def load_zeros(path) -> ZetaZeros:
     )
 
 
+def check_zero_count(zeros: ZetaZeros, n_zeros: int) -> None:
+    if n_zeros < 0:
+        raise DomainError(f"zero count must be nonnegative, got {n_zeros}")
+    if n_zeros > zeros.count:
+        raise DomainError(
+            f"requested {n_zeros} zeros but the table holds {zeros.count}"
+        )
+
+
 def psi_fluc_from_zeros(x, zeros: ZetaZeros, n_zeros: int):
     """Truncated zero-sum reconstruction of the fluctuation at ``x``.
 
@@ -107,12 +116,7 @@ def psi_fluc_from_zeros(x, zeros: ZetaZeros, n_zeros: int):
     among 5000 near 10^6 with all 2000 zeros, both routes err by at most
     2.4e-13 of the largest |value|.
     """
-    if n_zeros < 0:
-        raise DomainError(f"zero count must be nonnegative, got {n_zeros}")
-    if n_zeros > zeros.count:
-        raise DomainError(
-            f"requested {n_zeros} zeros but the table holds {zeros.count}"
-        )
+    check_zero_count(zeros, n_zeros)
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if not np.all(np.isfinite(arr) & (arr >= 2.0)):
         raise DomainError("reconstruction is defined for finite x >= 2 only")

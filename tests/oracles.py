@@ -252,3 +252,22 @@ def zero_pair_sum_mpmath(xs, t_desc, dps: int = 30) -> np.ndarray:
             )
             out.append(float(-2 * mpmath.sqrt(x) * s))
     return np.array(out)
+
+
+def burg1_longdouble(x: np.ndarray, chunk: int = 1 << 16) -> tuple[float, float]:
+    """``(k, noise_var)`` of the order-1 Burg fit of ``x`` minus its mean,
+    in longdouble, a chunk at a time.  ``1 + k`` is taken as the sum of the
+    squared steps ``x[t] - x[t-1]`` over <f,f> + <b,b>, which the mean does
+    not enter, so the closed form loses nothing to cancellation near
+    k = -1, where the library's ``-2 <f,b> / (<f,f> + <b,b>)`` is
+    ill-conditioned."""
+    mean = np.sum(x, dtype=np.longdouble) / x.size
+    xx = steps = np.longdouble(0.0)
+    for lo in range(0, x.size, chunk):
+        y = x[lo : lo + chunk + 1].astype(np.longdouble)
+        steps += np.sum(np.diff(y) ** 2)
+        y = y[:chunk] - mean
+        xx += np.sum(y * y)
+    first, last = x[0] - mean, x[-1] - mean
+    r = steps / (2.0 * xx - first * first - last * last)  # 1 + k
+    return float(r - 1.0), float(xx / x.size * r * (2.0 - r))

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import psispec as ps
-from psispec import cli, errors
+from psispec import _kernels, cli, errors
 from psispec.cli import main
 
 from conftest import SMALL_CHUNK, SMALL_SEGMENT, ar1_sample, awkward_floats, csv_rows
@@ -1009,6 +1009,56 @@ def test_higher_order_matches_library(small_segments):
     spec = ps.ar_psd(ps.burg_fit(y, order=3))
     assert np.array_equal(spectrum_table(result)[:, 1], spec.power)
     assert "# order=3" in result.output
+
+
+@pytest.mark.parametrize(
+    "options",
+    [[], ["--order", 3], ["--method", "welch", "--segment", 8192]],
+    ids=["mem", "order3", "welch8192"],
+)
+@pytest.mark.parametrize("x_start", [2, 3000])
+def test_input_gives_the_bytes_of_n(tmp_path, small_segments, small_chunks,
+                                    x_start, options):
+    # the reader's chunks end at other rows than the sieve's segments, and
+    # from 3000 the first segment is short; the estimators read both in the
+    # same rows, so only the "#" lines may differ
+    n = 2 * SMALL_SEGMENT + 123
+    table = tmp_path / "sample.csv"
+    assert run("sample", "--n", n, "--x-start", x_start, "--out", table).exit_code == 0
+    by_n = run("spectrum", "--n", n, "--x-start", x_start, *options)
+    by_input = run("spectrum", "--input", table, *options)
+    assert by_n.exit_code == by_input.exit_code == 0
+    assert body_of(by_input.output) == body_of(by_n.output)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["spectrum", "--n", 100_000, "--n-freq", 1],
+         "need at least two frequency points, got 1"),
+        (["spectrum", "--n", 100_000, "--f-lo", 0.7],
+         "f_min must lie in (0, 0.5) cycles per sample unit, got 0.7"),
+        (["fit", "--n", 100_000, "--n-freq", 1],
+         "need at least two frequency points, got 1"),
+        (["reconstruct", "--n", 10, "--x-start", 10**6, "--K", 5000],
+         "requested 5000 zeros but the table holds 2000"),
+        (["reconstruct", "--n", 10, "--x-start", 10**6, "--K", -1],
+         "zero count must be nonnegative, got -1"),
+    ],
+)
+def test_bad_options_are_refused_before_sieving(monkeypatch, args, message):
+    sieved = []
+    segment = _kernels.mangoldt_segment
+
+    def counting(lo, hi, *rest):
+        sieved.append(hi - lo)
+        return segment(lo, hi, *rest)
+
+    monkeypatch.setattr(_kernels, "mangoldt_segment", counting)
+    result = run(*args)
+    assert result.exit_code == 2
+    assert message in message_of(result)
+    assert not sieved
 
 
 STREAMED_COMMANDS = pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -301,13 +302,13 @@ def test_streamed_estimators_match_materialised(small_segments, n, x_start):
     y = ps.fluctuation_series(n, x_start)
     got = ps.burg_fit(_fluctuation_blocks(n, x_start), order=1)
     want = ps.burg_fit(y, order=1)
-    assert got.coeffs[0] == pytest.approx(want.coeffs[0], rel=1e-10, abs=0)
-    assert got.noise_var == pytest.approx(want.noise_var, rel=1e-10, abs=0)
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert got.noise_var == want.noise_var
     assert got.n_samples == want.n_samples == n
     got = ps.welch_psd(_fluctuation_blocks(n, x_start), 512)
     want = ps.welch_psd(y, 512)
     assert np.array_equal(got.freqs, want.freqs)
-    assert np.allclose(got.power, want.power, rtol=1e-10, atol=0)
+    assert np.array_equal(got.power, want.power)
     assert got.estimator == want.estimator
 
 
@@ -317,13 +318,57 @@ def test_irregular_blocks_match_one_array():
     sizes = [1, 700, 0, 300, 17, 2500]
     got = ps.burg_fit(_split(x, sizes), order=1)
     want = ps.burg_fit(x, order=1)
-    assert got.coeffs[0] == pytest.approx(want.coeffs[0], rel=1e-10, abs=0)
-    assert got.noise_var == pytest.approx(want.noise_var, rel=1e-10, abs=0)
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert got.noise_var == want.noise_var
     for segment_len in (256, 512):
         got = ps.welch_psd(_split(x, sizes), segment_len)
         want = ps.welch_psd(x, segment_len)
-        assert np.allclose(got.power, want.power, rtol=1e-10, atol=0)
+        assert np.array_equal(got.power, want.power)
         assert got.estimator == want.estimator
+
+
+#: A series of a little over two rows and one 8192-sample Welch segment.
+PARTITIONED = ar1_sample(21, 2 * _kernels._PREFIX_CHUNK + 1500, coeff=0.97) - 25.0
+WELCH_SEGMENTS = (2, 256, 4096, 8192)
+
+
+@functools.cache
+def _one_array_estimates():
+    model = ps.burg_fit(PARTITIONED, order=1)
+    welch = [ps.welch_psd(PARTITIONED, s).power for s in WELCH_SEGMENTS]
+    return model, welch
+
+
+@given(sizes=st.lists(
+    st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 6000)), max_size=12
+))
+@settings(max_examples=20, deadline=None)
+def test_any_partition_gives_the_bits_of_one_array(sizes):
+    # rows are counted from the first sample whatever the blocks, so every
+    # partition, empty and one-sample blocks included, is estimated alike
+    x = PARTITIONED
+    want, welch = _one_array_estimates()
+    got = ps.burg_fit(_split(x, sizes), order=1)
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert got.noise_var == want.noise_var
+    for segment_len, power in zip(WELCH_SEGMENTS, welch):
+        assert np.array_equal(ps.welch_psd(_split(x, sizes), segment_len).power, power)
+
+
+@pytest.mark.parametrize("seed", [2, 7, 9])
+def test_burg_sums_do_not_lose_precision_over_many_rows(seed):
+    # a random walk has k close to -1, where 1 + k, and with it the noise
+    # variance, comes from a difference of the four sums; over 1024 rows,
+    # plain running sums put k off the longdouble closed form by 12.5 to
+    # 13.5 eps on these seeds, the Kahan pairs by at most 2 eps (seeds 0-9)
+    n, row = 1 << 22, _kernels._PREFIX_CHUNK
+    x = np.cumsum(np.random.default_rng(seed).standard_normal(n)) + 1e4
+    k, noise_var = oracles.burg1_longdouble(x)
+    blocks = (x[lo : lo + row].copy() for lo in range(0, n, row))
+    got = ps.burg_fit(ps.BlockSeries(blocks=blocks, n=n))
+    eps = np.spacing(1.0)
+    assert abs(got.coeffs[0] - k) <= 3 * eps
+    assert abs(got.noise_var - noise_var) <= 3 * eps / (1.0 + k) * noise_var
 
 
 def test_demean_of_one_array_keeps_the_bits():
@@ -391,15 +436,23 @@ def test_segments_are_views_or_one_buffer(sizes):
     blocks = [b.copy() for b in np.split(x, np.cumsum(sizes)[:-1])]
     buffers = set()
     got = []
-    for segment in spectral._segments(iter(blocks), segment_len, step):
+
+    def leftover():
+        rest = yield from spectral._segments(iter(blocks), segment_len, step)
+        got.append(rest.copy())
+
+    for segment in leftover():
         if not any(np.shares_memory(segment, b) for b in blocks):
             buffers.add(id(segment))
             assert segment.size == segment_len
         got.append(segment.copy())
-    want = [x[i : i + segment_len] for i in range(0, x.size - segment_len + 1, step)]
-    assert np.array_equal(got, want)
+    starts = range(0, x.size - segment_len + 1, step)
+    want = [x[i : i + segment_len] for i in starts]
+    assert np.array_equal(got[:-1], want)
     # segments that straddle blocks all come in one buffer
     assert len(buffers) == (len(blocks) > 1)
+    # the samples from the start of the first segment that did not come whole
+    assert np.array_equal(got[-1], x[starts[-1] + step :])
 
 
 def test_welch_short_blocks_hold_a_few_segments():
