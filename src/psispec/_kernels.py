@@ -393,12 +393,16 @@ def _scaled(a, e):
     s = 16 - e
     c = a * _SPLIT
     a_hi = c - (c - a)
+    del c
     a_lo = a - a_hi
     b_hi = _POW10_HI.take(s)
     b_lo = _POW10_LO.take(s)
     p = a * _POW10.take(s)
+    del s
     err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    del a_hi, a_lo, b_hi, b_lo
     whole = p.astype(np.int64)
+    del p
     return whole + np.floor(err).astype(np.int64), whole + np.rint(err).astype(np.int64)
 
 
@@ -433,41 +437,61 @@ def format_rows(columns) -> str:
     """
     n_cols = len(columns)
     values = np.column_stack(columns).astype(np.float64, copy=False).ravel()
+    size = values.size
+    negative = values < 0
     a = np.abs(values)
     fast = (a >= 1e-4) & (a < 1e17)  # False for nan
-    a = np.where(fast, a, 1.0)  # laid out as "1", then overwritten
+    slow = np.flatnonzero(~fast)
+    slow_values = values[slow].tolist()
+    del values
+    a[slow] = 1.0  # laid out as "1", then overwritten
     e = np.clip(np.floor(np.log10(a)), _E_MIN, _E_MAX).astype(np.int64)
     floor, digits = _scaled(a, e)
     shift = (floor >= 10**17).astype(np.int64) - (floor < 10**16)
+    del floor
     near = np.flatnonzero(shift)
     if near.size:
         e[near] += shift[near]
         _, digits[near] = _scaled(a[near], e[near])
+    del a, shift, near
 
     d0, rest = np.divmod(digits, 10**16)
+    del digits
     upper, lower = np.divmod(rest, 10**8)
-    groups = np.empty((values.size, 4), dtype=np.int64)
+    del rest
+    groups = np.empty((size, 4), dtype=np.int64)
     np.divmod(upper, 10**4, out=(groups[:, 0], groups[:, 1]))
     np.divmod(lower, 10**4, out=(groups[:, 2], groups[:, 3]))
+    del upper, lower
     group_lanes, group_last, overlay = _format_tables()
     # digits kept: up to the last nonzero one, and all of the integer part
     last = group_last.take(groups + np.arange(0, 40_000, 10_000))
     nonzero = np.maximum(np.maximum(last[:, 0], last[:, 1]), np.maximum(last[:, 2], last[:, 3]))
+    del last
     cut = np.maximum(nonzero.astype(np.int64) + 1, e + 1)
+    del nonzero
 
     field = overlay.take((e - _E_MIN) * 18 + cut, axis=0)
-    field[:, 1:] |= group_lanes.take(groups)
+    del e, cut
+    # lane by lane, so that the temporary is a quarter of one take's
+    for lane in range(4):
+        field[:, lane + 1] |= group_lanes.take(groups[:, lane])
+    del groups
     field[:, 0] |= d0.astype(np.uint64) << np.uint64(48)
-    field[:, 0] |= np.where(values < 0, np.uint64(ord("-")), np.uint64(0))
+    del d0
+    field[:, 0] |= np.where(negative, np.uint64(ord("-")), np.uint64(0))
+    del negative
     seps = np.full(n_cols, ord(","), dtype=np.uint64)
     seps[-1] = ord("\n")
     field.reshape(-1, n_cols, 5)[:, :, 4] |= seps << np.uint64(56)
-    slow = np.flatnonzero(~fast)
     if slow.size:
-        text = [format(v, ".17g") for v in values[slow].tolist()]
+        text = [format(v, ".17g") for v in slow_values]
         raw = np.array(text, dtype="S39").view(np.uint8).reshape(slow.size, 39)
         field.view(np.uint8).reshape(-1, 40)[slow, :39] = raw
-    return field.tobytes().translate(None, b"\0").decode("ascii")
+    data = field.tobytes()
+    del field
+    data = data.translate(None, b"\0")
+    return data.decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +581,7 @@ def parse_rows(data: bytes, n_cols: int, usecols):
     runs = (gap > 1).view(np.int8) + (gap > _RUN_MAX + 1).view(np.int8)
     if not _SYNTAX.take((before * 5 + kind) * 3 + runs).all():
         return None
+    del runs
     sep = np.flatnonzero(kind <= 1)
     row = [1] * (n_cols - 1) + [0]
     if sep.size % n_cols or not (kind[sep].reshape(-1, n_cols) == row).all():
@@ -567,28 +592,40 @@ def parse_rows(data: bytes, n_cols: int, usecols):
     f = (np.arange(0, sep.size, n_cols) + np.array(usecols)[:, None]).ravel()
     sep = np.concatenate(([-1], sep))
     head, tail = sep.take(f), sep.take(f + 1)
+    del sep
     negative = kind.take(head + 1) == 2
+    del kind
     k = np.where(before.take(tail) == 3, gap.take(tail) - 1, 0)
+    del before, gap
     d = np.fromstring(data.translate(_FIELDS, b"."), dtype=np.uint64, sep=",")
     d = d.take(f)
+    del f
 
     q = d.astype(np.float64) / _POW10.take(k)
     bits = q.view(np.uint64)
     # q = m * 2**e, with e the biased exponent less 1023 + 52
     s = (bits >> np.uint64(52)).view(np.int64) + (k - 1075)
     h = _POW5_INT.take(k) << np.maximum(s - 1, 0).astype(np.uint64)
+    del k
     m = (bits & _MANTISSA) | _HIDDEN
     scaled = d << np.maximum(1 - s, 0).astype(np.uint64)
+    del s
     r = (scaled - (m << np.uint64(1)) * h).view(np.int64)
+    del scaled, m
     r[d == 0] = 0  # q = 0 is exact
     h = h.view(np.int64)
     odd = (bits & np.uint64(1)).view(np.int64)
     step = (r + odd > h).view(np.int8) - (r - odd < -h).view(np.int8)
+    del h, odd
     edge = ((bits & _MANTISSA) == 0) & (r < 0)
+    del r
     slow = np.flatnonzero((d >= np.uint64(10**19)) | edge)
+    del d, edge
     bits += step.astype(np.uint64)
+    del step
     values = bits.view(np.float64)
     np.negative(values, out=values, where=negative)
+    del negative
     if slow.size:
         start = np.concatenate(([-1], punct)).take(head[slow] + 1) + 1
         end = punct.take(tail[slow])

@@ -7,20 +7,22 @@ bulk by numpy (``_kernels.format_rows``), ``_CHUNK_ROWS`` at a time, with
 the bytes of ``format(v, ".17g")`` for every value.
 
 Re-ingested tables (``--input``, ``--spectrum-csv``) are read in chunks of
-about ``_CHUNK_BYTES`` of whole lines, which end at "\\n", "\\r\\n" or a
-lone "\\r".  A chunk of canonical rows, fields ``-?[0-9]+(.[0-9]+)?`` with
-nothing else on the line, as every command writes them, is checked and
-converted by ``_kernels.parse_rows`` with exact integer arithmetic, bit
-for bit what ``float`` gives; only the columns the command uses are
-converted; "\\r\\n" and lone "\\r" line ends are first made "\\n".  Any
-other chunk goes to the kernel again without its comments and blank
-lines, and if it is still refused (spaces, exponents, ``nan``), every
-field is read by ``float``, in ASCII without "_".  Every number must be
-finite.  The reader opens the file once and numbers its lines as it reads
-them, so a bad row, or a line that is not UTF-8, is named by its line in
-the file from its own chunk.  An ``--input`` table goes to the estimators
-as it is read, one ``fluc`` block per chunk, and is held whole only where
-the estimator gathers it (Burg above order 1, Welch without ``--segment``).
+about ``_CHUNK_BYTES`` (256 KiB) of whole lines, which end at "\\n",
+"\\r\\n" or a lone "\\r", so that a chunk and the kernel's temporaries for
+it fit in a 2 MiB L2 cache.  A chunk of canonical rows, fields
+``-?[0-9]+(.[0-9]+)?`` with nothing else on the line, as every command
+writes them, is checked and converted by ``_kernels.parse_rows`` with
+exact integer arithmetic, bit for bit what ``float`` gives; only the
+columns the command uses are converted; "\\r\\n" and lone "\\r" line ends
+are first made "\\n".  Any other chunk goes to the kernel again without its
+comments and blank lines, and if it is still refused (spaces, exponents,
+``nan``), every field is read by ``float``, in ASCII without "_".  Every
+number must be finite.  The reader opens the file once and numbers its
+lines as it reads them (a canonical chunk holds one line per row), so a
+bad row, or a line that is not UTF-8, is named by its line in the file
+from its own chunk.  An ``--input`` table goes to the estimators as it is
+read, one ``fluc`` block per chunk, and is held whole only where the
+estimator gathers it (Burg above order 1, Welch without ``--segment``).
 The estimators cut every series into the same rows, so neither a source
 constant (``_CHUNK_BYTES``, ``prime_series._SEGMENT``) nor a table's line
 ends change a byte of output.
@@ -87,12 +89,20 @@ class RunConfig:
 
 
 #: Bytes per chunk of lines that ``_read_rows`` parses at a time.
-_CHUNK_BYTES = 1 << 20
+#: A chunk, the reader's copies of it and the temporaries of
+#: ``parse_rows`` take about 5 bytes per byte of the chunk.  In-process
+#: ``spectrum --input`` on 10**6 rows on a shared 2-core Xeon with a 2 MiB
+#: L2 per core, 30 interleaved runs per size: median 0.71 / 0.59 / 0.61 /
+#: 0.66 s and traced peak 5.1 / 2.6 / 1.3 / 0.7 MiB at 1 MiB / 512 / 256 /
+#: 128 KiB.  256 KiB is the largest whose working set fits in that L2.
+_CHUNK_BYTES = 1 << 18
 
 #: Rows per block of ``_sample_blocks`` and per write of ``_write_table``.
 #: ``sample --n 1e6`` took the same time at 2048 to 8192 rows and 1.6 times
 #: as long at 16 384, where each of the formatter's temporaries passes
 #: 0.5 MB and comes back from malloc as fresh, page-faulting memory.
+#: ``format_rows`` drops each temporary once the layout is past it, so a
+#: block of four columns peaks at 1.7 MiB traced, within a 2 MiB L2.
 _CHUNK_ROWS = 4096
 
 
@@ -251,7 +261,9 @@ def _read_rows(path, expected_header: str, usecols):
             columns = parse_rows(chunk, n_cols, usecols)
             if columns is None:
                 columns = _parse_lines(path, chunk, n_cols, usecols, line)
-            line += chunk.count(b"\n")
+                line += chunk.count(b"\n")
+            else:
+                line += columns[0].size  # one line per row
             if columns[0].size:
                 rows += columns[0].size
                 yield columns

@@ -507,6 +507,19 @@ def test_read_names_bad_lines_after_lone_cr_line_ends(
         read_fluc(path)
 
 
+def test_read_names_a_bad_row_after_kernel_chunks_by_its_line(
+    tmp_path, small_chunks, chunk_kinds
+):
+    # the kernel's chunks are counted by their rows, a CRLF one as well
+    lines = replace_field(sample_lines(300), 250, 3, "x")
+    lines[100:130] = [line.replace("\n", "\r\n") for line in lines[100:130]]
+    path = write_sample(tmp_path, lines)
+    with pytest.raises(ps.DataFormatError, match="line 251: non-numeric field in"):
+        read_fluc(path)
+    # many canonical chunks, then the bad row's chunk and its lines
+    assert chunk_kinds.count(False) > 20 and chunk_kinds[-1] is True
+
+
 def test_read_lone_cr_sample_holds_about_one_chunk(tmp_path):
     n = 200_000
     path = tmp_path / "sample.csv"
@@ -520,7 +533,8 @@ def test_read_lone_cr_sample_holds_about_one_chunk(tmp_path):
     finally:
         tracemalloc.stop()
     assert got.tobytes() == want.tobytes()
-    # "\n" ends peak at 8.9 MiB; the 12 MiB file read whole takes 85 MiB
+    # 3.2 MiB, and 3.1 MiB with "\n" ends, of which the gathered result
+    # takes 1.5 MiB; the 12 MiB file read whole takes 85 MiB
     assert peak < 16 * 2**20
 
 
@@ -609,9 +623,20 @@ def test_spectrum_input_peak_does_not_grow_with_rows(tmp_path):
         assert run("sample", "--n", n, "--out", path).exit_code == 0
         config = cli.RunConfig(input_csv=path, output_path=os.devnull)
         peaks.append(traced_peak(cli.cmd_spectrum, config))
-    # 7.71 and 7.76 MiB, one chunk at a time; 8.17 and 10.48 MiB when the
-    # reader gathered fluc into one array
+    # 1.30 MiB at both, one chunk at a time; 8.17 and 10.48 MiB when the
+    # reader gathered fluc into one array and read chunks of 1 MiB
     assert peaks[1] - peaks[0] < 0.5 * 2**20
+
+
+def test_spectrum_input_holds_one_cache_sized_chunk(tmp_path):
+    path = tmp_path / "sample.csv"
+    assert run("sample", "--n", 100_000, "--out", path).exit_code == 0
+    assert path.stat().st_size > 8 * cli._CHUNK_BYTES
+    config = cli.RunConfig(input_csv=path, output_path=os.devnull)
+    # 1.3 MiB: a chunk of 256 KiB, the reader's copies of it and the
+    # kernel's temporaries; 7.7 MiB with chunks of 1 MiB and every
+    # temporary of the kernel alive to its end
+    assert traced_peak(cli.cmd_spectrum, config) < 3 * 2**20
 
 
 def comment_lines(result):
@@ -628,7 +653,7 @@ def welch_floor(power):
 
 
 def test_spectrum_input_over_many_chunks_matches_library(tmp_path):
-    n = 70_000  # about 4 MB of rows, so four chunks of 1 MiB
+    n = 70_000  # about 4 MB of rows, so some 17 chunks of 256 KiB
     path = tmp_path / "sample.csv"
     assert run("sample", "--n", n, "--out", path).exit_code == 0
     assert path.stat().st_size > 3 * cli._CHUNK_BYTES

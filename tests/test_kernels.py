@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -318,6 +319,24 @@ def test_format_rows_columns_and_empty():
     columns = [x, np.sqrt(x), -x / 7.0, x * 1e-3]
     assert kern.format_rows(columns) == csv_rows(*columns)
     assert kern.format_rows([np.empty(0), np.empty(0)]) == ""
+
+
+def test_format_rows_chunk_fits_in_l2():
+    # one block of ``sample`` rows, as ``cli._write_table`` formats them
+    x = np.arange(2.0, 4098.0)
+    psi, smooth = ps.psi_series(4096), ps.smooth_part(x)
+    columns = [x, psi, smooth, psi - smooth]
+    want = kern.format_rows(columns)  # builds the tables outside the trace
+    tracemalloc.start()
+    try:
+        got = kern.format_rows(columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want == csv_rows(*columns)
+    # 1.7 MiB, each temporary dropped once the layout is past it; 3.85 MiB
+    # when every one lived until the text was built
+    assert peak < 3 * 2**20
 
 
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
