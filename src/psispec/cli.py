@@ -6,26 +6,28 @@ configurations produce byte-identical files.  CSV rows are formatted in
 bulk by numpy (``_kernels.format_rows``), ``_CHUNK_ROWS`` at a time, with
 the bytes of ``format(v, ".17g")`` for every value.
 
-Re-ingested tables (``--input``, ``--spectrum-csv``) are read in chunks of
-about ``_CHUNK_BYTES`` (256 KiB) of whole lines, which end at "\\n",
-"\\r\\n" or a lone "\\r", so that a chunk and the kernel's temporaries for
-it fit in a 2 MiB L2 cache.  A chunk of canonical rows, fields
-``-?[0-9]+(.[0-9]+)?`` with nothing else on the line, as every command
-writes them, is checked and converted by ``_kernels.parse_rows`` with
-exact integer arithmetic, bit for bit what ``float`` gives; only the
-columns the command uses are converted; "\\r\\n" and lone "\\r" line ends
-are first made "\\n".  Any other chunk goes to the kernel again without its
-comments and blank lines, and if it is still refused (spaces, exponents,
-``nan``), every field is read by ``float``, in ASCII without "_".  Every
-number must be finite.  The reader opens the file once and numbers its
-lines as it reads them (a canonical chunk holds one line per row), so a
-bad row, or a line that is not UTF-8, is named by its line in the file
-from its own chunk.  An ``--input`` table goes to the estimators as it is
-read, one ``fluc`` block per chunk, and is held whole only where the
-estimator gathers it (Burg above order 1, Welch without ``--segment``).
-The estimators cut every series into the same rows, so neither a source
-constant (``_CHUNK_BYTES``, ``prime_series._SEGMENT``) nor a table's line
-ends change a byte of output.
+Re-ingested tables (``--input``, ``--spectrum-csv``) are opened once in
+universal-newline text mode, so that lines end at "\\n", "\\r\\n" or a lone
+"\\r" and reach the parsers with "\\n" ends, and read in chunks of about
+``_CHUNK_BYTES`` (256 Ki) characters of whole lines, so that a chunk and the
+kernel's temporaries for it fit in a 2 MiB L2 cache.  A chunk of canonical
+rows, fields ``-?[0-9]+(.[0-9]+)?`` with nothing else on the line, as
+every command writes them, is checked and converted by
+``_kernels.parse_rows`` with exact integer arithmetic, bit for bit what
+``float`` gives; only the columns the command uses are converted.  Any
+other chunk goes to the kernel again without its comments and blank lines,
+and if it is still refused (spaces, exponents, ``nan``), every field is
+read by ``float``, in ASCII without "_".  Every number must be finite.
+The reader numbers the lines as it reads them (a canonical chunk holds one
+line per row), so a bad row, or a line that is not UTF-8, is named by its
+line in the file from its own chunk.  An ``--input`` table goes to the
+estimators as it is read, one ``fluc`` block per chunk, and a
+``--synthetic`` signal as it is drawn, ``_CHUNK_ROWS`` samples at a time;
+either is held whole only where the estimator gathers it (Burg above
+order 1, Welch without ``--segment``).  The estimators cut every series
+into the same rows, so neither a source constant (``_CHUNK_BYTES``,
+``_CHUNK_ROWS``, ``prime_series._SEGMENT``) nor a table's line ends change
+a byte of output.
 
 ``--n`` and ``--x-start`` take any decimal spelling of an integer, such as
 ``1e7``.
@@ -88,16 +90,17 @@ class RunConfig:
     spectrum_csv: Path | None = None
 
 
-#: Bytes per chunk of lines that ``_read_rows`` parses at a time.
-#: A chunk, the reader's copies of it and the temporaries of
-#: ``parse_rows`` take about 5 bytes per byte of the chunk.  In-process
+#: Characters (bytes, for ASCII) per chunk of lines that ``_read_rows``
+#: parses at a time.  A chunk and the temporaries of ``parse_rows`` take
+#: about 5 bytes per byte of the chunk.  In-process
 #: ``spectrum --input`` on 10**6 rows on a shared 2-core Xeon with a 2 MiB
 #: L2 per core, 30 interleaved runs per size: median 0.71 / 0.59 / 0.61 /
 #: 0.66 s and traced peak 5.1 / 2.6 / 1.3 / 0.7 MiB at 1 MiB / 512 / 256 /
 #: 128 KiB.  256 KiB is the largest whose working set fits in that L2.
 _CHUNK_BYTES = 1 << 18
 
-#: Rows per block of ``_sample_blocks`` and per write of ``_write_table``.
+#: Rows per block of ``_sample_blocks`` and ``_synthetic_series`` and per
+#: write of ``_write_table``.
 #: ``sample --n 1e6`` took the same time at 2048 to 8192 rows and 1.6 times
 #: as long at 16 384, where each of the formatter's temporaries passes
 #: 0.5 MB and comes back from malloc as fresh, page-faulting memory.
@@ -239,25 +242,24 @@ def _read_rows(path, expected_header: str, usecols):
     ``expected_header``, and every later one must hold as many
     comma-separated finite numbers.  A chunk of canonical rows, such as
     every command writes, is checked and converted by
-    ``_kernels.parse_rows``; any other chunk by ``_parse_lines``.  Lines
-    end at "\\n", "\\r\\n" or a lone "\\r", as ``bytes.splitlines`` splits
-    them; a chunk's line ends become "\\n" before it is parsed.  Lines are
+    ``_kernels.parse_rows``; any other chunk by ``_parse_lines``.  The file
+    is read in universal-newline text mode, so lines end at "\\n", "\\r\\n"
+    or a lone "\\r" and reach the parsers with "\\n" ends.  Lines are
     numbered as they are read, so that a malformed or non-finite row, or a
     line that is not UTF-8, is named by its line in the file from the text
     of its own chunk.
     """
     n_cols = len(expected_header.split(","))
     try:
-        fh = open(path, "rb")
+        # a byte that is not UTF-8 is decoded to a lone surrogate and
+        # encoded back to itself, for utf8_text to name its line
+        fh = open(path, encoding="utf-8", errors="surrogateescape", newline=None)
     except FileNotFoundError as exc:
         raise DataFormatError(f"input file not found: {path}") from exc
     rows = 0
     with fh:
-        line, rest, carry = _skip_header(path, fh, expected_header)
-        for chunk in itertools.chain([rest], _chunks(fh, carry)):
-            if b"\r" in chunk:
-                # the same lines, so the same line numbers, with "\n" ends
-                chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = _skip_header(path, fh, expected_header)
+        for chunk in _chunks(fh):
             columns = parse_rows(chunk, n_cols, usecols)
             if columns is None:
                 columns = _parse_lines(path, chunk, n_cols, usecols, line)
@@ -271,62 +273,40 @@ def _read_rows(path, expected_header: str, usecols):
         raise DataFormatError(f"{path}: no data rows")
 
 
-def _skip_header(path, fh, expected_header: str) -> tuple[int, bytes, bytes]:
-    """Read binary ``fh`` by ``_read_lines`` up to and including the
-    header line, the first with more than blanks and a comment, and check
-    it; return the number of the next line, the whole lines read past the
-    header and the bytes read past those.  A file with "\\n" line ends is
-    read one line at a time, and both are empty."""
-    lineno = 0
-    carry = b""
-    while True:
-        chunk, carry = _read_lines(fh, 0, carry)
-        if not chunk:
-            raise DataFormatError(f"{path}: no data rows")
-        end = 0
-        for line in chunk.splitlines(keepends=True):
-            lineno += 1
-            end += len(line)
-            header = utf8_text(path, line, lineno).split("#", 1)[0].strip()
-            if not header:
-                continue
-            if header != expected_header:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: expected header "
-                    f"{expected_header!r}, got {header!r}"
-                )
-            return lineno + 1, chunk[end:], carry
+def _skip_header(path, fh, expected_header: str) -> int:
+    """Read text ``fh`` up to and including the header line, the first
+    with more than blanks and a comment, check it and return the number of
+    the next line."""
+    # iterated, not read by readline: the text layer then keeps no copy of
+    # its last raw read for tell(), which would be held beside every chunk
+    for lineno, line in enumerate(fh, 1):
+        data = line.encode("utf-8", "surrogateescape")
+        header = utf8_text(path, data, lineno).split("#", 1)[0].strip()
+        if not header:
+            continue
+        if header != expected_header:
+            raise DataFormatError(
+                f"{path}: line {lineno}: expected header "
+                f"{expected_header!r}, got {header!r}"
+            )
+        return lineno + 1
+    raise DataFormatError(f"{path}: no data rows")
 
 
-def _read_lines(fh, size: int, carry: bytes) -> tuple[bytes, bytes]:
-    """``(lines, carry)``: ``carry`` and ``size`` more bytes of binary
-    ``fh``, cut or extended to end at a line end, and the bytes read past
-    that end.  The lines are empty only at the end of the file.
-
-    If a "\\r" follows the last "\\n" read, as in a file with lone "\\r"
-    line ends, the lines end at the last such "\\r", but not at the last
-    byte read, whose "\\n" may be unread.  Otherwise they run on to the
-    next "\\n", which ``fh.readline`` reads, ``_CHUNK_BYTES`` at a time.
-    """
-    lines = carry + fh.read(size)
-    while True:
-        end = lines.rfind(b"\r", lines.rfind(b"\n") + 1, -1) + 1
-        if end:
-            return lines[:end], lines[end:]
-        tail = fh.readline(_CHUNK_BYTES)
-        lines += tail
-        if tail.endswith(b"\n") or len(tail) < _CHUNK_BYTES:
-            return lines, b""
-
-
-def _chunks(fh, carry: bytes):
-    """``carry``, then the rest of binary ``fh``, as chunks of whole lines
-    of about ``_CHUNK_BYTES`` each, every one ending in a newline."""
-    while True:
-        chunk, carry = _read_lines(fh, _CHUNK_BYTES, carry)
-        if not chunk:
-            return
-        yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
+def _chunks(fh):
+    """The rest of text ``fh`` as chunks of whole lines, ``_CHUNK_BYTES``
+    characters and on to the next line end after them, each encoded back
+    to bytes and ending in "\\n"."""
+    while chunk := fh.read(_CHUNK_BYTES):
+        # also after a read that ends at a line end, which would otherwise
+        # leave the text decoded for it held by the text layer while the
+        # chunk is parsed (1.54 against 1.31 MiB traced on 4e5 rows)
+        chunk += fh.readline()
+        if not chunk.endswith("\n"):  # the last line of the file
+            chunk += "\n"
+        data = chunk.encode("utf-8", "surrogateescape")
+        del chunk  # not held while the chunk is parsed
+        yield data
 
 
 def _content_lines(path, chunk: bytes, first_line: int):
@@ -423,32 +403,43 @@ def read_spectrum_csv(path) -> PowerSpectrum:
 # ---------------------------------------------------------------------------
 
 
-def _synthetic_series(kind: str, n: int, seed: int | None, ar_coeff: float):
+def _synthetic_series(kind: str, n: int, seed: int | None,
+                      ar_coeff: float) -> BlockSeries:
+    """``n`` samples of seeded white noise, or of the AR(1) recursion
+    y_t = ar_coeff * y_{t-1} + eps_t from y_0 = 0 over that noise, in
+    blocks of ``_CHUNK_ROWS`` drawn from one generator, so that they hold
+    the numbers of one draw of ``n``."""
+    if kind not in ("white", "ar1"):
+        raise DomainError(f"unknown synthetic signal {kind!r} (use white or ar1)")
     rng = np.random.default_rng(seed)
-    eps = rng.standard_normal(n)
-    if kind == "white":
-        return eps
-    if kind == "ar1":
-        steps = itertools.accumulate(
-            eps.tolist(), lambda prev, e: ar_coeff * prev + e, initial=0.0
-        )
-        signal = np.fromiter(steps, np.float64, count=n + 1)[1:]
-        if not np.all(np.isfinite(signal)):
-            raise DomainError(
-                f"ar1 signal with coefficient {ar_coeff} is not finite "
-                f"over {n} samples"
-            )
-        return signal
-    raise DomainError(f"unknown synthetic signal {kind!r} (use white or ar1)")
+
+    def blocks():
+        last = 0.0
+        for lo in range(0, n, _CHUNK_ROWS):
+            block = rng.standard_normal(min(_CHUNK_ROWS, n - lo))
+            if kind == "ar1":
+                steps = itertools.accumulate(
+                    block.tolist(), lambda prev, e: ar_coeff * prev + e,
+                    initial=last,
+                )
+                block = np.fromiter(steps, np.float64, count=block.size + 1)[1:]
+                if not np.all(np.isfinite(block)):
+                    raise DomainError(
+                        f"ar1 signal with coefficient {ar_coeff} is not finite "
+                        f"over {n} samples"
+                    )
+                last = float(block[-1])
+            yield block
+
+    return BlockSeries(blocks=blocks(), n=n)
 
 
 def _pipeline_series(config: RunConfig) -> BlockSeries:
     """The series the estimators run on, before its mean is removed: the
     fluctuation as blocks straight from the sieve or from the chunks of
-    the ``--input`` table, whose length the estimators count, or one block
-    generated by ``--synthetic``.  The estimators shift every block in
-    place, so each source hands them blocks of its own and none is
-    copied."""
+    the ``--input`` table, whose length the estimators count, or from the
+    ``--synthetic`` generator.  The estimators shift every block in place,
+    so each source hands them blocks of its own and none is copied."""
     if config.input_csv is not None:
         # built here, not by read_sample_csv: psibench's trace of that
         # function adds up the n of its result, which a stream leaves None
@@ -458,10 +449,9 @@ def _pipeline_series(config: RunConfig) -> BlockSeries:
             f"spectral estimation needs at least 2 samples, got {config.n_samples}"
         )
     if config.synthetic is not None:
-        signal = _synthetic_series(
+        return _synthetic_series(
             config.synthetic, config.n_samples, config.seed, config.ar_coeff
         )
-        return BlockSeries(blocks=[signal], n=signal.size)
     segments = grid_segments(config.n_samples, x_start=config.x_start)
     return BlockSeries(
         blocks=(fluc for _, _, fluc in segments), n=config.n_samples

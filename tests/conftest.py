@@ -42,7 +42,7 @@ def fluc_1e4():
 
 def ar1_sample(seed: int, n: int, coeff: float = 0.9) -> np.ndarray:
     """Seeded AR(1) draw y_t = coeff * y_{t-1} + eps_t used across tests."""
-    return _synthetic_series("ar1", n, seed, coeff)
+    return np.concatenate(list(_synthetic_series("ar1", n, seed, coeff).blocks))
 
 
 def awkward_floats() -> np.ndarray:

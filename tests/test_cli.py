@@ -441,6 +441,23 @@ def test_read_names_a_line_that_is_not_utf8(tmp_path, small_chunks, mutate, mess
     assert message.split(" in")[0] in message_of(result)
 
 
+def test_read_multibyte_comments_across_chunk_edges(tmp_path, small_chunks):
+    # a comment of 2- and 4-byte characters before every row, so that some
+    # of the text layer's reads end inside a character
+    lines = sample_lines(300)
+    want = read_fluc(write_sample(tmp_path, lines))
+    note = "# caf\xe9 " + "\U0001d11e" * 7 + "\n"  # e-acute and a G clef
+    noted = lines[:3] + [text for row in lines[3:] for text in (note, row)]
+    assert read_fluc(write_sample(tmp_path, noted)).tobytes() == want.tobytes()
+    # a byte that is not UTF-8 in a later row is still named by its line
+    bad = noted.index(lines[250])
+    path = tmp_path / "sample.csv"
+    text = "".join(replace_field(noted, bad, 3, "1\udcff"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(ps.DataFormatError, match=f"line {bad + 1}: not UTF-8 text"):
+        read_fluc(path)
+
+
 def test_read_names_a_bad_row_after_an_x_gap(tmp_path, small_chunks):
     # the gap, at line 101, is in an earlier chunk than the bad row
     lines = sample_lines(300)
@@ -533,7 +550,7 @@ def test_read_lone_cr_sample_holds_about_one_chunk(tmp_path):
     finally:
         tracemalloc.stop()
     assert got.tobytes() == want.tobytes()
-    # 3.2 MiB, and 3.1 MiB with "\n" ends, of which the gathered result
+    # 3.1 MiB, as with "\n" ends, of which the gathered result
     # takes 1.5 MiB; the 12 MiB file read whole takes 85 MiB
     assert peak < 16 * 2**20
 
@@ -585,7 +602,7 @@ def test_chunks_end_at_line_ends_of_either_kind(monkeypatch, chunk_bytes, ends):
         for _ in range(2000)
     )
     monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
-    chunks = list(cli._chunks(io.BytesIO(data), b""))
+    chunks = list(cli._chunks(io.TextIOWrapper(io.BytesIO(data), "utf-8", newline=None)))
     assert all(chunk.endswith(b"\n") for chunk in chunks)
     # no line split in two, and no "\r\n" counted as two line ends
     assert b"".join(chunks).splitlines() == data.splitlines()
@@ -633,9 +650,9 @@ def test_spectrum_input_holds_one_cache_sized_chunk(tmp_path):
     assert run("sample", "--n", 100_000, "--out", path).exit_code == 0
     assert path.stat().st_size > 8 * cli._CHUNK_BYTES
     config = cli.RunConfig(input_csv=path, output_path=os.devnull)
-    # 1.3 MiB: a chunk of 256 KiB, the reader's copies of it and the
-    # kernel's temporaries; 7.7 MiB with chunks of 1 MiB and every
-    # temporary of the kernel alive to its end
+    # 1.3 MiB: a chunk of 256 KiB and the kernel's temporaries; 7.7 MiB
+    # with chunks of 1 MiB and every temporary of the kernel alive to its
+    # end
     assert traced_peak(cli.cmd_spectrum, config) < 3 * 2**20
 
 
@@ -891,6 +908,20 @@ def test_synthetic_non_finite_signal_is_domain_error(n, coeff):
     result = run("spectrum", "--synthetic", "ar1", "--n", n, "--ar-coeff", coeff)
     assert result.exit_code == 2
     assert "is not finite" in message_of(result)
+
+
+def test_synthetic_blocks_hold_one_draw():
+    series = cli._synthetic_series("white", 10_000, 5, 0.9)
+    got = np.concatenate(list(series.blocks))
+    assert got.tobytes() == np.random.default_rng(5).standard_normal(10_000).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["white", "ar1"])
+def test_synthetic_signal_is_generated_in_blocks(kind):
+    config = cli.RunConfig(synthetic=kind, n_samples=200_000, output_path=os.devnull)
+    # 1.0 and 0.35 MiB in blocks of 4096 samples; 2.5 and 9.4 MiB when
+    # the signal was generated whole
+    assert traced_peak(cli.cmd_spectrum, config) < 2 * 2**20
 
 
 def test_synthetic_random_walk_is_accepted():
