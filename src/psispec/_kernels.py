@@ -2,9 +2,9 @@
 
 ``mangoldt_segment`` sieves the von Mangoldt function on one segment from
 tables of base primes and their powers built once per run, striking
-composites with a wheel, slices and one scatter; ``half_jump_prefix``
-accumulates psi over it in cache-sized chunks, written over Lambda itself
-where nothing needs Lambda after, ``burg_recursion`` fits the
+composites with slices and one scatter; ``half_jump_prefix`` accumulates
+psi over it in cache-sized chunks, written over Lambda itself where
+nothing needs Lambda after, ``burg_recursion`` fits the
 autoregressive model, ``zero_pair_sum`` totals the explicit formula, term
 by term at sparse points and by interpolation from Chebyshev nodes in ln x
 where points crowd, ``format_rows`` writes CSV rows at 17 significant
@@ -26,24 +26,6 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 
-#: 2 * 3 * 5 * 7 * 11 * 13: the multiples of the wheel primes repeat with
-#: this period.
-_WHEEL = 30030
-_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
-
-
-@functools.lru_cache(maxsize=1)
-def _wheel(span):
-    """Flags of the multiples of the wheel primes, the primes included,
-    among 0 ... ``_WHEEL + span - 1``: any ``span`` of them from offset
-    ``lo % _WHEEL`` are the flags of ``lo, lo + 1, ...``."""
-    flags = np.zeros(_WHEEL + span, dtype=bool)
-    for p in _WHEEL_PRIMES:
-        flags[::p] = True
-    flags.setflags(write=False)
-    return flags
-
-
 def mangoldt_segment(lo, hi, base_primes, powers, power_logs):
     """Lambda(m) for every integer m in [lo, hi).
 
@@ -54,30 +36,23 @@ def mangoldt_segment(lo, hi, base_primes, powers, power_logs):
     are ignored).  Entries for m < 2 are zero.
 
     The powers take their log p from the table, one ``searchsorted`` per
-    segment.  Composites are struck in three tiers, so that the Python work
+    segment.  Composites are struck in two tiers, so that the Python work
     per segment does not grow with the number of base primes:
 
-    - the multiples of 2 ... 13 are copied from one periodic pattern, and
-      the six primes themselves cleared again;
-    - each prime 17 <= p < (hi - lo) / 64 strikes its multiples by a slice;
+    - each prime p < (hi - lo) / 64 strikes its multiples by a slice;
     - every larger prime strikes a few times at most, and all of them
       strike in one scatter.
 
-    Each prime starts at max(p*p, first multiple >= lo): smaller multiples
-    have a prime factor below p.  Survivors that are no power in the table
-    are primes above the base primes and carry their own log.
+    Each prime starts at max(p*p, first multiple >= lo), so it never strikes
+    itself, and smaller multiples have a prime factor below p.  Survivors
+    that are no power in the table are primes above the base primes and
+    carry their own log.
     """
     n = hi - lo
-    offset = lo % _WHEEL
-    # n rounded up to a power of two, so that full segments share a pattern
-    composite = _wheel(1 << (n - 1).bit_length())[offset : offset + n].copy()
-    for p in _WHEEL_PRIMES:
-        if lo <= p < hi:
-            composite[p - lo] = False
+    composite = np.zeros(n, dtype=bool)
     primes = base_primes[: np.searchsorted(base_primes, math.isqrt(hi - 1), "right")]
-    dense, sparse = np.searchsorted(primes, (_WHEEL_PRIMES[-1] + 1, n / 64))
-    sparse = max(dense, sparse)
-    sliced = primes[dense:sparse]
+    sparse = np.searchsorted(primes, n / 64)
+    sliced = primes[:sparse]
     for p, start in zip(sliced.tolist(), _first_strikes(lo, sliced).tolist()):
         composite[start::p] = True
     if sparse < primes.size:

@@ -32,8 +32,8 @@ a byte of output.
 ``--n`` and ``--x-start`` take any decimal spelling of an integer, such as
 ``1e7``.
 
-Exit codes: 0 success; 2 usage or domain error; 3 data-format error;
-4 I/O error.
+Exit codes: 0 success; 2 usage or domain error, or memory exhausted
+(``MemoryError``); 3 data-format error; 4 I/O error.
 """
 
 import contextlib
@@ -216,6 +216,10 @@ def _translate_errors(fn):
             return fn(*args, **kwargs)
         except (DomainError, DegenerateInputError, ResourceError) as exc:
             click.echo(f"error: {exc}", err=True)
+            raise SystemExit(2)
+        except MemoryError as exc:
+            # numpy names the array it could not allocate
+            click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
             raise SystemExit(2)
         except DataFormatError as exc:
             click.echo(f"error: {exc}", err=True)

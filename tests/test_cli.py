@@ -168,6 +168,39 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["earlier.csv"]
 
 
+def _fail_on_call(k):
+    """A stand-in that raises ``MemoryError`` with numpy's message on its
+    ``k``-th call and otherwise calls ``format_rows``."""
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == k:
+            raise MemoryError("Unable to allocate 14.9 GiB for an array with "
+                              "shape (2000000000,) and data type float64")
+        return _kernels.format_rows(*args, **kwargs)
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "args, name, k",
+    [
+        (["analytic", "--n-freq", 2_000_000_000], "analytic_spectrum", 1),
+        (["sample", "--n", 50], "format_rows", 2),  # after one written block
+    ],
+    ids=["analytic", "sample"],
+)
+def test_out_of_memory_exits_2_and_leaves_no_file(tmp_path, monkeypatch, args, name, k):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(cli, name, _fail_on_call(k))
+    result = run(*args, "--out", tmp_path / "out.csv")
+    assert result.exit_code == 2
+    assert "error: Unable to allocate 14.9 GiB" in message_of(result)
+    assert "Traceback" not in message_of(result)
+    assert os.listdir(tmp_path) == []
+
+
 def read_fluc(path):
     """The fluc column that ``read_sample_csv`` streams, in one array."""
     return np.concatenate(list(cli.read_sample_csv(path).blocks))

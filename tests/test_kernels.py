@@ -50,8 +50,9 @@ def test_mangoldt_segment_near_1e6_matches_factoring():
 @pytest.mark.parametrize("lo", [0, 1, 2, 5, 12, 100])
 @pytest.mark.parametrize("n", [1, 7, 64, 5000])
 def test_mangoldt_segment_keeps_the_small_primes(lo, n):
-    # a grid up to 8 or 12 has only 2 as a base prime: 3 ... 13 must
-    # survive the wheel, which flags them as multiples of themselves
+    # a grid up to 8 or 12 has only 2 as a base prime: 3 ... 13 are in no
+    # table and must survive as primes, and 2 ... 13 must not be struck as
+    # multiples of themselves by their own slice or scatter
     hi = lo + n
     lam = kern.mangoldt_segment(lo, hi, *_base_primes(hi - 1))
     assert lam.tobytes() == mangoldt_segment_by_loop(lo, hi).tobytes()
@@ -66,7 +67,7 @@ def test_mangoldt_segment_keeps_the_small_primes(lo, n):
     ],
 )
 def test_mangoldt_segment_is_bit_identical_to_the_per_prime_loop(lo, n):
-    # every tier strikes: 17 <= p < n/64 by slices, and the rest, up to
+    # both tiers strike: p < n/64 by slices, and the rest, up to
     # 10**6 at 10**12, by one scatter; the base tables may reach further
     # than the segment needs, as they do for every segment but the last
     hi = lo + n
