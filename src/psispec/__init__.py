@@ -7,6 +7,18 @@ The zero-sum route (truncated explicit formula over nontrivial zeta
 zeros) and the asymptotic spectrum provide independent cross-checks.
 """
 
+import os
+
+# One OpenBLAS thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
+# chooses.  psispec's BLAS calls are dot products and a matrix-vector
+# product over memory-bound arrays, which a second thread does not speed
+# up; an idle OpenBLAS thread instead spins after numpy loads and after
+# each call, taking CPU from the main thread.  OpenBLAS reads the variable
+# when it loads, so this holds only when psispec is imported before numpy,
+# as the ``psispec`` command does.
+if "OMP_NUM_THREADS" not in os.environ:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (
     DataFormatError,
     DegenerateInputError,

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -70,6 +72,26 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.M)
     assert ps.__version__ == declared.group(1)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+@pytest.mark.parametrize(
+    "chosen, blas_threads",
+    [({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3"), ({"OMP_NUM_THREADS": "3"}, None)],
+    ids=["unset", "openblas", "omp"],
+)
+def test_importing_psispec_first_loads_one_blas_thread_unless_chosen(chosen, blas_threads):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(chosen, PYTHONPATH=os.pathsep.join(sys.path))
+    probe = ("import os, psispec; print(len(os.listdir('/proc/self/task')), "
+             "os.environ.get('OPENBLAS_NUM_THREADS'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out[1] == str(blas_threads)
+    if not chosen:
+        # numpy, click and the interpreter start no thread of their own
+        assert out[0] == "1"
 
 
 # ---------------------------------------------------------------------------
