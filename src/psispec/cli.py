@@ -15,13 +15,14 @@ rows, fields ``-?[0-9]+(.[0-9]+)?`` with nothing else on the line, as
 every command writes them, is checked and converted by
 ``_kernels.parse_rows`` with exact integer arithmetic, bit for bit what
 ``float`` gives; only the columns the command uses are converted.  Any
-other chunk goes to the kernel again without its comments and blank lines,
-and if it is still refused (spaces, exponents, ``nan``), every field is
-read by ``float``, in ASCII without "_".  Every number must be finite.
-The reader numbers the lines as it reads them (a canonical chunk holds one
-line per row), so a bad row, or a line that is not UTF-8, is named by its
-line in the file from its own chunk.  An ``--input`` table goes to the
-estimators as it is read, one ``fluc`` block per chunk, and a
+other chunk is walked by ``errors.content_lines``, the one walker of input
+lines, which checks UTF-8 and drops comments and blanks, and goes to the
+kernel again; if it is still refused (spaces, exponents, ``nan``), every
+field is read by ``float``, in ASCII without "_".  Every number must be
+finite.  The reader numbers the lines as it reads them (a canonical chunk
+holds one line per row), so a bad row, or a line that is not UTF-8, is
+named by its line in the file from its own chunk.  An ``--input`` table
+goes to the estimators as it is read, one ``fluc`` block per chunk, and a
 ``--synthetic`` signal as it is drawn, ``_CHUNK_ROWS`` samples at a time;
 either is held whole only where the estimator gathers it (Burg above
 order 1, Welch without ``--segment``).  The estimators cut every series
@@ -43,7 +44,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -58,7 +60,7 @@ from .errors import (
     DomainError,
     ResourceError,
     ascii_floats,
-    utf8_text,
+    content_lines,
 )
 from .powerlaw import DEFAULT_BAND, fit_power_law
 from .prime_series import fluctuation_at, grid_segments, smooth_part
@@ -240,8 +242,8 @@ def _read_rows(path, expected_header: str, usecols):
     """Columns ``usecols`` of the data rows of a CSV table, as lists of
     float64 arrays, one list per chunk of about ``_CHUNK_BYTES`` of lines.
 
-    ``#`` starts a comment that runs to the end of its line, so comments
-    may appear anywhere, including after the numbers of a row; blank lines
+    Lines are read by the rule of ``errors.content_lines``: comments may
+    appear anywhere, including after the numbers of a row, and blank lines
     are skipped.  The first line with content must equal
     ``expected_header``, and every later one must hold as many
     comma-separated finite numbers.  A chunk of canonical rows, such as
@@ -256,7 +258,7 @@ def _read_rows(path, expected_header: str, usecols):
     n_cols = len(expected_header.split(","))
     try:
         # a byte that is not UTF-8 is decoded to a lone surrogate and
-        # encoded back to itself, for utf8_text to name its line
+        # encoded back to itself, for content_lines to name its line
         fh = open(path, encoding="utf-8", errors="surrogateescape", newline=None)
     except FileNotFoundError as exc:
         raise DataFormatError(f"input file not found: {path}") from exc
@@ -279,21 +281,19 @@ def _read_rows(path, expected_header: str, usecols):
 
 def _skip_header(path, fh, expected_header: str) -> int:
     """Read text ``fh`` up to and including the header line, the first
-    with more than blanks and a comment, check it and return the number of
-    the next line."""
+    that ``content_lines`` yields, check it and return the number of the
+    next line."""
     # iterated, not read by readline: the text layer then keeps no copy of
     # its last raw read for tell(), which would be held beside every chunk
     for lineno, line in enumerate(fh, 1):
         data = line.encode("utf-8", "surrogateescape")
-        header = utf8_text(path, data, lineno).split("#", 1)[0].strip()
-        if not header:
-            continue
-        if header != expected_header:
-            raise DataFormatError(
-                f"{path}: line {lineno}: expected header "
-                f"{expected_header!r}, got {header!r}"
-            )
-        return lineno + 1
+        for _, header in content_lines(path, data, lineno):
+            if header != expected_header:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: expected header "
+                    f"{expected_header!r}, got {header!r}"
+                )
+            return lineno + 1
     raise DataFormatError(f"{path}: no data rows")
 
 
@@ -313,24 +313,12 @@ def _chunks(fh):
         yield data
 
 
-def _content_lines(path, chunk: bytes, first_line: int):
-    """``(line number, content)`` of each line of ``chunk``, line
-    ``first_line`` of ``path`` on, with more than blanks and a ``#``
-    comment.  Lines end at "\\n" only: ``str.splitlines`` also ends them at
-    "\\f", "\\x85", "\\u2028" and others, which would misnumber them."""
-    text = utf8_text(path, chunk, first_line)
-    for lineno, line in enumerate(text.split("\n"), first_line):
-        content = line.partition("#")[0].strip()
-        if content:
-            yield lineno, content
-
-
 def _parse_lines(path, chunk: bytes, n_cols: int, usecols, first_line: int):
     """Columns ``usecols`` of ``chunk``, line ``first_line`` of ``path`` on,
     which ``parse_rows`` refused: by the kernel again without comments and
     blank lines, else by ``ascii_floats`` of every line, naming the first
     line with the wrong field count, a non-number or a non-finite one."""
-    lines = list(_content_lines(path, chunk, first_line))
+    lines = list(content_lines(path, chunk, first_line))
     text = "".join(content + "\n" for _, content in lines)
     columns = parse_rows(text.encode(), n_cols, usecols)
     if columns is not None:
@@ -560,7 +548,14 @@ def cmd_reconstruct(config: RunConfig) -> None:
         raise DomainError(
             f"need a range of at least 2 integers, got n={config.n_samples}"
         )
-    zeros_path = config.zeros_path or bundled_zeros_path()
+    if config.zeros_path is None:
+        # named by its content, not by where this checkout put it; by zlib,
+        # not hashlib, which would load OpenSSL (3.6 MB of peak RSS)
+        zeros_path = bundled_zeros_path()
+        crc = zlib.crc32(zeros_path.read_bytes())
+        source = f"bundled:{zeros_path.name} crc32={crc:08x}"
+    else:
+        zeros_path = source = config.zeros_path
     zeros = load_zeros(zeros_path)
     n_zeros = zeros.count if config.n_zeros is None else config.n_zeros
     check_zero_count(zeros, n_zeros)  # before the sieve of fluctuation_at
@@ -570,7 +565,7 @@ def cmd_reconstruct(config: RunConfig) -> None:
     recon = psi_fluc_from_zeros(points, zeros, n_zeros)
     head = [
         "# psispec reconstruct",
-        f"# zeros={zeros.source} K={n_zeros}",
+        f"# zeros={source} K={n_zeros}",
         f"# x_start={config.x_start} n={config.n_samples}",
         "x,fluc_direct,fluc_zeros,abs_err",
     ]
@@ -728,10 +723,10 @@ def spectrum(**params):
 @_translate_errors
 def fit(**params):
     """Fit P(f) = a*f^b over a band; emit the JSON report."""
-    # a table is fitted as it is: no estimator option applies to it
-    _refuse_with("spectrum_csv", ("n_samples", "x_start", "synthetic",
-                                  "method", "mem_order", "welch_segment",
-                                  "n_freq", "f_lo", "ar_coeff", "seed"))
+    # a table is fitted as it is: no estimator option applies to it, and
+    # _estimator_options declares them first
+    declared = click.get_current_context().command.params[: len(_ESTIMATOR_OPTIONS)]
+    _refuse_with("spectrum_csv", [option.name for option in declared])
     _refuse_with("synthetic", ("x_start",))
     _refuse_unapplied(params)
     cmd_fit(RunConfig(**params))

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the checks of the text
-of input files: UTF-8, and numbers in ASCII."""
+"""Exception types shared across the package, the one walker of the lines
+of input files, ``content_lines``, and ``ascii_floats`` for their numbers."""
 
 
 class PsispecError(Exception):
@@ -23,20 +23,25 @@ class ResourceError(PsispecError, RuntimeError):
     """A request exceeds what this machine (or float64) can honour."""
 
 
-def utf8_text(path, data: bytes, first_line: int) -> str:
-    """``data``, whole lines of the file at ``path`` from its line
-    ``first_line`` on, decoded as UTF-8.
-
-    If they are not, a DataFormatError names the line that holds the first
-    byte that is not.  Lines end at "\\n", "\\r\\n" or a lone "\\r", as
-    ``bytes.splitlines`` splits them.
+def content_lines(path, data: bytes, first_line: int):
+    """``(line number, content)`` of each line of ``data``, whole lines of
+    the file at ``path`` from its line ``first_line`` on: the text before a
+    ``#`` comment, stripped, where that is not empty.  If ``data`` is not
+    UTF-8, a DataFormatError names the line of its first byte that is not.
+    Lines end at "\\n" only, as a file read in universal-newline text mode
+    ends them: ``str.splitlines`` also ends them at "\\f", "\\x85",
+    "\\u2028" and others, which would misnumber them.
     """
     try:
-        return data.decode()
+        text = data.decode()
     except UnicodeDecodeError as exc:
         # the data up to that byte ends on its line
         line = first_line + len(data[: exc.start + 1].splitlines()) - 1
         raise DataFormatError(f"{path}: line {line}: not UTF-8 text") from exc
+    for lineno, line in enumerate(text.split("\n"), first_line):
+        content = line.partition("#")[0].strip()
+        if content:
+            yield lineno, content
 
 
 def ascii_floats(text: str) -> list[float]:

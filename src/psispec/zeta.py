@@ -11,7 +11,6 @@ together with the asymptotic spectrum ``P(f) = 2 ln^2(f/(2 pi)) / f^2`` of
 the fluctuation, provide an independent check on the prime-side pipeline.
 """
 
-import io
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import DataFormatError, DomainError, ascii_floats, utf8_text
+from .errors import DataFormatError, DomainError, ascii_floats, content_lines
 from .prime_series import _scalar_or_array
 from .spectral import PowerSpectrum
 
@@ -47,24 +46,23 @@ def bundled_zeros_path() -> Path:
 def load_zeros(path) -> ZetaZeros:
     """Parse a zero table: one decimal ordinate per line, ascending.
 
-    Blank lines and ``#`` comments, on lines of their own or after an
-    ordinate, are skipped.  Violations (text that is not UTF-8, a line that
-    is not one number in ASCII without "_", as ``errors.ascii_floats``
-    reads it, nonpositive, non-ascending, or a first ordinate at or below
-    14) raise :class:`DataFormatError` naming the offending line.
+    Its lines are walked by ``errors.content_lines``, like every input
+    file's, so blank lines and ``#`` comments, after an ordinate too, are
+    skipped.  Violations (text that is not UTF-8, a line that is not one
+    number in ASCII without "_", as ``errors.ascii_floats`` reads it,
+    nonpositive, non-ascending, or a first ordinate at or below 14) raise
+    :class:`DataFormatError` naming the offending line.
     """
     path = Path(path)
     try:
-        text = utf8_text(path, path.read_bytes(), 1)
+        # as cli._read_rows opens tables: content_lines names a bad byte's line
+        with open(path, encoding="utf-8", errors="surrogateescape", newline=None) as fh:
+            data = fh.read().encode("utf-8", "surrogateescape")
     except FileNotFoundError as exc:
         raise DataFormatError(f"zeros file not found: {path}") from exc
     ordinates = []
     prev = None
-    # lines end where the CSV reader's do: "\n", "\r\n" or a lone "\r"
-    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
-        line = raw.partition("#")[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(path, data, 1):
         try:
             (t,) = ascii_floats(line)  # a second field fails to unpack
         except ValueError as exc:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,24 @@ def read_fluc(path):
 def sample_lines(n=6):
     """Lines of a ``sample`` CSV, with their line ends."""
     return run("sample", "--n", n).output.splitlines(keepends=True)
+
+
+def test_input_without_a_final_newline_gives_the_same_bytes(tmp_path):
+    text = "".join(sample_lines(200))
+    ended, unended = tmp_path / "ended.csv", tmp_path / "unended.csv"
+    ended.write_text(text)
+    unended.write_text(text.rstrip("\n"))
+    want = run("spectrum", "--input", ended)
+    assert want.exit_code == 0
+    assert run("spectrum", "--input", unended).output == want.output
+
+
+def test_table_of_only_comments_and_blank_lines_has_no_data_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("# psispec sample\n\n   \n  # indented\n")
+    result = run("spectrum", "--input", path)
+    assert result.exit_code == 3
+    assert f"{path}: no data rows" in message_of(result)
 
 
 def test_read_single_data_row(tmp_path):
@@ -1251,6 +1270,12 @@ def test_fit_synthetic_white_noise_is_flat():
     assert abs(json.loads(result.output)["b"]) < 0.3
 
 
+def test_fit_band_of_a_non_number_is_a_usage_error():
+    result = run("fit", "--n", 1024, "--band", "1e-3:abc")
+    assert result.exit_code == 2
+    assert "--band expects two decimals, got '1e-3:abc'" in message_of(result)
+
+
 def test_fit_band_validation():
     assert run("fit", "--n", 1024, "--band", "0.2:0.1").exit_code == 2
     assert run("fit", "--n", 1024, "--band", "abc").exit_code == 2
@@ -1344,6 +1369,32 @@ def test_reconstruct_against_library(zeros):
     assert np.array_equal(table[:, 1], direct)
     assert np.array_equal(table[:, 2], recon)
     assert np.allclose(table[:, 3], np.abs(direct - recon), rtol=0, atol=0)
+
+
+def test_reconstruct_needs_two_integers():
+    result = run("reconstruct", "--n", 1)
+    assert result.exit_code == 2
+    assert "need a range of at least 2 integers, got n=1" in message_of(result)
+
+
+def test_reconstruct_names_the_bundled_table_by_its_content(tmp_path, monkeypatch):
+    data = ps.bundled_zeros_path().read_bytes()
+    outputs = []
+    for where in ("one", "two"):
+        copy = tmp_path / where / "zeta_zeros_2000.txt"
+        copy.parent.mkdir()
+        copy.write_bytes(data)
+        monkeypatch.setattr(cli, "bundled_zeros_path", lambda copy=copy: copy)
+        result = run("reconstruct", "--n", 6, "--K", 10)
+        assert result.exit_code == 0
+        outputs.append(result.output)
+    assert outputs[0] == outputs[1]
+    head = f"# zeros=bundled:zeta_zeros_2000.txt crc32={zlib.crc32(data):08x} K=10\n"
+    assert head in outputs[0]
+    # a table given by --zeros is named by its path
+    given = run("reconstruct", "--n", 6, "--K", 10, "--zeros", copy)
+    assert f"# zeros={copy} K=10\n" in given.output
+    assert body_of(given.output) == body_of(outputs[0])
 
 
 def test_reconstruct_k_zero_gives_zero_column():
