@@ -34,7 +34,8 @@ a byte of output.
 ``1e7``.
 
 Exit codes: 0 success; 2 usage or domain error, or memory exhausted
-(``MemoryError``); 3 data-format error; 4 I/O error.
+(``MemoryError``); 3 data-format error; 4 I/O error; 141, with nothing on
+stderr, when standard output is a pipe whose reader has closed it.
 """
 
 import contextlib
@@ -215,11 +216,16 @@ def _translate_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
-            return fn(*args, **kwargs)
-        except (DomainError, DegenerateInputError, ResourceError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            raise SystemExit(2)
-        except MemoryError as exc:
+            fn(*args, **kwargs)
+            sys.stdout.flush()  # so that a closed pipe is met here
+        except BrokenPipeError:
+            # stdout's reader has gone, as under `| head`: end as a tool
+            # stopped by SIGPIPE, and let the interpreter's last flush of
+            # stdout go to devnull (a file's errors are plain OSErrors)
+            with contextlib.suppress(OSError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise SystemExit(141)
+        except (DomainError, DegenerateInputError, ResourceError, MemoryError) as exc:
             # numpy names the array it could not allocate
             click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
             raise SystemExit(2)
@@ -348,9 +354,9 @@ def _parse_lines(path, chunk: bytes, n_cols: int, usecols, first_line: int):
 def read_sample_csv(path) -> BlockSeries:
     """Re-ingest a ``sample`` CSV's fluctuation column as a BlockSeries of
     unknown length, whose blocks are read from the file, one chunk each,
-    as the estimators take them and which they may overwrite (round-trip
-    hook for ``spectrum --input``).  Nothing is read before the first
-    block is taken, and the file's errors are raised from the blocks."""
+    as the estimators take them (round-trip hook for ``spectrum
+    --input``).  Nothing is read before the first block is taken, and the
+    file's errors are raised from the blocks."""
     return BlockSeries(blocks=_sample_flucs(path))
 
 
@@ -430,8 +436,7 @@ def _pipeline_series(config: RunConfig) -> BlockSeries:
     """The series the estimators run on, before its mean is removed: the
     fluctuation as blocks straight from the sieve or from the chunks of
     the ``--input`` table, whose length the estimators count, or from the
-    ``--synthetic`` generator.  The estimators shift every block in place,
-    so each source hands them blocks of its own and none is copied."""
+    ``--synthetic`` generator."""
     if config.input_csv is not None:
         # built here, not by read_sample_csv: psibench's trace of that
         # function adds up the n of its result, which a stream leaves None

@@ -12,15 +12,15 @@ read as float64 samples at spacing 1, or a ``BlockSeries``, which gives
 its spacing ``dx``.  Both report frequency in cycles per unit of ``dx``;
 the usable axis ends at the Nyquist frequency ``0.5 / dx``.
 
-Both estimate the series minus its mean, in one pass: a ``BlockSeries``
-that delivers the series block by block is estimated in O(block) memory
-(Burg order 1 keeps running sums, Welch a buffer of one window).  Every
-series is read in rows of ``_kernels._PREFIX_CHUNK`` samples counted from
-its first sample, so an estimate depends on the samples, not on where
-blocks end.  Rows are shifted by the first row's mean, and the rest of the
-mean is taken out of the sums at the end.  A ``BlockSeries`` of unknown
-length is counted as it is read, and the checks on its length run at the
-end of the pass.
+Both estimate the series minus its mean through one reader, ``_Shifted``.
+It cuts every series into rows of ``_kernels._PREFIX_CHUNK`` samples
+counted from its first sample, so an estimate depends on the samples, not
+on where blocks end, and shifts each row by the first row's mean into one
+reused row, so that no input is written; the rest of the mean is taken out
+at the end.  A ``BlockSeries`` is estimated in O(block) memory (Burg order
+1 keeps running sums, Welch a buffer of one window), except by Burg above
+order 1, which gathers the shifted rows.  One of unknown length is counted
+as it is read, and the checks on its length run at the end of the pass.
 """
 
 from collections.abc import Iterable
@@ -60,8 +60,7 @@ class BlockSeries:
     length is not known before the blocks are read, and the estimators
     then count the samples as they read them.
 
-    ``blocks`` is read once.  The estimators own the blocks they are given
-    and may overwrite them.
+    ``blocks`` is read once.
     """
 
     blocks: Iterable
@@ -71,45 +70,29 @@ class BlockSeries:
 
 def _as_blocks(series):
     """``(blocks, n, dx)`` of a BlockSeries, or of any other series, read as
-    a float64 array at spacing 1, as a single block: a copy, since the
-    estimators shift blocks in place."""
+    a float64 array at spacing 1, as a single block, in place when it is
+    one already."""
     if isinstance(series, BlockSeries):
         n = None if series.n is None else int(series.n)
         return series.blocks, n, float(series.dx)
     arr = np.asarray(series, dtype=np.float64)
     if arr.ndim != 1:
         raise DomainError("expected a one-dimensional real series")
-    return [arr.copy()], arr.size, 1.0
-
-
-def _checked(blocks, n: int | None, check_length):
-    """The blocks of ``blocks``, each checked to be one-dimensional.
-    ``check_length(count)`` raises if the series is too short: before the
-    first block when ``n`` is known, and the blocks must then hold ``n``
-    samples, else on the count at the end."""
-    if n is not None:
-        check_length(n)
-    count = 0
-    for block in blocks:
-        if block.ndim != 1:
-            raise DomainError("expected a one-dimensional real series")
-        count += block.size
-        yield block
-    if n is None:
-        check_length(count)
-    elif count != n:
-        raise DomainError(f"series blocks hold {count} samples, expected {n}")
+    return [arr], arr.size, 1.0
 
 
 class _Shifted:
-    """Iterate the checked blocks (``_checked``) in rows (``_rows``) minus
-    a provisional shift ``c``, the first row's mean.
+    """The one reader of a series: its rows (``_rows``) minus a provisional
+    shift ``c``, the first row's mean, each written into one reused row.
 
-    After the pass, ``n`` is the number of samples and ``offset`` is
-    ``d = mean - c``, built from the later rows only: the first row's
-    deviations from its own mean sum to 0, so ``d`` is exactly 0 for a
-    series of one row and the estimates keep the bits of estimating
-    ``remove_mean(series)``.
+    Every block must be one-dimensional.  ``check_length(count)`` raises if
+    the series is too short: before the first block when ``n`` is known,
+    and the blocks must then hold ``n`` samples, else on the count at the
+    end of the pass.  After the pass, ``n`` is the number of samples and
+    ``offset`` is ``d = mean - c``, built from the later rows only: the
+    first row's deviations from its own mean sum to 0, so ``d`` is exactly
+    0 for a series of one row and the estimates keep the bits of
+    estimating ``remove_mean(series)``.
     """
 
     def __init__(self, blocks, n: int | None, check_length):
@@ -119,18 +102,31 @@ class _Shifted:
         self.offset = 0.0
 
     def __iter__(self):
+        if self.n is not None:
+            self._check_length(self.n)
+        out = np.empty(_kernels._PREFIX_CHUNK)
         shift = None
         later = 0.0
         count = 0
-        for row in _rows(_checked(self._blocks, self.n, self._check_length)):
+        for row in _rows(self._one_dimensional()):
             if shift is None:
                 shift = row.mean()
-            row -= shift
-            later += float(row.sum()) if count else 0.0
-            count += row.size
-            yield row
+            y = np.subtract(row, shift, out=out[: row.size])
+            later += float(y.sum()) if count else 0.0
+            count += y.size
+            yield y
+        if self.n is None:
+            self._check_length(count)
+        elif count != self.n:
+            raise DomainError(f"series blocks hold {count} samples, expected {self.n}")
         self.n = count
         self.offset = later / count
+
+    def _one_dimensional(self):
+        for block in self._blocks:
+            if block.ndim != 1:
+                raise DomainError("expected a one-dimensional real series")
+            yield block
 
 
 def remove_mean(series) -> np.ndarray:
@@ -148,7 +144,8 @@ def burg_fit(series, order: int = 1) -> ArModel:
     The recursion minimizes forward plus backward prediction error at each
     stage, which keeps every reflection coefficient within [-1, 1] and the
     resulting model stable.  Order 1 reads the series in one pass; higher
-    orders gather it into one array, since each stage needs another pass.
+    orders gather its shifted rows into one array, since each stage needs
+    another pass.
     """
     blocks, n, dx = _as_blocks(series)
     if order < 1:
@@ -160,15 +157,12 @@ def burg_fit(series, order: int = 1) -> ArModel:
                 f"need more than {order} samples to fit order {order}, got {count}"
             )
 
+    shifted = _Shifted(blocks, n, check_length)
     if order == 1:
-        shifted = _Shifted(blocks, n, check_length)
         coeffs, noise_var = _burg1(shifted)
-        n = shifted.n
     else:
-        gathered = list(_checked(blocks, n, check_length))
-        arr = gathered[0] if len(gathered) == 1 else np.concatenate(gathered)
-        n = arr.size
-        arr -= arr.mean()
+        arr = np.concatenate([row.copy() for row in shifted])
+        arr -= shifted.offset
         _check_not_constant(np.all(arr == arr[0]))
         coeffs, noise_var = _kernels.burg_recursion(arr, order)
     return ArModel(
@@ -176,7 +170,7 @@ def burg_fit(series, order: int = 1) -> ArModel:
         coeffs=coeffs,
         noise_var=float(noise_var),
         dx=dx,
-        n_samples=n,
+        n_samples=shifted.n,
     )
 
 

@@ -224,6 +224,21 @@ def test_out_of_memory_exits_2_and_leaves_no_file(tmp_path, monkeypatch, args, n
     assert os.listdir(tmp_path) == []
 
 
+def test_closed_pipe_ends_quietly_with_sigpipe_status():
+    # as under `psispec sample --n 300000 | head -1`: the reader goes while
+    # rows are still being written
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "psispec.cli", "sample", "--n", "300000"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert child.stdout.readline() == b"# psispec sample\n"
+    child.stdout.close()
+    stderr = child.stderr.read()
+    assert child.wait() == 141
+    assert stderr == b""
+
+
 def read_fluc(path):
     """The fluc column that ``read_sample_csv`` streams, in one array."""
     return np.concatenate(list(cli.read_sample_csv(path).blocks))

@@ -501,3 +501,61 @@ def test_length_checks_run_up_front_or_on_the_count(n, estimate, message):
     with pytest.raises(DomainError, match=message):
         estimate(ps.BlockSeries(blocks=blocks()))
     assert read
+
+
+#: Every estimator, each of which reads the series through the one reader.
+ESTIMATORS = {
+    "burg order 1": lambda s: ps.burg_fit(s),
+    "burg order 3": lambda s: ps.burg_fit(s, order=3),
+    "welch": lambda s: ps.welch_psd(s, 4),
+}
+
+
+@pytest.mark.parametrize("estimate", ESTIMATORS.values(), ids=ESTIMATORS)
+@pytest.mark.parametrize(
+    "series, message",
+    [
+        (lambda: ps.BlockSeries(blocks=[np.ones(5), np.arange(5.0)], n=12),
+         "series blocks hold 10 samples, expected 12"),
+        (lambda: np.arange(64.0).reshape(8, 8), "expected a one-dimensional real series"),
+        (lambda: ps.BlockSeries(blocks=[np.arange(64.0).reshape(8, 8)], n=64),
+         "expected a one-dimensional real series"),
+        (lambda: ps.BlockSeries(blocks=[np.arange(64.0).reshape(8, 8)]),
+         "expected a one-dimensional real series"),
+    ],
+    ids=["short blocks", "2-D array", "2-D block", "2-D block of unknown length"],
+)
+def test_reader_refuses_wrong_counts_and_shapes(estimate, series, message):
+    with pytest.raises(DomainError, match=message):
+        estimate(series())
+
+
+def test_centring_through_rows_keeps_accuracy_above_order_1():
+    # many rows of a series whose mean is far from its first row's: the
+    # rows' offset is removed once, after the gather, and the fit matches
+    # the recursion on the series centred in longdouble to 2 eps
+    y = ps.fluctuation_series((1 << 18) + 777)
+    wide = y.astype(np.longdouble)
+    centred = (wide - wide.mean()).astype(np.float64)
+    coeffs, noise_var = _kernels.burg_recursion(centred, 3)
+    got = ps.burg_fit(y, order=3)
+    eps = np.spacing(1.0)
+    assert np.all(np.abs(got.coeffs - coeffs) <= 2 * eps * np.abs(coeffs))
+    assert abs(got.noise_var - noise_var) <= 2 * eps * noise_var
+
+
+def test_no_estimator_writes_into_its_input():
+    # three rows and a part, with an offset the reader shifts away; the
+    # second block holds the second and third rows whole
+    x = ar1_sample(4, 3 * _kernels._PREFIX_CHUNK + 900, coeff=0.8) + 60.0
+    before = x.copy()
+    sizes = [1000, 12000]
+
+    def views():
+        return ps.BlockSeries(blocks=np.split(x, np.cumsum(sizes)), n=x.size)
+
+    for estimate in (lambda s: ps.burg_fit(s), lambda s: ps.burg_fit(s, order=3),
+                     lambda s: ps.welch_psd(s, 256)):
+        for series in (lambda: x, views):
+            estimate(series())
+            assert np.array_equal(x, before)
