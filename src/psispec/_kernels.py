@@ -3,8 +3,7 @@
 ``mangoldt_segment`` sieves the von Mangoldt function on one segment from
 tables of base primes and their powers built once per run, striking
 composites with slices and one scatter; ``half_jump_prefix`` accumulates
-psi over it in cache-sized chunks, written over Lambda itself where
-nothing needs Lambda after, ``burg_recursion`` fits the
+psi over it in cache-sized chunks, ``burg_recursion`` fits the
 autoregressive model, ``zero_pair_sum`` totals the explicit formula, term
 by term at sparse points and by interpolation from Chebyshev nodes in ln x
 where points crowd, ``format_rows`` writes CSV rows at 17 significant
@@ -111,17 +110,16 @@ def kahan_add(s, c, x):
     return t, (t - s) - y
 
 
-def half_jump_prefix(lam, s, c, out=None):
+def half_jump_prefix(lam, s, c):
     """Cumsum in chunks of ``_PREFIX_CHUNK``: each chunk starts from a base
     carried as a Kahan pair over the pairwise chunk totals, so long inputs
     do not accumulate O(n) rounding error.
 
-    Writes into ``out``, a fresh array when None; ``out=lam`` writes psi
-    over Lambda.  Each chunk is summed, halved into one reused scratch of
-    a chunk and then overwritten, so the call allocates nothing larger
-    than 32 KB beyond a fresh ``out`` and its passes stay in cache."""
-    if out is None:
-        out = np.empty_like(lam)
+    Returns psi in a fresh array; ``lam`` is not written.  Each chunk is
+    summed, halved into one reused scratch of a chunk and then overwritten,
+    so the call allocates nothing larger than 32 KB beyond its result and
+    its passes stay in cache.  ``prime_series`` calls it once per chunk."""
+    out = np.empty_like(lam)
     half = np.empty(min(lam.shape[0], _PREFIX_CHUNK))
     for lo in range(0, lam.shape[0], _PREFIX_CHUNK):
         row = lam[lo : lo + _PREFIX_CHUNK]

@@ -102,8 +102,7 @@ class RunConfig:
 #: 128 KiB.  256 KiB is the largest whose working set fits in that L2.
 _CHUNK_BYTES = 1 << 18
 
-#: Rows per block of ``_sample_blocks`` and ``_synthetic_series`` and per
-#: write of ``_write_table``.
+#: Rows per block of ``_synthetic_series`` and per write of ``_write_table``.
 #: ``sample --n 1e6`` took the same time at 2048 to 8192 rows and 1.6 times
 #: as long at 16 384, where each of the formatter's temporaries passes
 #: 0.5 MB and comes back from malloc as fresh, page-faulting memory.
@@ -497,21 +496,11 @@ def cmd_sample(config: RunConfig) -> None:
 
 
 def _sample_blocks(segments):
-    """``[x, psi, smooth, fluc]`` for every ``_CHUNK_ROWS`` points of the
-    psi segments, so that only psi is held whole, and only one segment's:
-    the segment's Lambda is dropped at once, the rows hold a copy of their
-    slice of psi, not a view, and psi is dropped before the next segment
-    is sieved."""
-    for segment in segments:
-        x0, psi = segment[0], segment[2]
-        del segment
-        for lo in range(0, psi.size, _CHUNK_ROWS):
-            x = np.arange(x0 + lo, x0 + min(lo + _CHUNK_ROWS, psi.size),
-                          dtype=np.float64)
-            part = psi[lo : lo + _CHUNK_ROWS].copy()
-            smooth = smooth_part(x)
-            yield [x, part, smooth, part - smooth]
-        del psi
+    """``[x, psi, smooth, fluc]`` for every row of the psi segments."""
+    for x0, _, psi in segments:
+        x = np.arange(x0, x0 + psi.size, dtype=np.float64)
+        smooth = smooth_part(x)
+        yield [x, psi, smooth, psi - smooth]
 
 
 def cmd_spectrum(config: RunConfig) -> None:
@@ -598,6 +587,14 @@ def cmd_analytic(config: RunConfig) -> None:
 @click.version_option(version=__version__)
 def main():
     """Power spectrum of the fluctuation of Chebyshev's psi function."""
+    # glibc maps each block above its mmap threshold afresh, and raises the
+    # threshold to the largest mapped block freed and the heap's trim
+    # threshold to twice that.  Freeing 1 MiB first, more than any one
+    # temporary of a CSV chunk and half of all of them (1.7 MiB traced),
+    # lets each chunk reuse the heap pages of the one before: sample --n
+    # 1e6 takes 6.5k minor faults, where it took 28.5k while the first
+    # sieve segment was alive, and spectrum --input on 1e6 rows 5.7k, not 28.7k
+    np.empty(1 << 20, dtype=np.uint8)
 
 
 _OUT = click.option(

@@ -20,10 +20,12 @@ from .errors import DomainError, ResourceError
 LN_2PI = math.log(2.0 * math.pi)
 
 #: Sieve segment length (integers per kernel call).  A multiple of
-#: ``_kernels._PREFIX_CHUNK``, so that the prefix's chunks, and with them
-#: every bit of psi, do not depend on it.  Shorter segments hold less, but
-#: below 2**18 glibc returns the CSV formatter's temporaries to the system
-#: after every chunk and ``sample`` spends its time in page faults.
+#: ``_kernels._PREFIX_CHUNK``, the rows a segment is walked in, so that the
+#: rows, and with them every bit of psi, do not depend on it.  Shorter
+#: segments hold less but sieve slower at height: ``fit --n 1e6 --x-start
+#: 1e9``, which sieves 10**9 integers, took 20.2 / 18.2 / 17.2 / 18.8 s and
+#: peaked at 33.3 / 34.1 / 35.3 / 38.1 MB RSS at 2**16 / 2**17 / 2**18 /
+#: 2**19 (medians of 5 runs on a shared 2-core machine).
 _SEGMENT = 1 << 18
 
 #: Largest admissible grid point: beyond 2**53 consecutive integers are no
@@ -73,18 +75,19 @@ def _base_primes(limit: int):
 
 
 def grid_segments(n: int, x_start: int = 2, fluctuation: bool = True):
-    """The grid ``x_start, ..., x_start + n - 1`` one sieve segment at a time.
+    """The grid ``x_start, ..., x_start + n - 1`` one row at a time.
 
-    For each ``_SEGMENT`` block of [2, x_start + n - 1] this sieves Lambda,
-    extends the half-jump prefix with the Kahan pair carried over from the
-    blocks before it and, when ``fluctuation``, subtracts the smooth part.
-    Blocks below the grid are computed for the carry but not yielded, so
-    memory stays O(segment) whatever the grid.  Yields ``(x0, lam, values)``
-    per block that meets the grid: ``values`` is psi, or the fluctuation,
-    at ``x0, x0 + 1, ...`` and ``lam`` is Lambda at the same points, or None
-    for the fluctuation, so that a consumer holds one array per block:
-    the fluctuation is written over the segment's Lambda.  The arrays are
-    fresh and the consumer may overwrite them.
+    Sieves Lambda on [2, x_start + n - 1] one ``_SEGMENT`` at a time and
+    walks each segment in rows of ``_kernels._PREFIX_CHUNK`` values,
+    counted from 2: each row extends the half-jump prefix with the Kahan
+    pair carried over from the rows before it and, when ``fluctuation``,
+    has the smooth part subtracted.  Rows below the grid are computed for
+    the carry but not yielded, so memory stays O(segment) whatever the
+    grid.  Yields ``(x0, lam, values)`` per row that meets the grid:
+    ``values`` is psi, or the fluctuation, at ``x0, x0 + 1, ...`` and
+    ``lam`` is Lambda at the same points.  Both are fresh arrays, which
+    the consumer may keep or overwrite: a segment is dropped before the
+    next one is sieved, whatever rows the consumer still holds.
     """
     if n < 1:
         raise DomainError(f"need at least one grid point, got n={n}")
@@ -101,40 +104,25 @@ def grid_segments(n: int, x_start: int = 2, fluctuation: bool = True):
 
 def _segments(x_start: int, limit: int, fluctuation: bool):
     base = _base_primes(limit)
-    carry = [0.0, 0.0]
+    s = c = 0.0
     if x_start == 1:
         # Lambda(1) = 0, so psi(1) = 0 and the sieve starts at 2
         yield 1, np.zeros(1), np.zeros(1)
     for lo in range(2, limit + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, limit + 1)
-        if hi <= x_start:
-            # sieved for the carry alone: from x0 = hi nothing is returned
-            _segment(lo, hi, hi, base, carry, fluctuation=True)
-        else:
-            # yielded straight from the call, so this frame keeps no
-            # reference to a block once its consumer has dropped it
-            yield _segment(lo, hi, max(lo, x_start), base, carry, fluctuation)
-
-
-def _segment(lo, hi, x0, base, carry, fluctuation):
-    """One block of ``grid_segments``: Lambda and psi on [lo, hi), advancing
-    the Kahan pair ``carry`` in place; returned from ``x0`` on.
-
-    The fluctuation needs no Lambda after the prefix, so psi is written
-    over it and the smooth part subtracted one prefix chunk at a time: the
-    block is the one 2 MiB array of the segment, and nothing larger than
-    32 KB is allocated after the sieve.  The psi route keeps Lambda and
-    takes psi in a second array."""
-    lam = _kernels.mangoldt_segment(lo, hi, *base)
-    out = lam if fluctuation else None
-    psi, carry[0], carry[1] = _kernels.half_jump_prefix(lam, *carry, out=out)
-    if not fluctuation:
-        return x0, lam[x0 - lo :], psi[x0 - lo :]
-    psi = psi[x0 - lo :]
-    for i in range(0, psi.size, _kernels._PREFIX_CHUNK):
-        row = psi[i : i + _kernels._PREFIX_CHUNK]
-        row -= smooth_part(np.arange(x0 + i, x0 + i + row.size, dtype=np.float64))
-    return x0, None, psi
+        lam = _kernels.mangoldt_segment(lo, min(lo + _SEGMENT, limit + 1), *base)
+        for i in range(0, lam.size, _kernels._PREFIX_CHUNK):
+            row = lam[i : i + _kernels._PREFIX_CHUNK]
+            values, s, c = _kernels.half_jump_prefix(row, s, c)
+            below = max(x_start - lo - i, 0)  # points of the row off the grid
+            if below < row.size:
+                x0 = lo + i + below
+                values = values[below:]
+                if fluctuation:
+                    values -= smooth_part(
+                        np.arange(x0, x0 + values.size, dtype=np.float64)
+                    )
+                yield x0, row[below:].copy(), values
+        del lam, row  # the rows yielded are copies, so the segment goes
 
 
 def _gather(n: int, x_start: int, fluctuation: bool) -> np.ndarray:

@@ -211,16 +211,20 @@ def test_psi_within_3_ulp_at_1e7():
 
 def test_grid_segments_tile_the_grid(small_segments):
     n, x_start = 3 * SMALL_SEGMENT + 77, 5000
-    starts, sizes = [], []
-    for x0, lam, psi in ps.grid_segments(n, x_start, fluctuation=False):
-        assert lam.size == psi.size <= SMALL_SEGMENT
-        starts.append(x0)
-        sizes.append(psi.size)
-    assert starts[0] == x_start
-    assert np.array_equal(np.diff(starts), sizes[:-1])
-    assert sum(sizes) == n
-    for x0, lam, fluc in ps.grid_segments(n, x_start):
-        assert lam is None
+    base = ps.prime_series._base_primes(x_start + n - 1)
+    for fluctuation in (False, True):
+        starts, sizes = [], []
+        for x0, lam, values in ps.grid_segments(n, x_start, fluctuation):
+            assert lam.size == values.size <= ps._kernels._PREFIX_CHUNK
+            want = ps._kernels.mangoldt_segment(x0, x0 + lam.size, *base)
+            assert lam.tobytes() == want.tobytes()
+            starts.append(x0)
+            sizes.append(values.size)
+        assert starts[0] == x_start
+        # every later row starts on a prefix chunk, counted from 2
+        assert all(x0 % ps._kernels._PREFIX_CHUNK == 2 for x0 in starts[1:])
+        assert np.array_equal(np.diff(starts), sizes[:-1])
+        assert sum(sizes) == n
 
 
 def test_windows_are_bit_identical_to_full_prefix(small_segments):
@@ -293,6 +297,30 @@ def test_fluctuation_at_takes_no_half_of_lambda():
     # Lambda and psi of one segment, 4.3 MiB; 6.3 MiB while the prefix
     # took 0.5 * Lambda in a third array
     assert peak < 5 * 2**20
+
+
+def traced_peak(function, *args):
+    """The tracemalloc peak of ``function(*args)``, in bytes."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_burg_fit_over_the_sieve_holds_one_segment():
+    n = 3 * 2**20
+    series = ps.BlockSeries(blocks=(f for _, _, f in ps.grid_segments(n)), n=n)
+    # 2.9 MiB: one segment of Lambda and a few rows; 4.8 MiB while the
+    # block a consumer held kept the segment before alive through the sieve
+    assert traced_peak(ps.burg_fit, series) < 3.5 * 2**20
+
+
+def test_fluctuation_at_over_the_whole_grid_holds_one_segment():
+    # 2.8 MiB; 8.0 MiB while psi took a second array of a segment and the
+    # segment before was alive through the sieve
+    assert traced_peak(ps.fluctuation_at, [2.5, 3 * 2**20 + 0.5]) < 3.5 * 2**20
 
 
 def test_empty_points_give_empty_arrays(zeros):
