@@ -62,6 +62,7 @@ from .errors import (
     ResourceError,
     ascii_floats,
     content_lines,
+    open_input,
 )
 from .powerlaw import DEFAULT_BAND, fit_power_law
 from .prime_series import fluctuation_at, grid_segments, smooth_part
@@ -254,21 +255,14 @@ def _read_rows(path, expected_header: str, usecols):
     comma-separated finite numbers.  A chunk of canonical rows, such as
     every command writes, is checked and converted by
     ``_kernels.parse_rows``; any other chunk by ``_parse_lines``.  The file
-    is read in universal-newline text mode, so lines end at "\\n", "\\r\\n"
-    or a lone "\\r" and reach the parsers with "\\n" ends.  Lines are
-    numbered as they are read, so that a malformed or non-finite row, or a
-    line that is not UTF-8, is named by its line in the file from the text
-    of its own chunk.
+    is opened by ``errors.open_input``, so lines reach the parsers with
+    "\\n" ends.  Lines are numbered as they are read, so that a malformed
+    or non-finite row, or a line that is not UTF-8, is named by its line in
+    the file from the text of its own chunk.
     """
     n_cols = len(expected_header.split(","))
-    try:
-        # a byte that is not UTF-8 is decoded to a lone surrogate and
-        # encoded back to itself, for content_lines to name its line
-        fh = open(path, encoding="utf-8", errors="surrogateescape", newline=None)
-    except FileNotFoundError as exc:
-        raise DataFormatError(f"input file not found: {path}") from exc
     rows = 0
-    with fh:
+    with open_input(path, "input file") as fh:
         line = _skip_header(path, fh, expected_header)
         for chunk in _chunks(fh):
             columns = parse_rows(chunk, n_cols, usecols)
@@ -390,7 +384,6 @@ def read_spectrum_csv(path) -> PowerSpectrum:
     return PowerSpectrum(
         freqs=freqs,
         power=power,
-        nyquist=float(freqs[-1]),
         estimator={"method": "file", "path": str(path)},
     )
 
@@ -456,7 +449,7 @@ def _pipeline_series(config: RunConfig) -> BlockSeries:
 
 def _estimate_spectrum(config: RunConfig, series) -> PowerSpectrum:
     if config.method == "mem":
-        check_psd_grid(config.n_freq, config.f_lo, series.dx)  # before any sieving
+        check_psd_grid(config.n_freq, config.f_lo)  # before any sieving
         model = burg_fit(series, order=config.mem_order)
         return ar_psd(model, n_freq=config.n_freq, f_min=config.f_lo)
     if config.method == "welch":
@@ -524,11 +517,11 @@ def _check_band(band: tuple[float, float], nyquist: float) -> None:
 def cmd_fit(config: RunConfig) -> None:
     """Fit the band of a spectrum.  A ``--spectrum-csv`` table's band is
     checked against its own Nyquist frequency, its last ``f``; the pipeline
-    routes sample at dx = 1, so theirs is 0.5 and is checked before any
-    work is done."""
+    routes sample at unit spacing, so theirs is 0.5 and is checked before
+    any work is done."""
     if config.spectrum_csv is not None:
         spectrum = read_spectrum_csv(config.spectrum_csv)
-        _check_band(config.band, spectrum.nyquist)
+        _check_band(config.band, float(spectrum.freqs[-1]))
     else:
         _check_band(config.band, 0.5)
         spectrum = _estimate_spectrum(config, _pipeline_series(config))

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, the one walker of the lines
-of input files, ``content_lines``, and ``ascii_floats`` for their numbers."""
+"""Exception types shared across the package, the one opener of input
+files, ``open_input``, the one walker of their lines, ``content_lines``,
+and ``ascii_floats`` for their numbers."""
 
 
 class PsispecError(Exception):
@@ -21,6 +22,20 @@ class DataFormatError(PsispecError, ValueError):
 
 class ResourceError(PsispecError, RuntimeError):
     """A request exceeds what this machine (or float64) can honour."""
+
+
+def open_input(path, kind: str):
+    """The input file at ``path``, opened for reading in universal-newline
+    text mode, so that lines end at "\\n", "\\r\\n" or a lone "\\r" and
+    are read with "\\n" ends.  A byte that is not UTF-8 is decoded to a
+    lone surrogate, which encodes back to itself ("surrogateescape"), for
+    ``content_lines`` to name its line.  A missing file raises a
+    DataFormatError, "``kind`` not found: ``path``".
+    """
+    try:
+        return open(path, encoding="utf-8", errors="surrogateescape", newline=None)
+    except FileNotFoundError as exc:
+        raise DataFormatError(f"{kind} not found: {path}") from exc
 
 
 def content_lines(path, data: bytes, first_line: int):

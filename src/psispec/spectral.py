@@ -8,9 +8,9 @@ Two estimators under one normalization convention (one-sided density,
 * ``welch_psd`` - averaged modified periodograms.
 
 Both take a series in one of two forms: a one-dimensional array-like,
-read as float64 samples at spacing 1, or a ``BlockSeries``, which gives
-its spacing ``dx``.  Both report frequency in cycles per unit of ``dx``;
-the usable axis ends at the Nyquist frequency ``0.5 / dx``.
+read as float64 samples, or a ``BlockSeries``.  Every series is at unit
+spacing, so both report frequency in cycles per sample, and the axis ends
+at the Nyquist frequency 0.5, a spectrum's ``freqs[-1]``.
 
 Both estimate the series minus its mean through one reader, ``_Shifted``.
 It cuts every series into rows of ``_kernels._PREFIX_CHUNK`` samples
@@ -24,7 +24,7 @@ as it is read, and the checks on its length run at the end of the pass.
 """
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,10 +36,8 @@ from .errors import DegenerateInputError, DomainError
 class ArModel:
     """Autoregressive model ``x[t] = -sum_k coeffs[k] x[t-k] + eps[t]``."""
 
-    order: int
     coeffs: np.ndarray
     noise_var: float
-    dx: float
     n_samples: int = 0
 
 
@@ -49,36 +47,33 @@ class PowerSpectrum:
 
     freqs: np.ndarray
     power: np.ndarray
-    nyquist: float
-    estimator: dict = field(default_factory=dict)
+    estimator: dict
 
 
 @dataclass(frozen=True, eq=False)
 class BlockSeries:
-    """A series of ``n`` samples at spacing ``dx`` that arrives as
-    consecutive one-dimensional float64 blocks; ``n`` is None when the
-    length is not known before the blocks are read, and the estimators
-    then count the samples as they read them.
+    """A series of ``n`` samples that arrives as consecutive
+    one-dimensional float64 blocks; ``n`` is None when the length is not
+    known before the blocks are read, and the estimators then count the
+    samples as they read them.
 
     ``blocks`` is read once.
     """
 
     blocks: Iterable
     n: int | None = None
-    dx: float = 1.0
 
 
 def _as_blocks(series):
-    """``(blocks, n, dx)`` of a BlockSeries, or of any other series, read as
-    a float64 array at spacing 1, as a single block, in place when it is
-    one already."""
+    """``(blocks, n)`` of a BlockSeries, or of any other series, read as a
+    float64 array, as a single block, in place when it is one already."""
     if isinstance(series, BlockSeries):
         n = None if series.n is None else int(series.n)
-        return series.blocks, n, float(series.dx)
+        return series.blocks, n
     arr = np.asarray(series, dtype=np.float64)
     if arr.ndim != 1:
         raise DomainError("expected a one-dimensional real series")
-    return [arr], arr.size, 1.0
+    return [arr], arr.size
 
 
 class _Shifted:
@@ -147,7 +142,7 @@ def burg_fit(series, order: int = 1) -> ArModel:
     orders gather its shifted rows into one array, since each stage needs
     another pass.
     """
-    blocks, n, dx = _as_blocks(series)
+    blocks, n = _as_blocks(series)
     if order < 1:
         raise DomainError(f"autoregressive order must be >= 1, got {order}")
 
@@ -165,13 +160,7 @@ def burg_fit(series, order: int = 1) -> ArModel:
         arr -= shifted.offset
         _check_not_constant(np.all(arr == arr[0]))
         coeffs, noise_var = _kernels.burg_recursion(arr, order)
-    return ArModel(
-        order=order,
-        coeffs=coeffs,
-        noise_var=float(noise_var),
-        dx=dx,
-        n_samples=shifted.n,
-    )
+    return ArModel(coeffs=coeffs, noise_var=float(noise_var), n_samples=shifted.n)
 
 
 def _check_not_constant(constant) -> None:
@@ -221,38 +210,37 @@ def _burg1(shifted: _Shifted):
     return np.array([k]), e
 
 
-def check_psd_grid(n_freq: int, f_min: float, dx: float) -> None:
+def check_psd_grid(n_freq: int, f_min: float) -> None:
     if n_freq < 2:
         raise DomainError(f"need at least two frequency points, got {n_freq}")
-    if not 0.0 < f_min < 0.5 / dx:
+    if not 0.0 < f_min < 0.5:
         raise DomainError(
-            f"f_min must lie in (0, {0.5 / dx}) cycles per sample unit, got {f_min}"
+            f"f_min must lie in (0, 0.5) cycles per sample unit, got {f_min}"
         )
 
 
 def ar_psd(model: ArModel, n_freq: int = 512, f_min: float = 1e-4) -> PowerSpectrum:
     """Evaluate the AR model's one-sided density on a log frequency grid.
 
-    ``P(f) = 2 noise_var dx / |1 + sum_k a_k exp(-2 pi i k f dx)|^2`` on
-    ``n_freq`` points log-spaced from ``f_min`` to Nyquist.
+    ``P(f) = 2 noise_var / |1 + sum_k a_k exp(-2 pi i k f)|^2`` on
+    ``n_freq`` points log-spaced from ``f_min`` to the Nyquist frequency 0.5.
     """
-    check_psd_grid(n_freq, f_min, model.dx)
-    nyquist = 0.5 / model.dx
-    freqs = np.logspace(np.log10(f_min), np.log10(nyquist), n_freq)
+    check_psd_grid(n_freq, f_min)
+    freqs = np.logspace(np.log10(f_min), np.log10(0.5), n_freq)
     # pin the endpoints: 10**log10(x) can land one ulp off x
     freqs[0] = f_min
-    freqs[-1] = nyquist
-    k = np.arange(1, model.order + 1)
-    phases = np.exp(-2j * np.pi * model.dx * np.outer(freqs, k))
+    freqs[-1] = 0.5
+    order = model.coeffs.size
+    k = np.arange(1, order + 1)
+    phases = np.exp(-2j * np.pi * np.outer(freqs, k))
     denom = np.abs(1.0 + phases @ model.coeffs) ** 2
-    power = 2.0 * model.noise_var * model.dx / denom
+    power = 2.0 * model.noise_var / denom
     return PowerSpectrum(
         freqs=freqs,
         power=power,
-        nyquist=nyquist,
         estimator={
             "method": "mem",
-            "order": model.order,
+            "order": order,
             "n_samples": model.n_samples,
         },
     )
@@ -323,13 +311,13 @@ def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
     Segments of ``segment_len`` samples (a power of two; default the largest
     power of two <= n/8) advance by half a segment.  Each is tapered by a
     periodic Hann window, transformed, and the squared magnitudes are
-    averaged and scaled by ``1 / (fs * sum w^2)`` so the result is a density;
+    averaged and scaled by ``1 / sum w^2`` so the result is a density;
     interior bins are doubled to fold negative frequencies in.  The series
     is read in one pass that holds one segment beyond the current row
     (``_segments``); only the default segment of a series of unknown length
     needs the blocks held, as they are, to count them first.
     """
-    blocks, n, dx = _as_blocks(series)
+    blocks, n = _as_blocks(series)
     if segment_len is None:
         if n is None:
             blocks = list(blocks)
@@ -347,7 +335,6 @@ def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
             )
 
     step = segment_len // 2
-    fs = 1.0 / dx
     shifted = _Shifted(blocks, n, check_length)
     taper = None
     for segment in _segments(shifted, segment_len, step):
@@ -373,13 +360,12 @@ def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
         + n_segments * d * d * np.abs(w) ** 2
     )
     acc /= n_segments
-    power = acc / (fs * np.sum(taper * taper))
+    power = acc / np.sum(taper * taper)
     power[1:-1] *= 2.0
-    freqs = idx[: segment_len // 2 + 1] / (segment_len * dx)
+    freqs = idx[: segment_len // 2 + 1] / segment_len
     return PowerSpectrum(
         freqs=freqs,
         power=power,
-        nyquist=0.5 / dx,
         estimator={
             "method": "welch",
             "segment_len": int(segment_len),

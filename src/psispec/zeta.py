@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import DataFormatError, DomainError, ascii_floats, content_lines
+from .errors import (DataFormatError, DomainError, ascii_floats, content_lines,
+                     open_input)
 from .prime_series import _scalar_or_array
 from .spectral import PowerSpectrum
 
@@ -54,12 +55,8 @@ def load_zeros(path) -> ZetaZeros:
     :class:`DataFormatError` naming the offending line.
     """
     path = Path(path)
-    try:
-        # as cli._read_rows opens tables: content_lines names a bad byte's line
-        with open(path, encoding="utf-8", errors="surrogateescape", newline=None) as fh:
-            data = fh.read().encode("utf-8", "surrogateescape")
-    except FileNotFoundError as exc:
-        raise DataFormatError(f"zeros file not found: {path}") from exc
+    with open_input(path, "zeros file") as fh:
+        data = fh.read().encode("utf-8", "surrogateescape")
     ordinates = []
     prev = None
     for lineno, line in content_lines(path, data, 1):
@@ -164,7 +161,8 @@ def analytic_spectrum(
     """The asymptotic density ``2 ln^2(f/(2 pi)) / f^2`` sampled on a log
     grid over [f_min, f_max].
 
-    The grid ends at ``f_max``, which stands in for the Nyquist frequency.
+    The grid ends at ``f_max``, its ``freqs[-1]``, where an estimate's ends
+    at the Nyquist frequency.
     """
     if not 0.0 < f_min < f_max:
         raise DomainError(
@@ -181,6 +179,5 @@ def analytic_spectrum(
     return PowerSpectrum(
         freqs=freqs,
         power=analytic_psd(freqs),
-        nyquist=float(f_max),
         estimator={"method": "analytic"},
     )

@@ -854,8 +854,10 @@ def test_sample_full_precision_round_trip():
 
 def test_sample_peak_holds_one_segment():
     config = cli.RunConfig(n_samples=2**19 + 123, output_path=os.devnull)
-    # 6.4 MiB; 10.1 MiB while the previous segment's Lambda and psi
-    # stayed alive during the sieve of the next
+    # 4.0 MiB: one segment of Lambda, its rows of 4096 and a formatted
+    # chunk; 6.4 MiB while psi took a second array of a segment, and
+    # 10.1 MiB while the previous segment's Lambda and psi stayed alive
+    # during the sieve of the next
     assert traced_peak(cli.cmd_sample, config) < 8 * 2**20
 
 
@@ -966,6 +968,16 @@ def test_spectrum_rejects_malformed_input_csv(tmp_path):
     assert "line 2" in message_of(result)
     missing = run("spectrum", "--input", tmp_path / "nope.csv")
     assert missing.exit_code == 3
+
+
+@pytest.mark.parametrize("option", ["spectrum --input", "fit --spectrum-csv"])
+def test_missing_input_file_exits_3_and_leaves_no_file(tmp_path, option):
+    missing = tmp_path / "nope.csv"
+    result = run(*option.split(), missing, "--out", tmp_path / "out.csv")
+    assert result.exit_code == 3
+    assert f"error: input file not found: {missing}\n" in message_of(result)
+    assert "Traceback" not in message_of(result)
+    assert os.listdir(tmp_path) == []
 
 
 def test_ar1_sample_bits_unchanged():
@@ -1223,7 +1235,7 @@ def test_streamed_commands_hold_about_one_segment(tmp_path, name, command, optio
         **options,
     )
     peak = traced_peak(command, config)
-    # 5.0 MiB (fit) and 5.5 MiB (spectrum) with segments of 2**18 integers
+    # 2.9 MiB (fit) and 3.3 MiB (spectrum) with segments of 2**18 integers
     assert peak < 16 * 2**20
 
 
@@ -1235,9 +1247,11 @@ def test_streamed_commands_take_one_array_per_segment(tmp_path, name, command, o
         **options,
     )
     peak = traced_peak(command, config)
-    # psi is written over Lambda and the smooth part taken in rows of 4096:
-    # 5.0 MiB (fit) and 5.5 MiB (spectrum); 8.3 and 8.7 MiB while the
-    # prefix, its half of Lambda and the smooth part took 2 MiB each
+    # one segment of Lambda, walked in rows of 4096 that each take their
+    # prefix and smooth part: 2.9 MiB (fit) and 3.3 MiB (spectrum); 5.0
+    # and 5.5 MiB while psi was written over Lambda and the block a
+    # consumer held kept the segment before alive; 8.3 and 8.7 MiB while
+    # the prefix, its half of Lambda and the smooth part took 2 MiB each
     assert peak < 6.5 * 2**20
 
 

@@ -13,7 +13,6 @@ def _spectrum(freqs, power):
     return PowerSpectrum(
         freqs=freqs,
         power=np.asarray(power, dtype=np.float64),
-        nyquist=float(freqs[-1]),
         estimator={"method": "test"},
     )
 

@@ -283,7 +283,7 @@ def test_fluctuation_at_memory_is_one_segment():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 4.3 MiB with segments of 2**18 integers
+    # 2.8 MiB with segments of 2**18 integers
     assert peak < 16 * 2**20
 
 
@@ -294,8 +294,9 @@ def test_fluctuation_at_takes_no_half_of_lambda():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Lambda and psi of one segment, 4.3 MiB; 6.3 MiB while the prefix
-    # took 0.5 * Lambda in a third array
+    # one segment of Lambda and its rows of 4096, 2.8 MiB; 4.3 MiB while
+    # psi took a second array of a segment, 6.3 MiB while the prefix took
+    # 0.5 * Lambda in a third array
     assert peak < 5 * 2**20
 
 

@@ -26,7 +26,7 @@ def test_burg_ar1_against_yule_walker():
     assert -0.93 <= model.coeffs[0] <= -0.87
     assert abs(model.coeffs[0] - a_yw) < 0.01
     assert model.noise_var >= 0.0
-    assert model.n_samples == 10**4 and model.dx == 1.0
+    assert model.n_samples == 10**4
 
 
 def test_burg_white_noise_has_no_memory():
@@ -46,7 +46,6 @@ def test_burg_reflection_coefficients_bounded():
 
 def test_burg_accepts_fluc_series(fluc_1e4):
     model = ps.burg_fit(fluc_1e4, order=1)
-    assert model.dx == 1.0
     assert abs(model.coeffs[0]) <= 1.0
 
 
@@ -82,18 +81,17 @@ def test_burg_order2_on_fluctuation_behaves(fluc_1e4):
 
 
 def test_ar_psd_flat_for_memoryless_model():
-    model = ps.ArModel(order=1, coeffs=np.zeros(1), noise_var=2.5, dx=1.0)
+    model = ps.ArModel(coeffs=np.zeros(1), noise_var=2.5)
     spec = ps.ar_psd(model)
     assert np.allclose(spec.power, 2.0 * 2.5 * 1.0, rtol=1e-14)
     assert spec.freqs[0] == 1e-4 and spec.freqs[-1] == 0.5
     assert spec.freqs.size == 512
-    assert spec.nyquist == 0.5
     assert np.all(np.diff(spec.freqs) > 0)
     assert spec.estimator["method"] == "mem"
 
 
 def test_ar_psd_low_to_nyquist_ratio():
-    model = ps.ArModel(order=1, coeffs=np.array([-0.9]), noise_var=1.0, dx=1.0)
+    model = ps.ArModel(coeffs=np.array([-0.9]), noise_var=1.0)
     spec = ps.ar_psd(model, n_freq=2, f_min=1e-9)
     assert spec.power[0] / spec.power[-1] == pytest.approx(361.0, rel=1e-6)
     dense = ps.ar_psd(model)
@@ -101,7 +99,7 @@ def test_ar_psd_low_to_nyquist_ratio():
 
 
 def test_ar_psd_validation():
-    model = ps.ArModel(order=1, coeffs=np.zeros(1), noise_var=1.0, dx=1.0)
+    model = ps.ArModel(coeffs=np.zeros(1), noise_var=1.0)
     with pytest.raises(DomainError):
         ps.ar_psd(model, n_freq=1)
     with pytest.raises(DomainError):
@@ -199,7 +197,6 @@ def test_welch_grid_and_metadata():
     y = ar1_sample(1, 4096)
     spec = ps.welch_psd(y, segment_len=512)
     assert np.array_equal(spec.freqs, np.arange(257) / 512.0)
-    assert spec.nyquist == 0.5
     assert spec.power.size == 257
     assert np.all(spec.power >= 0)
     est = spec.estimator
