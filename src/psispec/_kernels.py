@@ -2,8 +2,10 @@
 
 ``mangoldt_segment`` sieves the von Mangoldt function on one segment from
 tables of base primes and their powers built once per run, striking
-composites with slices and one scatter; ``half_jump_prefix`` accumulates
-psi over it in cache-sized chunks, ``burg_recursion`` fits the
+composites with slices and one scatter, and returns its support, the
+points where it is nonzero, which ``densify`` lays out in rows;
+``half_jump_prefix`` accumulates psi over the rows in cache-sized chunks,
+``burg_recursion`` fits the
 autoregressive model, ``zero_pair_sum`` totals the explicit formula, term
 by term at sparse points and by interpolation from Chebyshev nodes in ln x
 where points crowd, ``format_rows`` writes CSV rows at 17 significant
@@ -26,17 +28,20 @@ import numpy as np
 
 
 def mangoldt_segment(lo, hi, base_primes, powers, power_logs):
-    """Lambda(m) for every integer m in [lo, hi).
+    """Lambda on [lo, hi) by its support: the offsets from ``lo``, in
+    order, of every m with Lambda(m) != 0, and Lambda(m) at each, as two
+    arrays (``densify`` lays them out as the values at every m).
 
     ``base_primes`` must hold every prime <= isqrt(hi - 1), in order;
     ``powers`` every power p**k (k >= 1) of them below hi, sorted, and
     ``power_logs`` the log p of each (``prime_series._base_primes`` builds
     the three for a whole grid, and primes or powers beyond the segment
-    are ignored).  Entries for m < 2 are zero.
+    are ignored).  m < 2 is never in the support.
 
     The powers take their log p from the table, one ``searchsorted`` per
-    segment.  Composites are struck in two tiers, so that the Python work
-    per segment does not grow with the number of base primes:
+    segment.  Composites are flagged in one boolean array of the segment,
+    struck in two tiers, so that the Python work per segment does not grow
+    with the number of base primes:
 
     - each prime p < (hi - lo) / 64 strikes its multiples by a slice;
     - every larger prime strikes a few times at most, and all of them
@@ -44,8 +49,9 @@ def mangoldt_segment(lo, hi, base_primes, powers, power_logs):
 
     Each prime starts at max(p*p, first multiple >= lo), so it never strikes
     itself, and smaller multiples have a prime factor below p.  Survivors
-    that are no power in the table are primes above the base primes and
-    carry their own log.
+    and the powers in the table are the support; survivors that are no
+    power in the table are primes above the base primes and carry their
+    own log.
     """
     n = hi - lo
     composite = np.zeros(n, dtype=bool)
@@ -56,16 +62,27 @@ def mangoldt_segment(lo, hi, base_primes, powers, power_logs):
         composite[start::p] = True
     if sparse < primes.size:
         _strike_sparse(composite, lo, primes[sparse:])
-    lam = np.zeros(n, dtype=np.float64)
     i, j = np.searchsorted(powers, (lo, hi))
     at = powers[i:j] - lo
-    lam[at] = power_logs[i:j]
-    composite[at] = True
+    composite[at] = False
     if lo < 2:
         composite[: 2 - lo] = True
-    fresh = np.flatnonzero(np.logical_not(composite, out=composite))
-    lam[fresh] = np.log((fresh + lo).astype(np.float64))
-    return lam
+    support = np.flatnonzero(np.logical_not(composite, out=composite))
+    del composite
+    values = support.astype(np.float64)
+    values += lo  # exact: every m is below 2**53
+    np.log(values, out=values)
+    values[np.searchsorted(support, at)] = power_logs[i:j]
+    return support, values
+
+
+def densify(support, values, n):
+    """The ``n`` values at offsets 0 ... n - 1 of which ``values`` are
+    those at the offsets ``support`` and the rest are zero: Lambda on a
+    segment from ``mangoldt_segment``'s support."""
+    out = np.zeros(n)
+    out[support] = values
+    return out
 
 
 def _first_strikes(lo, primes):
@@ -143,14 +160,26 @@ def half_jump_prefix(lam, s, c):
 # Cauchy-Schwarz structure of the update.
 
 
+#: Errors per step of ``burg_recursion``'s update: two scratch arrays of
+#: 128 KiB, within L2.
+_BURG_CHUNK = 1 << 14
+
+
 def burg_recursion(x, order):
     """Burg's recursion on array slices: at stage m, ``f[i]`` holds the
     forward prediction error at t = m + i and ``b[i]`` the backward one at
-    t - 1."""
+    t - 1.
+
+    ``f`` and ``b`` are the only arrays of the series' length: each stage
+    updates them in place, ``_BURG_CHUNK`` errors at a time through two
+    reused scratch arrays, with the arithmetic of ``f + k * b`` and
+    ``b + k * f`` on every element.  ``x`` is not written."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     f = x[1:].copy()
     b = x[:-1].copy()
+    kb = np.empty(min(f.size, _BURG_CHUNK))
+    kf = np.empty_like(kb)
     a = np.zeros(order, dtype=np.float64)
     e = float(np.dot(x, x)) / n
     for m in range(1, order + 1):
@@ -158,7 +187,12 @@ def burg_recursion(x, order):
         if den == 0.0:
             break
         k = -2.0 * float(np.dot(f, b)) / den
-        f, b = f + k * b, b + k * f
+        for lo in range(0, f.size, _BURG_CHUNK):
+            fc, bc = f[lo : lo + _BURG_CHUNK], b[lo : lo + _BURG_CHUNK]
+            tb = np.multiply(k, bc, out=kb[: fc.size])
+            tf = np.multiply(k, fc, out=kf[: fc.size])
+            fc += tb
+            bc += tf
         f = f[1:]
         b = b[:-1]
         if m > 1:
@@ -205,9 +239,11 @@ def burg_recursion(x, order):
 # shortened the ``numeric`` benchmark's wall time in only 8 of 10
 # interleaved pairs on a 2-core machine.
 
-#: Terms per tile: 2^17 float64 values, 1 MB per temporary.  Two are live
-#: per tile.
-_TILE_TERMS = 1 << 17
+#: Terms per tile: 2^15 float64 values, 256 KiB per temporary.  Two are
+#: live per tile, within a 2 MiB L2.  Tiles of 2^17 terms raised the peak
+#: RSS of ``reconstruct --n 5000 --x-start 1010000 --K 2000`` from 32.6 to
+#: 33.3 MB, above that of its sieve.
+_TILE_TERMS = 1 << 15
 #: Chebyshev points per interpolated window.
 _NODES = 40
 #: Half-width of a window in L times the largest ordinate.

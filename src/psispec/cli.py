@@ -108,8 +108,9 @@ _CHUNK_BYTES = 1 << 18
 #: as long at 16 384, where each of the formatter's temporaries passes
 #: 0.5 MB and comes back from malloc as fresh, page-faulting memory.
 #: ``format_rows`` drops each temporary once the layout is past it, so a
-#: block of four columns peaks at 1.7 MiB traced, within a 2 MiB L2.
-_CHUNK_ROWS = 4096
+#: block of four columns peaks at 0.83 MiB traced (1.66 MiB at 4096 rows,
+#: where ``sample --n 1e6`` peaked 0.7 MB higher in RSS).
+_CHUNK_ROWS = 2048
 
 
 def _fmt(value: float) -> str:
@@ -583,10 +584,10 @@ def main():
     # glibc maps each block above its mmap threshold afresh, and raises the
     # threshold to the largest mapped block freed and the heap's trim
     # threshold to twice that.  Freeing 1 MiB first, more than any one
-    # temporary of a CSV chunk and half of all of them (1.7 MiB traced),
-    # lets each chunk reuse the heap pages of the one before: sample --n
-    # 1e6 takes 6.5k minor faults, where it took 28.5k while the first
-    # sieve segment was alive, and spectrum --input on 1e6 rows 5.7k, not 28.7k
+    # temporary of a CSV chunk and half of all of them (0.83 MiB traced for
+    # a chunk written, 1.3 MiB for a chunk read), lets each chunk reuse the
+    # heap pages of the one before: sample --n 1e6 takes 5.2k minor faults,
+    # not 77.6k, and spectrum --input on 1e6 rows 5.5k, not 34.0k
     np.empty(1 << 20, dtype=np.uint8)
 
 

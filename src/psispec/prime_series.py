@@ -20,12 +20,14 @@ from .errors import DomainError, ResourceError
 LN_2PI = math.log(2.0 * math.pi)
 
 #: Sieve segment length (integers per kernel call).  A multiple of
-#: ``_kernels._PREFIX_CHUNK``, the rows a segment is walked in, so that the
-#: rows, and with them every bit of psi, do not depend on it.  Shorter
-#: segments hold less but sieve slower at height: ``fit --n 1e6 --x-start
-#: 1e9``, which sieves 10**9 integers, took 20.2 / 18.2 / 17.2 / 18.8 s and
-#: peaked at 33.3 / 34.1 / 35.3 / 38.1 MB RSS at 2**16 / 2**17 / 2**18 /
-#: 2**19 (medians of 5 runs on a shared 2-core machine).
+#: ``_kernels._PREFIX_CHUNK``, the rows a segment is laid out in, so that
+#: the rows, and with them every bit of psi, do not depend on it.  A
+#: segment holds one byte of strike flags per integer and its support, 16
+#: bytes per prime or prime power, so its length moves the peak little,
+#: and shorter segments sieve slower at height: ``fit --n 1e6 --x-start
+#: 1e9``, which sieves 10**9 integers, took 21.8 / 18.0 / 18.5 / 15.7 s and
+#: peaked at 33.3 / 33.4 / 33.6 / 34.0 MB RSS at 2**16 / 2**17 / 2**18 /
+#: 2**19 (medians of 3 runs on a shared 2-core machine).
 _SEGMENT = 1 << 18
 
 #: Largest admissible grid point: beyond 2**53 consecutive integers are no
@@ -77,17 +79,18 @@ def _base_primes(limit: int):
 def grid_segments(n: int, x_start: int = 2, fluctuation: bool = True):
     """The grid ``x_start, ..., x_start + n - 1`` one row at a time.
 
-    Sieves Lambda on [2, x_start + n - 1] one ``_SEGMENT`` at a time and
-    walks each segment in rows of ``_kernels._PREFIX_CHUNK`` values,
-    counted from 2: each row extends the half-jump prefix with the Kahan
+    Sieves Lambda on [2, x_start + n - 1] one ``_SEGMENT`` at a time, as
+    its support, and lays each segment out in rows of
+    ``_kernels._PREFIX_CHUNK`` values, counted from 2, one fresh row at a
+    time: each row extends the half-jump prefix with the Kahan
     pair carried over from the rows before it and, when ``fluctuation``,
     has the smooth part subtracted.  Rows below the grid are computed for
     the carry but not yielded, so memory stays O(segment) whatever the
     grid.  Yields ``(x0, lam, values)`` per row that meets the grid:
     ``values`` is psi, or the fluctuation, at ``x0, x0 + 1, ...`` and
     ``lam`` is Lambda at the same points.  Both are fresh arrays, which
-    the consumer may keep or overwrite: a segment is dropped before the
-    next one is sieved, whatever rows the consumer still holds.
+    the consumer may keep or overwrite: a segment's support is dropped
+    before the next one is sieved, whatever rows the consumer still holds.
     """
     if n < 1:
         raise DomainError(f"need at least one grid point, got n={n}")
@@ -108,10 +111,16 @@ def _segments(x_start: int, limit: int, fluctuation: bool):
     if x_start == 1:
         # Lambda(1) = 0, so psi(1) = 0 and the sieve starts at 2
         yield 1, np.zeros(1), np.zeros(1)
+    step = _kernels._PREFIX_CHUNK
     for lo in range(2, limit + 1, _SEGMENT):
-        lam = _kernels.mangoldt_segment(lo, min(lo + _SEGMENT, limit + 1), *base)
-        for i in range(0, lam.size, _kernels._PREFIX_CHUNK):
-            row = lam[i : i + _kernels._PREFIX_CHUNK]
+        hi = min(lo + _SEGMENT, limit + 1)
+        support, logs = _kernels.mangoldt_segment(lo, hi, *base)
+        starts = range(0, hi - lo, step)
+        edges = np.searchsorted(support, [*starts, hi - lo]).tolist()
+        for i, j, k in zip(starts, edges, edges[1:]):
+            # a fresh row: the prefix reads it, and it is the Lambda yielded
+            size = min(step, hi - lo - i)
+            row = _kernels.densify(support[j:k] - i, logs[j:k], size)
             values, s, c = _kernels.half_jump_prefix(row, s, c)
             below = max(x_start - lo - i, 0)  # points of the row off the grid
             if below < row.size:
@@ -121,8 +130,8 @@ def _segments(x_start: int, limit: int, fluctuation: bool):
                     values -= smooth_part(
                         np.arange(x0, x0 + values.size, dtype=np.float64)
                     )
-                yield x0, row[below:].copy(), values
-        del lam, row  # the rows yielded are copies, so the segment goes
+                yield x0, row[below:], values
+        del support, logs  # before the next segment is sieved
 
 
 def _gather(n: int, x_start: int, fluctuation: bool) -> np.ndarray:

@@ -156,11 +156,25 @@ def burg_fit(series, order: int = 1) -> ArModel:
     if order == 1:
         coeffs, noise_var = _burg1(shifted)
     else:
-        arr = np.concatenate([row.copy() for row in shifted])
+        arr = _gather(shifted)
         arr -= shifted.offset
         _check_not_constant(np.all(arr == arr[0]))
         coeffs, noise_var = _kernels.burg_recursion(arr, order)
     return ArModel(coeffs=coeffs, noise_var=float(noise_var), n_samples=shifted.n)
+
+
+def _gather(shifted: _Shifted) -> np.ndarray:
+    """The rows of ``shifted`` in one array: filled in place when the
+    length is known, else concatenated from copies as they are counted."""
+    if shifted.n is None:
+        return np.concatenate([row.copy() for row in shifted])
+    arr = np.empty(shifted.n)
+    at = 0
+    for row in shifted:
+        if at < arr.size:  # a surplus is not stored; the reader refuses it
+            arr[at : at + row.size] = row[: arr.size - at]
+        at += row.size
+    return arr
 
 
 def _check_not_constant(constant) -> None:

@@ -854,10 +854,11 @@ def test_sample_full_precision_round_trip():
 
 def test_sample_peak_holds_one_segment():
     config = cli.RunConfig(n_samples=2**19 + 123, output_path=os.devnull)
-    # 4.0 MiB: one segment of Lambda, its rows of 4096 and a formatted
-    # chunk; 6.4 MiB while psi took a second array of a segment, and
-    # 10.1 MiB while the previous segment's Lambda and psi stayed alive
-    # during the sieve of the next
+    # 1.4 MiB: a segment's strike flags and support, its rows of 4096 and
+    # a formatted chunk of 2048 rows; 4.0 MiB with a segment of Lambda laid
+    # out whole and chunks of 4096 rows; 6.4 MiB while psi took a second
+    # array of a segment, and 10.1 MiB while the previous segment's Lambda
+    # and psi stayed alive during the sieve of the next
     assert traced_peak(cli.cmd_sample, config) < 8 * 2**20
 
 
@@ -1020,8 +1021,8 @@ def test_synthetic_blocks_hold_one_draw():
 @pytest.mark.parametrize("kind", ["white", "ar1"])
 def test_synthetic_signal_is_generated_in_blocks(kind):
     config = cli.RunConfig(synthetic=kind, n_samples=200_000, output_path=os.devnull)
-    # 1.0 and 0.35 MiB in blocks of 4096 samples; 2.5 and 9.4 MiB when
-    # the signal was generated whole
+    # 1.0 and 0.22 MiB in blocks of 2048 samples (0.38 MiB for ar1 in
+    # blocks of 4096); 2.5 and 9.4 MiB when the signal was generated whole
     assert traced_peak(cli.cmd_spectrum, config) < 2 * 2**20
 
 
@@ -1235,7 +1236,7 @@ def test_streamed_commands_hold_about_one_segment(tmp_path, name, command, optio
         **options,
     )
     peak = traced_peak(command, config)
-    # 2.9 MiB (fit) and 3.3 MiB (spectrum) with segments of 2**18 integers
+    # 0.6 MiB (fit) and 1.1 MiB (spectrum) with segments of 2**18 integers
     assert peak < 16 * 2**20
 
 
@@ -1247,11 +1248,12 @@ def test_streamed_commands_take_one_array_per_segment(tmp_path, name, command, o
         **options,
     )
     peak = traced_peak(command, config)
-    # one segment of Lambda, walked in rows of 4096 that each take their
-    # prefix and smooth part: 2.9 MiB (fit) and 3.3 MiB (spectrum); 5.0
-    # and 5.5 MiB while psi was written over Lambda and the block a
-    # consumer held kept the segment before alive; 8.3 and 8.7 MiB while
-    # the prefix, its half of Lambda and the smooth part took 2 MiB each
+    # a segment's support, laid out in rows of 4096 that each take their
+    # prefix and smooth part: 0.6 MiB (fit) and 1.1 MiB (spectrum); 2.9
+    # and 3.3 MiB with a segment of Lambda laid out whole; 5.0 and 5.5 MiB
+    # while psi was written over Lambda and the block a consumer held kept
+    # the segment before alive; 8.3 and 8.7 MiB while the prefix, its half
+    # of Lambda and the smooth part took 2 MiB each
     assert peak < 6.5 * 2**20
 
 

@@ -32,15 +32,20 @@ def _assert_same_mangoldt(got, expected):
     assert np.allclose(got, expected, rtol=1e-15, atol=0)
 
 
+def _lam(lo, hi, base):
+    """Lambda on [lo, hi), laid out from the sieve's support."""
+    return kern.densify(*kern.mangoldt_segment(lo, hi, *base), hi - lo)
+
+
 @pytest.mark.parametrize("lo, hi", [(1, 513), (2, 10_001)])
 def test_mangoldt_segment_matches_trial_division(lo, hi):
-    lam = kern.mangoldt_segment(lo, hi, *_base_primes(hi - 1))
+    lam = _lam(lo, hi, _base_primes(hi - 1))
     _assert_same_mangoldt(lam, mangoldt_by_trial_division(hi - 1)[lo:hi])
 
 
 def test_mangoldt_segment_near_1e6_matches_factoring():
     lo, hi = 999_950, 1_000_051
-    lam = kern.mangoldt_segment(lo, hi, *_base_primes(hi - 1))
+    lam = _lam(lo, hi, _base_primes(hi - 1))
     expected = [mangoldt_by_factoring(m) for m in range(lo, hi)]
     # the range holds nine primes among its composites
     assert sum(v > 0.0 for v in expected) == 9
@@ -54,7 +59,7 @@ def test_mangoldt_segment_keeps_the_small_primes(lo, n):
     # table and must survive as primes, and 2 ... 13 must not be struck as
     # multiples of themselves by their own slice or scatter
     hi = lo + n
-    lam = kern.mangoldt_segment(lo, hi, *_base_primes(hi - 1))
+    lam = _lam(lo, hi, _base_primes(hi - 1))
     assert lam.tobytes() == mangoldt_segment_by_loop(lo, hi).tobytes()
 
 
@@ -71,7 +76,7 @@ def test_mangoldt_segment_is_bit_identical_to_the_per_prime_loop(lo, n):
     # 10**6 at 10**12, by one scatter; the base tables may reach further
     # than the segment needs, as they do for every segment but the last
     hi = lo + n
-    got = kern.mangoldt_segment(lo, hi, *_base_primes(hi + 10**6))
+    got = _lam(lo, hi, _base_primes(hi + 10**6))
     assert got.tobytes() == mangoldt_segment_by_loop(lo, hi).tobytes()
 
 
@@ -81,13 +86,32 @@ def test_mangoldt_segment_near_the_square_of_a_sparse_prime():
     p = 1_000_003
     half, window = 1 << 17, 100
     lo = p * p - half
-    lam = kern.mangoldt_segment(lo, lo + 2 * half, *_base_primes(lo + 2 * half))
+    lam = _lam(lo, lo + 2 * half, _base_primes(lo + 2 * half))
     got = lam[half - window : half + window + 1]
     expected = [mangoldt_by_factoring(m) for m in range(p * p - window, p * p + window + 1)]
     assert got[window] == math.log(p)
     # four primes besides p * p
     assert sum(v > 0.0 for v in expected) == 5
     _assert_same_mangoldt(got, expected)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (2, 10_001),
+        (999_950, 1_000_051),
+        (10**10 - 4_321, 10**10 - 4_321 + (1 << 14)),
+        (10**12 + 777, 10**12 + 777 + (1 << 13)),
+        # around the square of the sparse prime 1_000_003
+        (1_000_003**2 - (1 << 17), 1_000_003**2 + (1 << 17)),
+    ],
+)
+def test_support_is_lambda_where_nonzero(lo, hi):
+    support, values = kern.mangoldt_segment(lo, hi, *_base_primes(hi + 10**6))
+    want = mangoldt_segment_by_loop(lo, hi)
+    assert np.array_equal(support, np.flatnonzero(want))
+    assert np.all(np.diff(support) > 0) and np.all(values != 0.0)
+    assert kern.densify(support, values, hi - lo).tobytes() == want.tobytes()
 
 
 def test_prefix_matches_fsum():
@@ -113,12 +137,12 @@ def test_prefix_carry_chains_across_segments():
 def test_prefix_over_its_input_keeps_every_bit(n):
     lo, mid = 10**6, 10**6 + 2**18
     base = _base_primes(mid + 2**18)
-    _, s, c = kern.half_jump_prefix(kern.mangoldt_segment(lo, mid, *base), 0.0, 0.0)
+    _, s, c = kern.half_jump_prefix(_lam(lo, mid, base), 0.0, 0.0)
     assert c != 0.0  # the carry is a pair, not a plain total
-    lam = kern.mangoldt_segment(mid, mid + n, *base)
+    lam = _lam(mid, mid + n, base)
     fresh, _, _ = kern.half_jump_prefix(lam, s, c)
     assert not np.shares_memory(fresh, lam)
-    assert lam.tobytes() == kern.mangoldt_segment(mid, mid + n, *base).tobytes()
+    assert lam.tobytes() == _lam(mid, mid + n, base).tobytes()
 
 
 def test_psi_route_leaves_lambda_untouched():
@@ -129,7 +153,7 @@ def test_psi_route_leaves_lambda_untouched():
     assert len(blocks) == (x_start + n - 1 - 2) // kern._PREFIX_CHUNK + 1
     for x0, lam, psi in blocks:
         assert not np.shares_memory(lam, psi)
-        want = kern.mangoldt_segment(x0, x0 + lam.size, *base)
+        want = _lam(x0, x0 + lam.size, base)
         assert lam.tobytes() == want.tobytes()
 
 

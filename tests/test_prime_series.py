@@ -216,7 +216,8 @@ def test_grid_segments_tile_the_grid(small_segments):
         starts, sizes = [], []
         for x0, lam, values in ps.grid_segments(n, x_start, fluctuation):
             assert lam.size == values.size <= ps._kernels._PREFIX_CHUNK
-            want = ps._kernels.mangoldt_segment(x0, x0 + lam.size, *base)
+            support = ps._kernels.mangoldt_segment(x0, x0 + lam.size, *base)
+            want = ps._kernels.densify(*support, lam.size)
             assert lam.tobytes() == want.tobytes()
             starts.append(x0)
             sizes.append(values.size)
@@ -225,6 +226,20 @@ def test_grid_segments_tile_the_grid(small_segments):
         assert all(x0 % ps._kernels._PREFIX_CHUNK == 2 for x0 in starts[1:])
         assert np.array_equal(np.diff(starts), sizes[:-1])
         assert sum(sizes) == n
+
+
+def test_grid_segments_hold_no_dense_lambda():
+    tracemalloc.start()
+    try:
+        for _ in ps.grid_segments(3 * 2**20):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a segment's strike flags (256 KiB), its support and one row at a
+    # time: 0.56 MiB; 2.8 MiB while each segment's Lambda was laid out
+    # whole in 2 MiB of float64
+    assert peak < 2**20
 
 
 def test_windows_are_bit_identical_to_full_prefix(small_segments):
@@ -283,7 +298,8 @@ def test_fluctuation_at_memory_is_one_segment():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 2.8 MiB with segments of 2**18 integers
+    # 0.5 MiB with segments of 2**18 integers (2.8 MiB while a segment's
+    # Lambda was laid out whole)
     assert peak < 16 * 2**20
 
 
@@ -294,8 +310,9 @@ def test_fluctuation_at_takes_no_half_of_lambda():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one segment of Lambda and its rows of 4096, 2.8 MiB; 4.3 MiB while
-    # psi took a second array of a segment, 6.3 MiB while the prefix took
+    # a segment's strike flags and support and its rows of 4096, 0.5 MiB;
+    # 2.8 MiB with a segment of Lambda laid out whole, 4.3 MiB while psi
+    # took a second array of a segment, 6.3 MiB while the prefix took
     # 0.5 * Lambda in a third array
     assert peak < 5 * 2**20
 
@@ -313,14 +330,16 @@ def traced_peak(function, *args):
 def test_burg_fit_over_the_sieve_holds_one_segment():
     n = 3 * 2**20
     series = ps.BlockSeries(blocks=(f for _, _, f in ps.grid_segments(n)), n=n)
-    # 2.9 MiB: one segment of Lambda and a few rows; 4.8 MiB while the
-    # block a consumer held kept the segment before alive through the sieve
+    # 0.6 MiB: a segment's strike flags and support and a few rows; 2.9
+    # MiB with a segment of Lambda laid out whole; 4.8 MiB while the block
+    # a consumer held kept the segment before alive through the sieve
     assert traced_peak(ps.burg_fit, series) < 3.5 * 2**20
 
 
 def test_fluctuation_at_over_the_whole_grid_holds_one_segment():
-    # 2.8 MiB; 8.0 MiB while psi took a second array of a segment and the
-    # segment before was alive through the sieve
+    # 0.5 MiB; 2.8 MiB with a segment of Lambda laid out whole; 8.0 MiB
+    # while psi took a second array of a segment and the segment before
+    # was alive through the sieve
     assert traced_peak(ps.fluctuation_at, [2.5, 3 * 2**20 + 0.5]) < 3.5 * 2**20
 
 

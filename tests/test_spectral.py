@@ -389,6 +389,20 @@ def test_higher_order_gathers_the_blocks(small_segments):
     assert got.noise_var == want.noise_var
 
 
+def test_higher_order_holds_the_series_three_times():
+    x = np.cumsum(np.random.default_rng(1).standard_normal(1 << 20))
+    tracemalloc.start()
+    try:
+        ps.burg_fit(x, order=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the gathered rows and the errors f and b, 8 MiB each, and 256 KiB of
+    # scratch: 24.3 MiB; 40.0 MiB while the rows were copied, then
+    # concatenated, and each stage built new f and b beside the old
+    assert peak < 25 * 2**20
+
+
 def test_block_series_validation():
     with pytest.raises(DegenerateInputError):
         ps.burg_fit(_split(np.full(100, 3.25), [10, 50]))
@@ -514,13 +528,16 @@ ESTIMATORS = {
     [
         (lambda: ps.BlockSeries(blocks=[np.ones(5), np.arange(5.0)], n=12),
          "series blocks hold 10 samples, expected 12"),
+        (lambda: ps.BlockSeries(blocks=[np.ones(5), np.arange(9.0)], n=12),
+         "series blocks hold 14 samples, expected 12"),
         (lambda: np.arange(64.0).reshape(8, 8), "expected a one-dimensional real series"),
         (lambda: ps.BlockSeries(blocks=[np.arange(64.0).reshape(8, 8)], n=64),
          "expected a one-dimensional real series"),
         (lambda: ps.BlockSeries(blocks=[np.arange(64.0).reshape(8, 8)]),
          "expected a one-dimensional real series"),
     ],
-    ids=["short blocks", "2-D array", "2-D block", "2-D block of unknown length"],
+    ids=["short blocks", "long blocks", "2-D array", "2-D block",
+         "2-D block of unknown length"],
 )
 def test_reader_refuses_wrong_counts_and_shapes(estimate, series, message):
     with pytest.raises(DomainError, match=message):
