@@ -100,7 +100,8 @@ def test_importing_psispec_first_loads_one_blas_thread_unless_chosen(chosen, bla
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("chunk_rows", [2, cli._CHUNK_ROWS])
+# 4096, twice the default chunk, as well as the default itself
+@pytest.mark.parametrize("chunk_rows", [2, cli._CHUNK_ROWS, 4096])
 def test_sample_bytes_are_17_digit_rows(tmp_path, monkeypatch, chunk_rows):
     monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
     out = tmp_path / "sample.csv"
@@ -141,7 +142,7 @@ def test_spectrum_reconstruct_analytic_bytes(zeros):
     )
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 7, cli._CHUNK_ROWS])
+@pytest.mark.parametrize("chunk_rows", [1, 7, cli._CHUNK_ROWS, 4096])
 @pytest.mark.parametrize("to_file", [True, False])
 def test_write_table_bytes_of_awkward_values(
     tmp_path, capsys, monkeypatch, chunk_rows, to_file
