@@ -164,16 +164,17 @@ def burg_fit(series, order: int = 1) -> ArModel:
 
 
 def _gather(shifted: _Shifted) -> np.ndarray:
-    """The rows of ``shifted`` in one array: filled in place when the
-    length is known, else concatenated from copies as they are counted."""
-    if shifted.n is None:
-        return np.concatenate([row.copy() for row in shifted])
-    arr = np.empty(shifted.n)
+    """The rows of ``shifted`` in one array, allocated once when the length
+    is known and grown in place (``ndarray.resize``) while it is not."""
+    arr = np.empty(shifted.n or _kernels._PREFIX_CHUNK)
     at = 0
     for row in shifted:
-        if at < arr.size:  # a surplus is not stored; the reader refuses it
-            arr[at : at + row.size] = row[: arr.size - at]
-        at += row.size
+        end = at + row.size
+        if end > arr.size:
+            arr.resize(2 * end, refcheck=False)
+        arr[at:end] = row
+        at = end
+    arr.resize(at, refcheck=False)
     return arr
 
 

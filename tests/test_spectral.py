@@ -398,8 +398,8 @@ def test_higher_order_holds_the_series_three_times():
     finally:
         tracemalloc.stop()
     # the gathered rows and the errors f and b, 8 MiB each, and 256 KiB of
-    # scratch: 24.3 MiB; 40.0 MiB while the rows were copied, then
-    # concatenated, and each stage built new f and b beside the old
+    # scratch: 24.3 MiB; 40.0 MiB while each stage built new f and b
+    # beside the old
     assert peak < 25 * 2**20
 
 
