@@ -1,20 +1,20 @@
-"""The six hot loops of the pipeline, vectorized with numpy.
+"""The hot code of the pipeline, vectorized with numpy.
 
 ``mangoldt_segment`` sieves the von Mangoldt function on one segment from
 tables of base primes and their powers built once per run, striking
 composites with slices and one scatter, and returns its support, the
 points where it is nonzero, which ``densify`` lays out in rows;
 ``half_jump_prefix`` accumulates psi over the rows in cache-sized chunks,
-``burg_recursion`` fits the
-autoregressive model, ``zero_pair_sum`` totals the explicit formula, term
-by term at sparse points and by interpolation from Chebyshev nodes in ln x
-where points crowd, ``format_rows`` writes CSV rows at 17 significant
-digits and ``parse_rows`` reads them back, bit for bit.
+``burg_recursion`` adds a row to the running sums of the order-1 Burg
+fit, ``zero_pair_sum`` totals the explicit formula, term by term at sparse
+points and by interpolation from Chebyshev nodes in ln x where points
+crowd, ``format_rows`` writes CSV rows at 17 significant digits and
+``parse_rows`` reads them back, bit for bit.
 
-Accuracy note: the prefix carries its running total as a Kahan pair and the
-zero sum totals the terms of each point or node by numpy's pairwise
-summation, so neither accumulates rounding error that grows linearly with
-the length of the input.
+Accuracy note: the prefix and the Burg sums carry their running totals as
+Kahan pairs and the zero sum totals the terms of each point or node by
+numpy's pairwise summation, so none accumulates rounding error that grows
+linearly with the length of the input.
 """
 
 import functools
@@ -151,56 +151,30 @@ def half_jump_prefix(lam, s, c):
 
 
 # ---------------------------------------------------------------------------
-# Burg recursion for autoregressive coefficients
+# Order-1 Burg sums over one row
 # ---------------------------------------------------------------------------
 #
-# Returns (a, noise_var) where a[0..order-1] are the AR coefficients of
-# x[t] + a_1 x[t-1] + ... + a_p x[t-p] = eps[t] and noise_var is the final
-# prediction-error power.  Reflection coefficients satisfy |k| <= 1 by the
-# Cauchy-Schwarz structure of the update.
+# With f = x[1:] and b = x[:-1], the order-1 reflection coefficient is
+# k = -2 <f,b> / (<f,f> + <b,b>) and the noise variance <x,x> / n (1 - k^2);
+# the four sums are carried from row to row as Kahan pairs, as the prefix
+# carries psi.
 
 
-#: Errors per step of ``burg_recursion``'s update: two scratch arrays of
-#: 128 KiB, within L2.
-_BURG_CHUNK = 1 << 14
+def burg_recursion(y, sums, last):
+    """The Kahan pairs ``sums`` of <x,x>, <f,f>, <b,b> and <f,b> over the
+    rows before ``y``, plus the parts of row ``y``, in that order.
 
-
-def burg_recursion(x, order):
-    """Burg's recursion on array slices: at stage m, ``f[i]`` holds the
-    forward prediction error at t = m + i and ``b[i]`` the backward one at
-    t - 1.
-
-    ``f`` and ``b`` are the only arrays of the series' length: each stage
-    updates them in place, ``_BURG_CHUNK`` errors at a time through two
-    reused scratch arrays, with the arithmetic of ``f + k * b`` and
-    ``b + k * f`` on every element.  ``x`` is not written."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    f = x[1:].copy()
-    b = x[:-1].copy()
-    kb = np.empty(min(f.size, _BURG_CHUNK))
-    kf = np.empty_like(kb)
-    a = np.zeros(order, dtype=np.float64)
-    e = float(np.dot(x, x)) / n
-    for m in range(1, order + 1):
-        den = float(np.dot(f, f) + np.dot(b, b))
-        if den == 0.0:
-            break
-        k = -2.0 * float(np.dot(f, b)) / den
-        for lo in range(0, f.size, _BURG_CHUNK):
-            fc, bc = f[lo : lo + _BURG_CHUNK], b[lo : lo + _BURG_CHUNK]
-            tb = np.multiply(k, bc, out=kb[: fc.size])
-            tf = np.multiply(k, fc, out=kf[: fc.size])
-            fc += tb
-            bc += tf
-        f = f[1:]
-        b = b[:-1]
-        if m > 1:
-            prev = a[: m - 1].copy()
-            a[: m - 1] = prev + k * prev[::-1]
-        a[m - 1] = k
-        e *= 1.0 - k * k
-    return a, e
+    ``last`` is the sample before ``y``, whose products with ``y[0]`` join
+    the row's <b,b> and <f,b>, or None when ``y`` is the first row, which
+    then has one term fewer in <f,f>."""
+    yy = float(np.dot(y, y))
+    bb = float(np.dot(y[:-1], y[:-1]))
+    fb = float(np.dot(y[1:], y[:-1]))
+    if last is None:
+        parts = (yy, float(np.dot(y[1:], y[1:])), bb, fb)
+    else:
+        parts = (yy, yy, last * last + bb, last * float(y[0]) + fb)
+    return [kahan_add(*sc, part) for sc, part in zip(sums, parts)]
 
 
 # ---------------------------------------------------------------------------

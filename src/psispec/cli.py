@@ -24,11 +24,11 @@ holds one line per row), so a bad row, or a line that is not UTF-8, is
 named by its line in the file from its own chunk.  An ``--input`` table
 goes to the estimators as it is read, one ``fluc`` block per chunk, and a
 ``--synthetic`` signal as it is drawn, ``_CHUNK_ROWS`` samples at a time;
-either is held whole only where the estimator gathers it (Burg above
-order 1, Welch without ``--segment``).  The estimators cut every series
-into the same rows, so neither a source constant (``_CHUNK_BYTES``,
-``_CHUNK_ROWS``, ``prime_series._SEGMENT``) nor a table's line ends change
-a byte of output.
+either is held whole only where the estimator gathers it (Welch without
+``--segment``).  The estimators cut every series into the same rows, so
+neither a source constant (``_CHUNK_BYTES``, ``_CHUNK_ROWS``,
+``prime_series._SEGMENT``) nor a table's line ends change a byte of
+output.
 
 ``--n`` and ``--x-start`` take any decimal spelling of an integer, such as
 ``1e7``.
@@ -79,7 +79,6 @@ class RunConfig:
     n_samples: int = 0
     x_start: int = 2
     method: str = "mem"
-    mem_order: int = 1
     welch_segment: int | None = None
     band: tuple[float, float] = DEFAULT_BAND
     n_freq: int = 512
@@ -451,7 +450,7 @@ def _pipeline_series(config: RunConfig) -> BlockSeries:
 def _estimate_spectrum(config: RunConfig, series) -> PowerSpectrum:
     if config.method == "mem":
         check_psd_grid(config.n_freq, config.f_lo)  # before any sieving
-        model = burg_fit(series, order=config.mem_order)
+        model = burg_fit(series)
         return ar_psd(model, n_freq=config.n_freq, f_min=config.f_lo)
     if config.method == "welch":
         return welch_psd(series, segment_len=config.welch_segment)
@@ -606,9 +605,6 @@ _ESTIMATOR_OPTIONS = (
     click.option("--x-start", type=_INTEGER, default=2, show_default=True),
     click.option("--method", type=click.Choice(["mem", "welch"]),
                  default="mem", show_default=True),
-    click.option("--order", "mem_order", type=int, default=1,
-                 show_default=True,
-                 help="Autoregressive order for the mem method."),
     click.option("--segment", "welch_segment", type=int, default=None,
                  help="Welch segment length (power of two; default: largest "
                       "power of two <= n/8)."),
@@ -657,7 +653,6 @@ _NEEDS = (
     ("seed", "synthetic", None),
     ("ar_coeff", "synthetic", "ar1"),
     ("welch_segment", "method", "welch"),
-    ("mem_order", "method", "mem"),
     ("n_freq", "method", "mem"),
     ("f_lo", "method", "mem"),
 )

@@ -3,8 +3,8 @@
 Two estimators under one normalization convention (one-sided density,
 ``sum P * df ~= variance``):
 
-* ``burg_fit`` + ``ar_psd`` - maximum-entropy spectrum of an
-  autoregressive model fitted by Burg's recursion; and
+* ``burg_fit`` + ``ar_psd`` - maximum-entropy spectrum of an AR(1)
+  model fitted by Burg's method; and
 * ``welch_psd`` - averaged modified periodograms.
 
 Both take a series in one of two forms: a one-dimensional array-like,
@@ -17,10 +17,10 @@ It cuts every series into rows of ``_kernels._PREFIX_CHUNK`` samples
 counted from its first sample, so an estimate depends on the samples, not
 on where blocks end, and shifts each row by the first row's mean into one
 reused row, so that no input is written; the rest of the mean is taken out
-at the end.  A ``BlockSeries`` is estimated in O(block) memory (Burg order
-1 keeps running sums, Welch a buffer of one window), except by Burg above
-order 1, which gathers the shifted rows.  One of unknown length is counted
-as it is read, and the checks on its length run at the end of the pass.
+at the end.  A ``BlockSeries`` is estimated in O(block) memory: Burg
+keeps running sums, Welch a buffer of one window.  One of unknown length
+is counted as it is read, and the checks on its length run at the end of
+the pass.
 """
 
 from collections.abc import Iterable
@@ -132,84 +132,38 @@ def remove_mean(series) -> np.ndarray:
     return arr - arr.mean()
 
 
-def burg_fit(series, order: int = 1) -> ArModel:
-    """Fit an AR(order) model to the series minus its mean by Burg's
-    method (maximum entropy).
+def burg_fit(series) -> ArModel:
+    """Fit an AR(1) model to the series minus its mean by Burg's method
+    (maximum entropy), in one pass.
 
-    The recursion minimizes forward plus backward prediction error at each
-    stage, which keeps every reflection coefficient within [-1, 1] and the
-    resulting model stable.  Order 1 reads the series in one pass; higher
-    orders gather its shifted rows into one array, since each stage needs
-    another pass.
+    The reflection coefficient minimizes forward plus backward prediction
+    error, which keeps it within [-1, 1] and the model stable.  Its four
+    sums are carried over the rows of ``_Shifted`` by
+    ``_kernels.burg_recursion``, and the offset ``d`` left by the
+    provisional shift is removed from them analytically at the end.  A
+    series of one row gives the bits of the fit of ``remove_mean(series)``
+    by whole-array dot products.
     """
     blocks, n = _as_blocks(series)
-    if order < 1:
-        raise DomainError(f"autoregressive order must be >= 1, got {order}")
 
     def check_length(count):
-        if count < order + 1:
-            raise DomainError(
-                f"need more than {order} samples to fit order {order}, got {count}"
-            )
+        if count < 2:
+            raise DomainError(f"need more than 1 samples to fit order 1, got {count}")
 
     shifted = _Shifted(blocks, n, check_length)
-    if order == 1:
-        coeffs, noise_var = _burg1(shifted)
-    else:
-        arr = _gather(shifted)
-        arr -= shifted.offset
-        _check_not_constant(np.all(arr == arr[0]))
-        coeffs, noise_var = _kernels.burg_recursion(arr, order)
-    return ArModel(coeffs=coeffs, noise_var=float(noise_var), n_samples=shifted.n)
-
-
-def _gather(shifted: _Shifted) -> np.ndarray:
-    """The rows of ``shifted`` in one array, allocated once when the length
-    is known and grown in place (``ndarray.resize``) while it is not."""
-    arr = np.empty(shifted.n or _kernels._PREFIX_CHUNK)
-    at = 0
-    for row in shifted:
-        end = at + row.size
-        if end > arr.size:
-            arr.resize(2 * end, refcheck=False)
-        arr[at:end] = row
-        at = end
-    arr.resize(at, refcheck=False)
-    return arr
-
-
-def _check_not_constant(constant) -> None:
-    if constant:
-        raise DegenerateInputError(
-            "series is constant; an autoregressive model is undetermined"
-        )
-
-
-def _burg1(shifted: _Shifted):
-    """Order-1 Burg fit from running sums over the rows of ``shifted``.
-
-    With ``f = x[1:]`` and ``b = x[:-1]`` the fit needs only <x,x>, <f,f>,
-    <b,b> and <f,b>, each a Kahan pair (``_kernels.kahan_add``) over the
-    rows' partial sums; the offset ``d`` left by the provisional shift is
-    removed from them analytically at the end.  One row gives the bits of
-    ``_kernels.burg_recursion(x, 1)``.
-    """
     sums = [(0.0, 0.0)] * 4  # <x,x>, <f,f>, <b,b> and <f,b>
     first = last = None
     constant = True
     for y in shifted:
-        yy = float(np.dot(y, y))
-        bb_row = float(np.dot(y[:-1], y[:-1]))
-        fb_row = float(np.dot(y[1:], y[:-1]))
+        sums = _kernels.burg_recursion(y, sums, last)
         if first is None:
             first = float(y[0])
-            parts = (yy, float(np.dot(y[1:], y[1:])), bb_row, fb_row)
-        else:
-            parts = (yy, yy, last * last + bb_row, last * float(y[0]) + fb_row)
-        sums = [_kernels.kahan_add(*sc, part) for sc, part in zip(sums, parts)]
         constant = constant and bool(np.all(y == first))
         last = float(y[-1])
-    _check_not_constant(constant)
+    if constant:
+        raise DegenerateInputError(
+            "series is constant; an autoregressive model is undetermined"
+        )
     xx, ff, bb, fb = (s - c for s, c in sums)
     n = shifted.n
     d = shifted.offset
@@ -222,7 +176,7 @@ def _burg1(shifted: _Shifted):
     k = -2.0 * fb / den if den else 0.0
     e = xx / n
     e *= 1.0 - k * k
-    return np.array([k]), e
+    return ArModel(coeffs=np.array([k]), noise_var=e, n_samples=n)
 
 
 def check_psd_grid(n_freq: int, f_min: float) -> None:

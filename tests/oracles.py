@@ -4,10 +4,11 @@ Each oracle recomputes a quantity the library produces, by a different
 route: trial division or one unsegmented sieve instead of the segmented
 one, a loop over every base prime instead of the kernel's strike tiers, a
 longdouble cumsum instead of the compensated float64 prefix, the
-truncated series instead of the closed form, Yule-Walker and a scalar
-recursion instead of the sliced Burg kernel, a Kahan loop and a 30-digit
-mpmath loop instead of the tiled or interpolated zero sum, and the
-Riemann-Siegel Z function (via mpmath) for zero ordinates.
+truncated series instead of the closed form, Yule-Walker, a scalar
+recursion and whole-array dot products instead of the row-wise Burg sums,
+a Kahan loop and a 30-digit mpmath loop instead of the tiled or
+interpolated zero sum, and the Riemann-Siegel Z function (via mpmath) for
+zero ordinates.
 """
 
 import math
@@ -214,6 +215,19 @@ def burg_scalar(x, order: int):
         a[m - 1] = k
         e *= 1.0 - k * k
     return np.array(a), e
+
+
+def burg1_array(x):
+    """``(coeffs, noise_var)`` of the order-1 Burg fit of ``x`` as it is,
+    from dot products over the whole array: f = x[1:], b = x[:-1],
+    k = -2 <f,b> / (<f,f> + <b,b>) and noise_var = <x,x> / n (1 - k^2)."""
+    x = np.asarray(x, dtype=np.float64)
+    f, b = x[1:], x[:-1]
+    den = float(np.dot(f, f) + np.dot(b, b))
+    k = -2.0 * float(np.dot(f, b)) / den if den else 0.0
+    e = float(np.dot(x, x)) / x.size
+    e *= 1.0 - k * k
+    return np.array([k]), e
 
 
 def zero_pair_sum_kahan(xs, t_desc) -> np.ndarray:

@@ -122,7 +122,7 @@ def test_sample_bytes_are_17_digit_rows(tmp_path, monkeypatch, chunk_rows):
 def test_spectrum_reconstruct_analytic_bytes(zeros):
     spectrum = run("spectrum", "--n", 64, "--n-freq", 8)
     spec = ps.ar_psd(
-        ps.burg_fit(ps.remove_mean(ps.fluctuation_series(64)), order=1), n_freq=8
+        ps.burg_fit(ps.remove_mean(ps.fluctuation_series(64))), n_freq=8
     )
     assert body_of(spectrum.output) == "f,P\n" + csv_rows(spec.freqs, spec.power)
 
@@ -765,7 +765,7 @@ def test_spectrum_input_over_many_chunks_matches_library(tmp_path):
     assert run("sample", "--n", n, "--out", path).exit_code == 0
     assert path.stat().st_size > 3 * cli._CHUNK_BYTES
     y = ps.fluctuation_series(n)
-    model = ps.burg_fit(y, order=1)
+    model = ps.burg_fit(y)
     welch = ps.welch_psd(y, 8192)
     cases = [
         ((), ps.ar_psd(model), 0.0),
@@ -799,7 +799,8 @@ def test_spectrum_input_default_welch_segment(tmp_path):
     "n, options, message",
     [
         (1, (), "need more than 1 samples to fit order 1, got 1"),
-        (3, ("--order", 3), "need more than 3 samples to fit order 3, got 3"),
+        (1, ("--method", "welch", "--segment", 2),
+         "segment length 2 exceeds series length 1"),
         (3, ("--method", "welch", "--segment", 8),
          "segment length 8 exceeds series length 3"),
         (3, ("--method", "welch"), "segment length 8 exceeds series length 3"),
@@ -922,7 +923,7 @@ def test_spectrum_mem_matches_library():
     assert header == "f,P"
     table = np.array([[float(v) for v in r.split(",")] for r in rows])
     y = ps.fluctuation_series(4096)
-    spec = ps.ar_psd(ps.burg_fit(y, order=1))
+    spec = ps.ar_psd(ps.burg_fit(y))
     assert np.array_equal(table[:, 0], spec.freqs)
     assert np.array_equal(table[:, 1], spec.power)
     assert "# method=mem" in result.output
@@ -1080,8 +1081,8 @@ def test_run_config_seeds_synthetic_signals_like_the_cli(tmp_path):
          "--spectrum-csv cannot be combined with --method"),
         (["fit", "--spectrum-csv", "{csv}", "--segment", 8192],
          "--spectrum-csv cannot be combined with --segment"),
-        (["fit", "--spectrum-csv", "{csv}", "--order", 7, "--seed", 3,
-          "--ar-coeff", 0.2], "--spectrum-csv cannot be combined with --order"),
+        (["fit", "--spectrum-csv", "{csv}", "--n-freq", 7, "--seed", 3,
+          "--ar-coeff", 0.2], "--spectrum-csv cannot be combined with --n-freq"),
         (["fit", "--spectrum-csv", "{csv}", "--n-freq", 64],
          "--spectrum-csv cannot be combined with --n-freq"),
         (["fit", "--spectrum-csv", "{csv}", "--f-lo", 1e-3],
@@ -1109,8 +1110,8 @@ def test_options_of_another_source_are_refused(tmp_path, args, message):
         (["--synthetic", "white", "--n", 1000, "--ar-coeff", 0.5],
          "--ar-coeff needs --synthetic ar1"),
         (["--n", 1000, "--segment", 64], "--segment needs --method welch"),
-        (["--n", 1000, "--method", "welch", "--segment", 64, "--order", 3,
-          "--n-freq", 9, "--f-lo", 0.01], "--order needs --method mem"),
+        (["--n", 1000, "--method", "welch", "--segment", 64, "--n-freq", 9,
+          "--f-lo", 0.01], "--n-freq needs --method mem"),
         (["--n", 1000, "--method", "welch", "--n-freq", 9],
          "--n-freq needs --method mem"),
         (["--n", 1000, "--method", "welch", "--f-lo", 0.01],
@@ -1121,6 +1122,17 @@ def test_options_that_apply_to_nothing_are_refused(command, args, message):
     result = run(command, *args)
     assert result.exit_code == 2
     assert message in message_of(result)
+
+
+def test_autoregressive_order_is_one():
+    # orders above 1 are gone: the option is unknown, and so is the argument
+    for args in (["fit", "--n", 1000, "--order", 3],
+                 ["spectrum", "--n", 1000, "--order", 2]):
+        result = run(*args)
+        assert result.exit_code == 2
+        assert re.search(r"No such option:? '?--order", message_of(result))
+    with pytest.raises(TypeError):
+        ps.burg_fit(np.arange(10.0), order=1)
 
 
 # ---------------------------------------------------------------------------
@@ -1151,7 +1163,7 @@ def test_streamed_spectra_match_materialised(small_segments):
     n = 20_000
     y = ps.remove_mean(ps.fluctuation_series(n))
     table = spectrum_table(run("spectrum", "--n", n))
-    spec = ps.ar_psd(ps.burg_fit(y, order=1))
+    spec = ps.ar_psd(ps.burg_fit(y))
     assert np.array_equal(table[:, 0], spec.freqs)
     assert np.allclose(table[:, 1], spec.power, rtol=1e-10, atol=0)
     result = run("spectrum", "--n", n, "--method", "welch", "--segment", 512)
@@ -1162,18 +1174,10 @@ def test_streamed_spectra_match_materialised(small_segments):
     assert f"# n_segments={spec.estimator['n_segments']}" in result.output
 
 
-def test_higher_order_matches_library(small_segments):
-    result = run("spectrum", "--n", 10_000, "--order", 3)
-    y = ps.fluctuation_series(10_000)
-    spec = ps.ar_psd(ps.burg_fit(y, order=3))
-    assert np.array_equal(spectrum_table(result)[:, 1], spec.power)
-    assert "# order=3" in result.output
-
-
 @pytest.mark.parametrize(
     "options",
-    [[], ["--order", 3], ["--method", "welch", "--segment", 8192]],
-    ids=["mem", "order3", "welch8192"],
+    [[], ["--method", "welch", "--segment", 8192]],
+    ids=["mem", "welch8192"],
 )
 @pytest.mark.parametrize("x_start", [2, 3000])
 def test_input_gives_the_bytes_of_n(tmp_path, small_segments, small_chunks,

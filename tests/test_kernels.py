@@ -157,19 +157,33 @@ def test_psi_route_leaves_lambda_untouched():
         assert lam.tobytes() == want.tobytes()
 
 
+def _burg1_over_rows(y, sizes):
+    """``(coeffs, noise_var)`` of the order-1 fit of ``y``, whose mean is
+    0, from the kernel's sums chained over rows of the given sizes."""
+    sums, last = [(0.0, 0.0)] * 4, None
+    for row in np.split(y, np.cumsum(sizes)[:-1]):
+        sums = kern.burg_recursion(row, sums, last)
+        last = float(row[-1])
+    xx, ff, bb, fb = (s - c for s, c in sums)
+    k = -2.0 * fb / (ff + bb)
+    return np.array([k]), xx / y.size * (1.0 - k * k)
+
+
 def test_burg_matches_scalar_recursion():
     y = ps.remove_mean(ar1_sample(42, 20_000, coeff=0.8))
-    for order in (1, 2, 5):
-        a, e = kern.burg_recursion(y, order)
-        a_ref, e_ref = burg_scalar(y, order)
+    a_ref, e_ref = burg_scalar(y, 1)
+    # one row, uneven rows with one-sample rows at both ends, and the
+    # reader's rows
+    for sizes in ([20_000], [1, 4096, 3, 7000, 8899, 1], [4096] * 4 + [3616]):
+        a, e = _burg1_over_rows(y, sizes)
         assert np.allclose(a, a_ref, rtol=1e-9, atol=1e-12)
         assert e == pytest.approx(e_ref, rel=1e-9)
 
 
 def test_burg_matches_scalar_recursion_small():
     y = ps.remove_mean(ar1_sample(7, 512, coeff=0.5))
-    a, e = kern.burg_recursion(y, 3)
-    a_ref, e_ref = burg_scalar(y, 3)
+    a, e = _burg1_over_rows(y, [512])
+    a_ref, e_ref = burg_scalar(y, 1)
     assert np.allclose(a, a_ref, rtol=1e-10, atol=1e-13)
     assert e == pytest.approx(e_ref, rel=1e-10)
 

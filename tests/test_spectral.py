@@ -21,7 +21,7 @@ from conftest import ar1_sample
 
 def test_burg_ar1_against_yule_walker():
     y = ps.remove_mean(ar1_sample(1234, 10**4))
-    model = ps.burg_fit(y, order=1)
+    model = ps.burg_fit(y)
     a_yw = oracles.yule_walker(y, order=1)[0]
     assert -0.93 <= model.coeffs[0] <= -0.87
     assert abs(model.coeffs[0] - a_yw) < 0.01
@@ -32,47 +32,33 @@ def test_burg_ar1_against_yule_walker():
 def test_burg_white_noise_has_no_memory():
     rng = np.random.default_rng(77)
     w = ps.remove_mean(rng.standard_normal(10**4))
-    model = ps.burg_fit(w, order=1)
+    model = ps.burg_fit(w)
     assert abs(model.coeffs[0]) < 0.05
     assert model.noise_var == pytest.approx(w.var(), rel=0.05)
 
 
 def test_burg_reflection_coefficients_bounded():
-    y = ps.remove_mean(ar1_sample(5, 4096, coeff=0.7))
-    # the last coefficient of an order-m fit is the m-th reflection coefficient
-    ks = [ps.burg_fit(y, order=m).coeffs[-1] for m in range(1, 9)]
-    assert np.all(np.abs(ks) <= 1.0)
+    # an AR(1) sample, a random walk (k near -1) and an alternating series
+    # (k near +1)
+    rng = np.random.default_rng(5)
+    walk = np.cumsum(rng.standard_normal(4096))
+    alternating = np.where(np.arange(4096) % 2, 1.0, -1.0) + 0.01 * walk
+    for y in (ar1_sample(5, 4096, coeff=0.7), walk, alternating):
+        assert abs(ps.burg_fit(y).coeffs[0]) <= 1.0
 
 
 def test_burg_accepts_fluc_series(fluc_1e4):
-    model = ps.burg_fit(fluc_1e4, order=1)
+    model = ps.burg_fit(fluc_1e4)
     assert abs(model.coeffs[0]) <= 1.0
 
 
 def test_burg_validation():
     with pytest.raises(DegenerateInputError):
-        ps.burg_fit(np.full(100, 3.25), order=1)
+        ps.burg_fit(np.full(100, 3.25))
     with pytest.raises(DomainError):
-        ps.burg_fit(np.arange(3.0), order=3)
+        ps.burg_fit(np.arange(1.0))
     with pytest.raises(DomainError):
-        ps.burg_fit(np.arange(10.0), order=0)
-    with pytest.raises(DomainError):
-        ps.burg_fit(np.zeros((3, 3)), order=1)
-
-
-def test_burg_order2_on_fluctuation_behaves(fluc_1e4):
-    """Order 2 keeps both poles real here, so the spectrum stays smooth
-    and monotone above f = 0.1 instead of developing wiggles."""
-    y = ps.remove_mean(fluc_1e4)
-    model = ps.burg_fit(y, order=2)
-    spec = ps.ar_psd(model)
-    assert np.all(np.isfinite(spec.power)) and np.all(spec.power > 0)
-    poles = np.roots(np.concatenate(([1.0], model.coeffs)))
-    assert np.all(np.abs(poles.imag) < 1e-12)
-    assert np.all(np.abs(poles) < 1.0)
-    hi = spec.freqs > 0.1
-    dlog = np.diff(np.log10(spec.power[hi]))
-    assert int((np.diff(np.sign(dlog)) != 0).sum()) == 0
+        ps.burg_fit(np.zeros((3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +206,7 @@ def test_welch_validation():
 
 def test_estimators_agree_on_ar1_sample():
     y = ps.remove_mean(ar1_sample(2024, 2**17))
-    mem = ps.ar_psd(ps.burg_fit(y, order=1))
+    mem = ps.ar_psd(ps.burg_fit(y))
     wel = ps.welch_psd(y, segment_len=2048)
     band = (wel.freqs >= 1e-2) & (wel.freqs <= 0.25)
     mem_interp = np.interp(
@@ -232,7 +218,7 @@ def test_estimators_agree_on_ar1_sample():
 
 def test_estimators_agree_on_fluctuation():
     y = ps.remove_mean(ps.fluctuation_series(2**14))
-    mem = ps.ar_psd(ps.burg_fit(y, order=1))
+    mem = ps.ar_psd(ps.burg_fit(y))
     wel = ps.welch_psd(y)
     band = (wel.freqs >= 1e-3) & (wel.freqs <= 1e-1) & (wel.power > 0)
     mem_interp = np.interp(
@@ -297,8 +283,8 @@ def _split(values, sizes):
 @pytest.mark.parametrize("n, x_start", [(40_000, 2), (30_000, 100_000)])
 def test_streamed_estimators_match_materialised(small_segments, n, x_start):
     y = ps.fluctuation_series(n, x_start)
-    got = ps.burg_fit(_fluctuation_blocks(n, x_start), order=1)
-    want = ps.burg_fit(y, order=1)
+    got = ps.burg_fit(_fluctuation_blocks(n, x_start))
+    want = ps.burg_fit(y)
     assert np.array_equal(got.coeffs, want.coeffs)
     assert got.noise_var == want.noise_var
     assert got.n_samples == want.n_samples == n
@@ -313,8 +299,8 @@ def test_irregular_blocks_match_one_array():
     # blocks shorter than a segment, an empty block, and a large offset
     x = ar1_sample(3, 5000, coeff=0.6) + 40.0
     sizes = [1, 700, 0, 300, 17, 2500]
-    got = ps.burg_fit(_split(x, sizes), order=1)
-    want = ps.burg_fit(x, order=1)
+    got = ps.burg_fit(_split(x, sizes))
+    want = ps.burg_fit(x)
     assert np.array_equal(got.coeffs, want.coeffs)
     assert got.noise_var == want.noise_var
     for segment_len in (256, 512):
@@ -331,7 +317,7 @@ WELCH_SEGMENTS = (2, 256, 4096, 8192)
 
 @functools.cache
 def _one_array_estimates():
-    model = ps.burg_fit(PARTITIONED, order=1)
+    model = ps.burg_fit(PARTITIONED)
     welch = [ps.welch_psd(PARTITIONED, s).power for s in WELCH_SEGMENTS]
     return model, welch
 
@@ -345,7 +331,7 @@ def test_any_partition_gives_the_bits_of_one_array(sizes):
     # partition, empty and one-sample blocks included, is estimated alike
     x = PARTITIONED
     want, welch = _one_array_estimates()
-    got = ps.burg_fit(_split(x, sizes), order=1)
+    got = ps.burg_fit(_split(x, sizes))
     assert np.array_equal(got.coeffs, want.coeffs)
     assert got.noise_var == want.noise_var
     for segment_len, power in zip(WELCH_SEGMENTS, welch):
@@ -371,36 +357,11 @@ def test_burg_sums_do_not_lose_precision_over_many_rows(seed):
 def test_demean_of_one_array_keeps_the_bits():
     x = ar1_sample(8, 3000) + 7.0
     before = x.copy()
-    y = ps.remove_mean(x)
-    for order in (1, 3):
-        got = ps.burg_fit(x, order=order)
-        coeffs, noise_var = _kernels.burg_recursion(y, order)
-        assert np.array_equal(got.coeffs, coeffs)
-        assert got.noise_var == noise_var
+    got = ps.burg_fit(x)
+    coeffs, noise_var = oracles.burg1_array(ps.remove_mean(x))
+    assert np.array_equal(got.coeffs, coeffs)
+    assert got.noise_var == noise_var
     assert np.array_equal(x, before)  # the caller's array is left as it was
-
-
-def test_higher_order_gathers_the_blocks(small_segments):
-    n = 20_000
-    y = ps.fluctuation_series(n)
-    got = ps.burg_fit(_fluctuation_blocks(n), order=3)
-    want = ps.burg_fit(y, order=3)
-    assert np.array_equal(got.coeffs, want.coeffs)
-    assert got.noise_var == want.noise_var
-
-
-def test_higher_order_holds_the_series_three_times():
-    x = np.cumsum(np.random.default_rng(1).standard_normal(1 << 20))
-    tracemalloc.start()
-    try:
-        ps.burg_fit(x, order=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the gathered rows and the errors f and b, 8 MiB each, and 256 KiB of
-    # scratch: 24.3 MiB; 40.0 MiB while each stage built new f and b
-    # beside the old
-    assert peak < 25 * 2**20
 
 
 def test_block_series_validation():
@@ -424,12 +385,11 @@ def _stream(values, sizes):
 def test_unknown_length_is_counted():
     x = ar1_sample(5, 5000, coeff=0.6) + 40.0
     sizes = [1, 700, 0, 300, 17, 2500]
-    for order in (1, 3):
-        got = ps.burg_fit(_stream(x, sizes), order=order)
-        want = ps.burg_fit(_split(x, sizes), order=order)
-        assert np.array_equal(got.coeffs, want.coeffs)
-        assert got.noise_var == want.noise_var
-        assert got.n_samples == want.n_samples == x.size
+    got = ps.burg_fit(_stream(x, sizes))
+    want = ps.burg_fit(_split(x, sizes))
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert got.noise_var == want.noise_var
+    assert got.n_samples == want.n_samples == x.size
     for segment_len in (256, None):
         got = ps.welch_psd(_stream(x, sizes), segment_len)
         want = ps.welch_psd(_split(x, sizes), segment_len)
@@ -492,7 +452,6 @@ def test_welch_short_blocks_hold_a_few_segments():
     [
         (0, lambda s: ps.burg_fit(s), "need more than 1 samples to fit order 1, got 0"),
         (1, lambda s: ps.burg_fit(s), "need more than 1 samples to fit order 1, got 1"),
-        (3, lambda s: ps.burg_fit(s, order=3), "need more than 3 samples to fit order 3, got 3"),
         (64, lambda s: ps.welch_psd(s, 128), "segment length 128 exceeds series length 64"),
         # refused before a taper of 2**40 points is made
         (64, lambda s: ps.welch_psd(s, 2**40), "segment length 1099511627776 exceeds"),
@@ -517,7 +476,6 @@ def test_length_checks_run_up_front_or_on_the_count(n, estimate, message):
 #: Every estimator, each of which reads the series through the one reader.
 ESTIMATORS = {
     "burg order 1": lambda s: ps.burg_fit(s),
-    "burg order 3": lambda s: ps.burg_fit(s, order=3),
     "welch": lambda s: ps.welch_psd(s, 4),
 }
 
@@ -544,20 +502,6 @@ def test_reader_refuses_wrong_counts_and_shapes(estimate, series, message):
         estimate(series())
 
 
-def test_centring_through_rows_keeps_accuracy_above_order_1():
-    # many rows of a series whose mean is far from its first row's: the
-    # rows' offset is removed once, after the gather, and the fit matches
-    # the recursion on the series centred in longdouble to 2 eps
-    y = ps.fluctuation_series((1 << 18) + 777)
-    wide = y.astype(np.longdouble)
-    centred = (wide - wide.mean()).astype(np.float64)
-    coeffs, noise_var = _kernels.burg_recursion(centred, 3)
-    got = ps.burg_fit(y, order=3)
-    eps = np.spacing(1.0)
-    assert np.all(np.abs(got.coeffs - coeffs) <= 2 * eps * np.abs(coeffs))
-    assert abs(got.noise_var - noise_var) <= 2 * eps * noise_var
-
-
 def test_no_estimator_writes_into_its_input():
     # three rows and a part, with an offset the reader shifts away; the
     # second block holds the second and third rows whole
@@ -568,8 +512,7 @@ def test_no_estimator_writes_into_its_input():
     def views():
         return ps.BlockSeries(blocks=np.split(x, np.cumsum(sizes)), n=x.size)
 
-    for estimate in (lambda s: ps.burg_fit(s), lambda s: ps.burg_fit(s, order=3),
-                     lambda s: ps.welch_psd(s, 256)):
+    for estimate in (lambda s: ps.burg_fit(s), lambda s: ps.welch_psd(s, 256)):
         for series in (lambda: x, views):
             estimate(series())
             assert np.array_equal(x, before)
