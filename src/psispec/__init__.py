@@ -46,13 +46,11 @@ from .spectral import (
 )
 from .zeta import (
     ZetaZeros,
-    analytic_fourier_mag,
     analytic_psd,
     analytic_spectrum,
     bundled_zeros_path,
     load_zeros,
     psi_fluc_from_zeros,
-    zero_density_avg,
 )
 
 __version__ = "0.1.0"
@@ -83,8 +81,6 @@ __all__ = [
     "load_zeros",
     "bundled_zeros_path",
     "psi_fluc_from_zeros",
-    "zero_density_avg",
-    "analytic_fourier_mag",
     "analytic_psd",
     "analytic_spectrum",
     "__version__",

@@ -3,8 +3,8 @@
 ``mangoldt_segment`` sieves the von Mangoldt function on one segment from
 tables of base primes and their powers built once per run, striking
 composites with slices and one scatter, and returns its support, the
-points where it is nonzero, which ``densify`` lays out in rows;
-``half_jump_prefix`` accumulates psi over the rows in cache-sized chunks,
+points where it is nonzero, which ``densify`` lays out in rows of
+``_PREFIX_CHUNK`` values; ``half_jump_prefix`` extends psi over one row,
 ``burg_recursion`` adds a row to the running sums of the order-1 Burg
 fit, ``zero_pair_sum`` totals the explicit formula, term by term at sparse
 points and by interpolation from Chebyshev nodes in ln x where points
@@ -114,9 +114,11 @@ def _strike_sparse(composite, lo, primes):
 # ---------------------------------------------------------------------------
 #
 # out[j] = sum(lam[:j+1]) + carry - 0.5 * lam[j], where ``carry`` is the
-# running total of earlier segments held as a Kahan pair (s, c) with
-# true total ~= s - c.  Returns (out, s, c) so segments chain.
+# running total of earlier rows held as a Kahan pair (s, c) with
+# true total ~= s - c.  Returns (out, s, c) so rows chain.
 
+#: The row length: ``prime_series`` lays Lambda out in rows of it, one
+#: prefix call each, and ``spectral`` cuts every series into rows of it.
 _PREFIX_CHUNK = 4096
 
 
@@ -128,26 +130,13 @@ def kahan_add(s, c, x):
 
 
 def half_jump_prefix(lam, s, c):
-    """Cumsum in chunks of ``_PREFIX_CHUNK``: each chunk starts from a base
-    carried as a Kahan pair over the pairwise chunk totals, so long inputs
-    do not accumulate O(n) rounding error.
-
-    Returns psi in a fresh array; ``lam`` is not written.  Each chunk is
-    summed, halved into one reused scratch of a chunk and then overwritten,
-    so the call allocates nothing larger than 32 KB beyond its result and
-    its passes stay in cache.  ``prime_series`` calls it once per chunk."""
-    out = np.empty_like(lam)
-    half = np.empty(min(lam.shape[0], _PREFIX_CHUNK))
-    for lo in range(0, lam.shape[0], _PREFIX_CHUNK):
-        row = lam[lo : lo + _PREFIX_CHUNK]
-        dst, h = out[lo : lo + _PREFIX_CHUNK], half[: row.shape[0]]
-        base = s - c
-        s, c = kahan_add(s, c, float(row.sum()))
-        np.multiply(row, 0.5, out=h)
-        np.cumsum(row, out=dst)
-        dst += base
-        dst -= h
-    return out, s, c
+    """Psi over one row of Lambda, ``lam``, in a fresh array, and the pair
+    moved on by the row's pairwise total.  ``prime_series`` calls it once
+    per row of ``_PREFIX_CHUNK`` values; ``lam`` is not written."""
+    out = np.cumsum(lam)
+    out += s - c
+    out -= lam * 0.5
+    return (out, *kahan_add(s, c, float(lam.sum())))
 
 
 # ---------------------------------------------------------------------------

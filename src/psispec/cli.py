@@ -746,7 +746,10 @@ def reconstruct(**params):
 @_OUT
 @_translate_errors
 def analytic(**params):
-    """Emit the asymptotic spectrum 2*ln^2(f/(2 pi))/f^2 over a band."""
+    """Tabulate the asymptotic 2*ln^2(f/(2 pi))/f^2 over a band.
+
+    It holds for f >= 2 pi, in the angular variable of ln x; it does not
+    predict `spectrum` on the default band, 1e-3..1e-1 cycles per unit x."""
     cmd_analytic(RunConfig(**params))
 
 

@@ -120,33 +120,9 @@ def psi_fluc_from_zeros(x, zeros: ZetaZeros, n_zeros: int):
     return _scalar_or_array(x, out)
 
 
-def zero_density_avg(t):
-    """Average density of zero ordinates near height ``t``:
-    ``(1/(2 pi)) ln(t/(2 pi))``.  Positive and meaningful for t > 2 pi."""
-    arr = np.asarray(t, dtype=np.float64)
-    if not np.all(arr > 0.0):
-        raise DomainError("zero density requires t > 0")
-    out = np.log(arr / TWO_PI) / TWO_PI
-    return _scalar_or_array(t, out)
-
-
-def analytic_fourier_mag(f):
-    """Magnitude ``ln(f/(2 pi)) / sqrt(1/4 + f^2)`` of the stationary-phase
-    transform of the fluctuation.  Exposed for ``f >= 2 pi`` only; the
-    asymptotic derivation does not cover lower frequencies."""
-    arr = np.asarray(f, dtype=np.float64)
-    if not np.all(np.isfinite(arr) & (arr > 0.0)):
-        raise DomainError("frequency must be positive and finite")
-    if not np.all(arr >= TWO_PI):
-        raise DomainError(
-            "analytic transform magnitude is valid for f >= 2*pi only"
-        )
-    out = np.log(arr / TWO_PI) / np.sqrt(0.25 + arr * arr)
-    return _scalar_or_array(f, out)
-
-
 def analytic_psd(f):
-    """Asymptotic one-sided density ``2 ln^2(f/(2 pi)) / f^2``."""
+    """Asymptotic one-sided density ``2 ln^2(f/(2 pi)) / f^2``, for f >= 2 pi
+    in the angular variable conjugate to ln x; it predicts nothing below."""
     arr = np.asarray(f, dtype=np.float64)
     if not np.all(np.isfinite(arr) & (arr > 0.0)):
         raise DomainError("frequency must be positive and finite")

@@ -8,7 +8,9 @@ truncated series instead of the closed form, Yule-Walker, a scalar
 recursion and whole-array dot products instead of the row-wise Burg sums,
 a Kahan loop and a 30-digit mpmath loop instead of the tiled or
 interpolated zero sum, and the Riemann-Siegel Z function (via mpmath) for
-zero ordinates.
+zero ordinates.  ``fourier_mag_asymptotic`` is the one formula here with no
+library counterpart: the transform magnitude that the asymptotic density
+is checked against.
 """
 
 import math
@@ -163,6 +165,15 @@ def yule_walker(y, order: int = 1) -> np.ndarray:
     )
     phi = np.linalg.solve(toeplitz, r[1:])
     return -phi
+
+
+def fourier_mag_asymptotic(f: float) -> float:
+    """|F(f)| = ln(f/(2 pi)) / sqrt(1/4 + f^2), the stationary-phase
+    magnitude of the fluctuation's transform in the angular variable f
+    conjugate to ln x, for f >= 2 pi, where the asymptotic density
+    2 ln^2(f/(2 pi)) / f^2 must equal 2 |F|^2 to within a factor
+    f^2 / (1/4 + f^2)."""
+    return math.log(f / (2.0 * math.pi)) / math.sqrt(0.25 + f * f)
 
 
 def is_zeta_zero_ordinate(t: float, half_window: float = 1e-4) -> bool:

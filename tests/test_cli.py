@@ -1367,6 +1367,31 @@ def test_readme_fit_report_matches_a_run():
         assert repr(report[key]).startswith(digits), key
 
 
+def test_readme_random_walk_fits_match_runs():
+    """README's b and a of ``fit`` on psi_fluc and on a random walk, and the
+    ratio of the two a, agree with runs of the commands it quotes, to the
+    digits it prints."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quoted = re.findall(
+        r"`psispec (fit [^`]*)`[^`]*?gives b = −([\d.]+) \(a = ([\d.]+)\)", readme
+    )
+    assert [args for args, _, _ in quoted] == [
+        "fit --n 1000000",
+        "fit --synthetic ar1 --ar-coeff 1 --seed 0 --n 1000000",
+    ]
+    amplitudes = []
+    for args, b, a in quoted:
+        result = run(*args.split())
+        assert result.exit_code == 0, message_of(result)
+        report = json.loads(result.output)
+        for shown, value in ((b, -report["b"]), (a, report["a"])):
+            decimals = len(shown.partition(".")[2])
+            assert f"{value:.{decimals}f}" == shown, args
+        amplitudes.append(report["a"])
+    (ratio,) = re.findall(r"the amplitudes, ([\d.]+),", readme)
+    assert f"{amplitudes[0] / amplitudes[1]:.2f}" == ratio
+
+
 @pytest.mark.parametrize(
     "row, value, line",
     [(1, "nan,1.0", 3), (39, "inf,1.0", 41), (5, "0.06,nan", 7), (0, "0.01,inf", 2)],

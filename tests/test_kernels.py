@@ -133,11 +133,13 @@ def test_prefix_carry_chains_across_segments():
     assert float(np.max(np.abs(glued - whole))) < 1e-10
 
 
-@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 2**18, 2**18 + 5])
+@pytest.mark.parametrize("n", [1, 4095, 4096])
 def test_prefix_over_its_input_keeps_every_bit(n):
     lo, mid = 10**6, 10**6 + 2**18
     base = _base_primes(mid + 2**18)
-    _, s, c = kern.half_jump_prefix(_lam(lo, mid, base), 0.0, 0.0)
+    s = c = 0.0
+    for row in np.split(_lam(lo, mid, base), 2**18 // kern._PREFIX_CHUNK):
+        _, s, c = kern.half_jump_prefix(row, s, c)
     assert c != 0.0  # the carry is a pair, not a plain total
     lam = _lam(mid, mid + n, base)
     fresh, _, _ = kern.half_jump_prefix(lam, s, c)
@@ -155,6 +157,28 @@ def test_psi_route_leaves_lambda_untouched():
         assert not np.shares_memory(lam, psi)
         want = _lam(x0, x0 + lam.size, base)
         assert lam.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("x_start", [2, 1000, 2**18 + 4097])
+def test_sieve_calls_the_prefix_once_per_row(monkeypatch, x_start):
+    n, calls = 3 * 2**18 + 5, []
+
+    def spy(lam, s, c):
+        calls.append(lam.size)
+        return prefix(lam, s, c)
+
+    prefix = kern.half_jump_prefix
+    monkeypatch.setattr(kern, "half_jump_prefix", spy)
+    for _ in ps.grid_segments(n, x_start=x_start):
+        pass
+    # every segment from 2, rows below x_start included, is cut into rows
+    limit, row = x_start + n - 1, kern._PREFIX_CHUNK
+    want = []
+    for lo in range(2, limit + 1, ps.prime_series._SEGMENT):
+        size = min(ps.prime_series._SEGMENT, limit + 1 - lo)
+        want += [min(row, size - i) for i in range(0, size, row)]
+    assert max(calls) <= row
+    assert calls == want
 
 
 def _burg1_over_rows(y, sizes):

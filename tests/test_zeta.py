@@ -119,21 +119,8 @@ def test_parse_rejects_empty_and_missing(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Average zero density
+# Zero count against the average density (1/(2 pi)) ln(t/(2 pi))
 # ---------------------------------------------------------------------------
-
-
-def test_density_values():
-    assert ps.zero_density_avg(TWO_PI * math.e) == pytest.approx(
-        1.0 / TWO_PI, abs=1e-12
-    )
-    assert ps.zero_density_avg(TWO_PI) == 0.0
-    with pytest.raises(DomainError):
-        ps.zero_density_avg(0.0)
-    with pytest.raises(DomainError):
-        ps.zero_density_avg(-5.0)
-    with pytest.raises(DomainError):
-        ps.zero_density_avg(math.nan)
 
 
 def test_density_integral_matches_count(zeros):
@@ -249,39 +236,15 @@ def test_conjugate_pair_realness(zeros, x, k):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.filterwarnings("error")
-def test_mag_boundary_and_domain():
-    assert ps.analytic_fourier_mag(TWO_PI) == 0.0
-    with pytest.raises(DomainError):
-        ps.analytic_fourier_mag(6.0)  # below 2*pi
-    with pytest.raises(DomainError):
-        ps.analytic_fourier_mag(0.0)
-    with pytest.raises(DomainError):
-        ps.analytic_fourier_mag(-1.0)
-    with pytest.raises(DomainError):
-        ps.analytic_fourier_mag(math.nan)
-    for bad in (math.inf, -math.inf):
-        with pytest.raises(DomainError):
-            ps.analytic_fourier_mag(bad)
-    with pytest.raises(DomainError):
-        ps.analytic_fourier_mag(np.array([10.0, math.inf]))
-
-
-def test_mag_asymptotic():
-    f = 1e8
-    assert f * ps.analytic_fourier_mag(f) / math.log(f / TWO_PI) == pytest.approx(
-        1.0, rel=1e-9
-    )
-
-
 def test_mag_psd_identity():
+    mag = oracles.fourier_mag_asymptotic
     for f in (10.0, 100.0, 1000.0):
-        ratio = 2.0 * ps.analytic_fourier_mag(f) ** 2 / ps.analytic_psd(f)
+        ratio = 2.0 * mag(f) ** 2 / ps.analytic_psd(f)
         assert ratio == pytest.approx(f * f / (0.25 + f * f), rel=1e-12)
         assert 1.0 - 1.0 / (f * f) <= ratio <= 1.0
-    assert 2.0 * ps.analytic_fourier_mag(100.0) ** 2 / ps.analytic_psd(
-        100.0
-    ) == pytest.approx(0.999975, abs=1e-6)
+    assert 2.0 * mag(100.0) ** 2 / ps.analytic_psd(100.0) == pytest.approx(
+        0.999975, abs=1e-6
+    )
 
 
 @pytest.mark.filterwarnings("error")
@@ -344,8 +307,6 @@ def test_scalar_inputs_give_floats_and_sequences_give_arrays(zeros):
         ps.smooth_part,
         ps.fluctuation_at,
         lambda x: ps.psi_fluc_from_zeros(x, zeros, 100),
-        ps.zero_density_avg,
-        ps.analytic_fourier_mag,
         ps.analytic_psd,
     ]
     for fn in funcs:
