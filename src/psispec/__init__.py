@@ -29,8 +29,9 @@ from .errors import (
 from .powerlaw import DEFAULT_BAND, PowerLawFit, fit_power_law
 from .prime_series import (
     fluctuation_at,
+    fluctuation_rows,
     fluctuation_series,
-    grid_segments,
+    psi_rows,
     psi_series,
     smooth_part,
 )
@@ -65,7 +66,8 @@ __all__ = [
     "smooth_part",
     "fluctuation_series",
     "fluctuation_at",
-    "grid_segments",
+    "psi_rows",
+    "fluctuation_rows",
     "ArModel",
     "PowerSpectrum",
     "BlockSeries",

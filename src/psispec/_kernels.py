@@ -4,7 +4,7 @@
 tables of base primes and their powers built once per run, striking
 composites with slices and one scatter, and returns its support, the
 points where it is nonzero, which ``densify`` lays out in rows of
-``_PREFIX_CHUNK`` values; ``half_jump_prefix`` extends psi over one row,
+``ROW_LEN`` values; ``half_jump_prefix`` extends psi over one row,
 ``burg_recursion`` adds a row to the running sums of the order-1 Burg
 fit, ``zero_pair_sum`` totals the explicit formula, term by term at sparse
 points and by interpolation from Chebyshev nodes in ln x where points
@@ -119,7 +119,7 @@ def _strike_sparse(composite, lo, primes):
 
 #: The row length: ``prime_series`` lays Lambda out in rows of it, one
 #: prefix call each, and ``spectral`` cuts every series into rows of it.
-_PREFIX_CHUNK = 4096
+ROW_LEN = 4096
 
 
 def kahan_add(s, c, x):
@@ -132,7 +132,7 @@ def kahan_add(s, c, x):
 def half_jump_prefix(lam, s, c):
     """Psi over one row of Lambda, ``lam``, in a fresh array, and the pair
     moved on by the row's pairwise total.  ``prime_series`` calls it once
-    per row of ``_PREFIX_CHUNK`` values; ``lam`` is not written."""
+    per row of ``ROW_LEN`` values; ``lam`` is not written."""
     out = np.cumsum(lam)
     out += s - c
     out -= lam * 0.5

@@ -65,7 +65,7 @@ from .errors import (
     open_input,
 )
 from .powerlaw import DEFAULT_BAND, fit_power_law
-from .prime_series import fluctuation_at, grid_segments, smooth_part
+from .prime_series import fluctuation_at, fluctuation_rows
 from .spectral import (BlockSeries, PowerSpectrum, ar_psd, burg_fit,
                        check_psd_grid, welch_psd)
 from .zeta import (analytic_spectrum, bundled_zeros_path, check_zero_count,
@@ -154,7 +154,7 @@ def _emit(output_path: str, text: str) -> None:
 
 
 def _write_table(output_path: str, head_lines: list[str], blocks) -> None:
-    """Write ``head_lines``, then for each item of ``blocks``, a list of
+    """Write ``head_lines``, then for each item of ``blocks``, a sequence of
     equal-length columns, one CSV row per index, every value at 17
     significant digits (``format(v, ".17g")``), ``_CHUNK_ROWS`` rows per
     write."""
@@ -441,10 +441,8 @@ def _pipeline_series(config: RunConfig) -> BlockSeries:
         return _synthetic_series(
             config.synthetic, config.n_samples, config.seed, config.ar_coeff
         )
-    segments = grid_segments(config.n_samples, x_start=config.x_start)
-    return BlockSeries(
-        blocks=(fluc for _, _, fluc in segments), n=config.n_samples
-    )
+    rows = fluctuation_rows(config.n_samples, config.x_start)
+    return BlockSeries(blocks=(fluc for *_, fluc in rows), n=config.n_samples)
 
 
 def _estimate_spectrum(config: RunConfig, series) -> PowerSpectrum:
@@ -475,25 +473,13 @@ def _spectrum_head(config: RunConfig, spectrum: PowerSpectrum) -> list[str]:
 
 
 def cmd_sample(config: RunConfig) -> None:
-    if config.n_samples < 1:
-        raise DomainError(f"need at least one sample, got {config.n_samples}")
-    if config.x_start < 2:
-        raise DomainError("smooth part is undefined at x = 1; start at x >= 2")
-    segments = grid_segments(config.n_samples, config.x_start, fluctuation=False)
+    rows = fluctuation_rows(config.n_samples, config.x_start)  # checks the grid
     head = [
         "# psispec sample",
         f"# n={config.n_samples} x_start={config.x_start} dx=1",
         "x,psi,smooth,fluc",
     ]
-    _write_table(config.output_path, head, _sample_blocks(segments))
-
-
-def _sample_blocks(segments):
-    """``[x, psi, smooth, fluc]`` for every row of the psi segments."""
-    for x0, _, psi in segments:
-        x = np.arange(x0, x0 + psi.size, dtype=np.float64)
-        smooth = smooth_part(x)
-        yield [x, psi, smooth, psi - smooth]
+    _write_table(config.output_path, head, rows)
 
 
 def cmd_spectrum(config: RunConfig) -> None:

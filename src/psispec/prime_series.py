@@ -20,10 +20,10 @@ from .errors import DomainError, ResourceError
 LN_2PI = math.log(2.0 * math.pi)
 
 #: Sieve segment length (integers per kernel call).  A multiple of
-#: ``_kernels._PREFIX_CHUNK``, the rows a segment is laid out in, so that
-#: the rows, and with them every bit of psi, do not depend on it.  A
-#: segment holds one byte of strike flags per integer and its support, 16
-#: bytes per prime or prime power, so its length moves the peak little,
+#: ``_kernels.ROW_LEN``, the length of the rows a segment is laid out in,
+#: so that the rows, and with them every bit of psi, do not depend on it.
+#: A segment holds one byte of strike flags per integer and its support,
+#: 16 bytes per prime or prime power, so its length moves the peak little,
 #: and shorter segments sieve slower at height: ``fit --n 1e6 --x-start
 #: 1e9``, which sieves 10**9 integers, took 21.8 / 18.0 / 18.5 / 15.7 s and
 #: peaked at 33.3 / 33.4 / 33.6 / 34.0 MB RSS at 2**16 / 2**17 / 2**18 /
@@ -76,73 +76,64 @@ def _base_primes(limit: int):
     return primes, powers[order], logs[owners[order]]
 
 
-def grid_segments(n: int, x_start: int = 2, fluctuation: bool = True):
-    """The grid ``x_start, ..., x_start + n - 1`` one row at a time.
+def psi_rows(n: int, x_start: int = 2):
+    """psi on the grid ``x_start, ..., x_start + n - 1`` one row at a time.
 
     Sieves Lambda on [2, x_start + n - 1] one ``_SEGMENT`` at a time, as
-    its support, and lays each segment out in rows of
-    ``_kernels._PREFIX_CHUNK`` values, counted from 2, one fresh row at a
-    time: each row extends the half-jump prefix with the Kahan
-    pair carried over from the rows before it and, when ``fluctuation``,
-    has the smooth part subtracted.  Rows below the grid are computed for
-    the carry but not yielded, so memory stays O(segment) whatever the
-    grid.  Yields ``(x0, lam, values)`` per row that meets the grid:
-    ``values`` is psi, or the fluctuation, at ``x0, x0 + 1, ...`` and
-    ``lam`` is Lambda at the same points.  Both are fresh arrays, which
-    the consumer may keep or overwrite: a segment's support is dropped
-    before the next one is sieved, whatever rows the consumer still holds.
+    its support, and lays each segment out in rows of ``_kernels.ROW_LEN``
+    values, counted from 2, one fresh row at a time: each row that meets
+    the grid extends the half-jump prefix with the Kahan pair carried over
+    from the rows before it, and each row below the grid moves the pair by
+    its sum alone, so memory stays O(segment) whatever the grid.  Yields
+    ``(x0, lam, psi)`` per row that meets the grid: psi and Lambda at
+    ``x0, x0 + 1, ...``.  Both are fresh arrays, which the consumer may
+    keep or overwrite: a segment's support is dropped before the next one
+    is sieved, whatever rows the consumer still holds.
     """
     if n < 1:
         raise DomainError(f"need at least one grid point, got n={n}")
     if x_start < 1:
         raise DomainError(f"grid must start at x >= 1, got {x_start}")
-    if fluctuation and x_start < 2:
-        raise DomainError(
-            f"fluctuation grid must start at x >= 2, got {x_start}"
-        )
     limit = x_start + n - 1
     _check_limit(limit)
-    return _segments(x_start, limit, fluctuation)
+    return _segments(x_start, limit)
 
 
-def _segments(x_start: int, limit: int, fluctuation: bool):
+def _segments(x_start: int, limit: int):
     base = _base_primes(limit)
     s = c = 0.0
     if x_start == 1:
         # Lambda(1) = 0, so psi(1) = 0 and the sieve starts at 2
         yield 1, np.zeros(1), np.zeros(1)
-    step = _kernels._PREFIX_CHUNK
     for lo in range(2, limit + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, limit + 1)
         support, logs = _kernels.mangoldt_segment(lo, hi, *base)
-        starts = range(0, hi - lo, step)
+        starts = range(0, hi - lo, _kernels.ROW_LEN)
         edges = np.searchsorted(support, [*starts, hi - lo]).tolist()
         for i, j, k in zip(starts, edges, edges[1:]):
             # a fresh row: the prefix reads it, and it is the Lambda yielded
-            size = min(step, hi - lo - i)
+            size = min(_kernels.ROW_LEN, hi - lo - i)
             row = _kernels.densify(support[j:k] - i, logs[j:k], size)
-            values, s, c = _kernels.half_jump_prefix(row, s, c)
+            if lo + i + size <= x_start:
+                # the row ends below the grid: the prefix's carry, bit for bit
+                s, c = _kernels.kahan_add(s, c, float(row.sum()))
+                continue
+            psi, s, c = _kernels.half_jump_prefix(row, s, c)
             below = max(x_start - lo - i, 0)  # points of the row off the grid
-            if below < row.size:
-                x0 = lo + i + below
-                values = values[below:]
-                if fluctuation:
-                    values -= smooth_part(
-                        np.arange(x0, x0 + values.size, dtype=np.float64)
-                    )
-                yield x0, row[below:], values
+            yield lo + i + below, row[below:], psi[below:]
         del support, logs  # before the next segment is sieved
 
 
-def _gather(n: int, x_start: int, fluctuation: bool) -> np.ndarray:
-    """The values of ``grid_segments`` in one array."""
-    blocks = grid_segments(n, x_start, fluctuation)
+def _gather(n: int, rows) -> np.ndarray:
+    """The last column of ``rows``, which tile ``n`` points, in one array."""
     try:
         values = np.empty(n, dtype=np.float64)
     except MemoryError as exc:
         raise ResourceError(f"cannot allocate grid of {n} points") from exc
-    for x0, _, block in blocks:
-        values[x0 - x_start : x0 - x_start + block.size] = block
+    end = 0
+    for *_, block in rows:
+        values[end : end + block.size] = block
+        end += block.size
     return values
 
 
@@ -154,7 +145,7 @@ def psi_series(n: int, x_start: int = 2) -> np.ndarray:
     with compensated summation, so values stay accurate to a few ulp even
     for grids of 10^8 points.
     """
-    return _gather(n, x_start, fluctuation=False)
+    return _gather(n, psi_rows(n, x_start))
 
 
 #: From 2**18 on the log term of the smooth part cannot change a bit of
@@ -190,9 +181,27 @@ def smooth_part(x):
     return _scalar_or_array(x, out)
 
 
+def fluctuation_rows(n: int, x_start: int = 2):
+    """The fluctuation on the grid of ``psi_rows``, one row at a time: yields
+    ``(x, psi, smooth, fluc)`` per row, four fresh arrays at the points
+    ``x``, with ``fluc = psi - smooth``.  The grid must start at x >= 2,
+    where the smooth part is defined."""
+    if x_start < 2:
+        raise DomainError(f"fluctuation grid must start at x >= 2, got {x_start}")
+    rows = psi_rows(n, x_start)
+
+    def fluctuation():
+        for x0, _, psi in rows:
+            x = np.arange(x0, x0 + psi.size, dtype=np.float64)
+            smooth = smooth_part(x)
+            yield x, psi, smooth, psi - smooth
+
+    return fluctuation()
+
+
 def fluctuation_series(n: int, x_start: int = 2) -> np.ndarray:
     """Fluctuation ``psi(x) - smooth(x)`` on the grid of ``psi_series``."""
-    return _gather(n, x_start, fluctuation=True)
+    return _gather(n, fluctuation_rows(n, x_start))
 
 
 def fluctuation_at(x) -> np.ndarray:
@@ -214,8 +223,7 @@ def fluctuation_at(x) -> np.ndarray:
     psi_vals = np.empty(points.shape, dtype=np.float64)
     if points.size:
         first, last = int(ascending[0]), int(ascending[-1])
-        segments = grid_segments(last - first + 1, first, fluctuation=False)
-        for x0, lam, psi in segments:
+        for x0, lam, psi in psi_rows(last - first + 1, first):
             lo, hi = np.searchsorted(ascending, [x0, x0 + psi.size])
             at = order[lo:hi]
             j = floors[at] - x0

@@ -13,9 +13,9 @@ spacing, so both report frequency in cycles per sample, and the axis ends
 at the Nyquist frequency 0.5, a spectrum's ``freqs[-1]``.
 
 Both estimate the series minus its mean through one reader, ``_Shifted``.
-It cuts every series into rows of ``_kernels._PREFIX_CHUNK`` samples
-counted from its first sample, so an estimate depends on the samples, not
-on where blocks end, and shifts each row by the first row's mean into one
+It cuts every series into rows of ``_kernels.ROW_LEN`` samples counted
+from its first sample, so an estimate depends on the samples, not on
+where blocks end, and shifts each row by the first row's mean into one
 reused row, so that no input is written; the rest of the mean is taken out
 at the end.  A ``BlockSeries`` is estimated in O(block) memory: Burg
 keeps running sums, Welch a buffer of one window.  One of unknown length
@@ -99,7 +99,7 @@ class _Shifted:
     def __iter__(self):
         if self.n is not None:
             self._check_length(self.n)
-        out = np.empty(_kernels._PREFIX_CHUNK)
+        out = np.empty(_kernels.ROW_LEN)
         shift = None
         later = 0.0
         count = 0
@@ -232,7 +232,7 @@ def _segments(blocks, segment_len: int, step: int):
     the heap, and doubles until a whole segment has come, so that a series
     shorter than its segment allocates no more than a row or itself.
     """
-    buf = np.empty(min(segment_len, _kernels._PREFIX_CHUNK))
+    buf = np.empty(min(segment_len, _kernels.ROW_LEN))
     held = 0  # samples of the next segment in buf[:held], from earlier blocks
     for block in blocks:
         start = -held  # where the next segment starts, relative to the block
@@ -256,8 +256,7 @@ def _segments(blocks, segment_len: int, step: int):
 
 def _rows(blocks):
     """``_segments`` one row long and one row apart, then the shorter rest."""
-    row = _kernels._PREFIX_CHUNK
-    rest = yield from _segments(blocks, row, row)
+    rest = yield from _segments(blocks, _kernels.ROW_LEN, _kernels.ROW_LEN)
     if rest.size:
         yield rest
 

@@ -245,9 +245,10 @@ def read_fluc(path):
     return np.concatenate(list(cli.read_sample_csv(path).blocks))
 
 
-def sample_lines(n=6):
+def sample_lines(n=6, x_start=2):
     """Lines of a ``sample`` CSV, with their line ends."""
-    return run("sample", "--n", n).output.splitlines(keepends=True)
+    result = run("sample", "--n", n, "--x-start", x_start)
+    return result.output.splitlines(keepends=True)
 
 
 def test_input_without_a_final_newline_gives_the_same_bytes(tmp_path):
@@ -370,13 +371,15 @@ def chunk_kinds(monkeypatch):
 
 
 def test_read_rows_straddling_chunks(tmp_path, small_chunks, chunk_kinds):
-    path = write_sample(tmp_path, sample_lines(300))
-    got = read_fluc(path)
-    assert got.size == 300
-    assert got.tobytes() == ps.fluctuation_series(300).tobytes()
-    # about SMALL_CHUNK bytes each, and every one canonical
-    assert len(chunk_kinds) > path.stat().st_size // (SMALL_CHUNK + 100)
-    assert not any(chunk_kinds)
+    for x_start in (2, 999999):
+        chunk_kinds.clear()
+        path = write_sample(tmp_path, sample_lines(300, x_start))
+        got = read_fluc(path)
+        assert got.size == 300
+        assert got.tobytes() == ps.fluctuation_series(300, x_start).tobytes()
+        # about SMALL_CHUNK bytes each, and every one canonical
+        assert len(chunk_kinds) > path.stat().st_size // (SMALL_CHUNK + 100)
+        assert not any(chunk_kinds)
 
 
 @pytest.mark.parametrize(

@@ -138,7 +138,7 @@ def test_prefix_over_its_input_keeps_every_bit(n):
     lo, mid = 10**6, 10**6 + 2**18
     base = _base_primes(mid + 2**18)
     s = c = 0.0
-    for row in np.split(_lam(lo, mid, base), 2**18 // kern._PREFIX_CHUNK):
+    for row in np.split(_lam(lo, mid, base), 2**18 // kern.ROW_LEN):
         _, s, c = kern.half_jump_prefix(row, s, c)
     assert c != 0.0  # the carry is a pair, not a plain total
     lam = _lam(mid, mid + n, base)
@@ -150,9 +150,9 @@ def test_prefix_over_its_input_keeps_every_bit(n):
 def test_psi_route_leaves_lambda_untouched():
     n, x_start = 2**18 + 5000, 1000
     base = _base_primes(x_start + n - 1)
-    blocks = list(ps.grid_segments(n, x_start, fluctuation=False))
-    # one row from x_start, then one per prefix chunk counted from 2
-    assert len(blocks) == (x_start + n - 1 - 2) // kern._PREFIX_CHUNK + 1
+    blocks = list(ps.psi_rows(n, x_start))
+    # one row from x_start, then one per row edge counted from 2
+    assert len(blocks) == (x_start + n - 1 - 2) // kern.ROW_LEN + 1
     for x0, lam, psi in blocks:
         assert not np.shares_memory(lam, psi)
         want = _lam(x0, x0 + lam.size, base)
@@ -169,14 +169,18 @@ def test_sieve_calls_the_prefix_once_per_row(monkeypatch, x_start):
 
     prefix = kern.half_jump_prefix
     monkeypatch.setattr(kern, "half_jump_prefix", spy)
-    for _ in ps.grid_segments(n, x_start=x_start):
+    for _ in ps.psi_rows(n, x_start=x_start):
         pass
-    # every segment from 2, rows below x_start included, is cut into rows
-    limit, row = x_start + n - 1, kern._PREFIX_CHUNK
+    # every segment from 2 is cut into rows, and the rows that meet the
+    # grid go through the prefix; those that end below x_start do not
+    limit, row = x_start + n - 1, kern.ROW_LEN
     want = []
     for lo in range(2, limit + 1, ps.prime_series._SEGMENT):
         size = min(ps.prime_series._SEGMENT, limit + 1 - lo)
-        want += [min(row, size - i) for i in range(0, size, row)]
+        want += [
+            min(row, size - i) for i in range(0, size, row)
+            if lo + i + min(row, size - i) > x_start
+        ]
     assert max(calls) <= row
     assert calls == want
 

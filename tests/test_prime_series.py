@@ -15,7 +15,7 @@ from conftest import SMALL_SEGMENT
 
 def library_lam(limit: int) -> np.ndarray:
     """Lambda(0..limit) as the library's sieve yields it, segment by segment."""
-    blocks = (lam for _, lam, _ in ps.grid_segments(limit, 1, fluctuation=False))
+    blocks = (lam for _, lam, _ in ps.psi_rows(limit, 1))
     return np.concatenate([[0.0], *blocks])
 
 
@@ -139,10 +139,14 @@ def test_fluctuation_values(fluc_1e4):
     assert np.abs(fl).max() == pytest.approx(47.0104236242405, abs=1e-8)
 
 
-def test_fluctuation_is_difference_by_construction():
-    fl = ps.fluctuation_series(500)
-    p = ps.psi_series(500)
-    assert np.array_equal(fl, p - ps.smooth_part(2 + np.arange(500)))
+def test_fluctuation_is_difference_by_construction(small_segments):
+    # from 2, and from off a row edge above three whole rows, which pay
+    # the carry their sum alone, over a grid that crosses a segment edge
+    for n, x_start in ((500, 2), (2 * SMALL_SEGMENT, 3 * ps._kernels.ROW_LEN + 5)):
+        fl = ps.fluctuation_series(n, x_start)
+        p = ps.psi_series(n, x_start)
+        x = x_start + np.arange(n)
+        assert np.array_equal(fl, p - ps.smooth_part(x))
 
 
 def test_fluctuation_at_on_and_off_grid():
@@ -166,6 +170,10 @@ def test_domain_errors():
         ps.psi_series(5, x_start=0)
     with pytest.raises(DomainError):
         ps.fluctuation_series(5, x_start=1)
+    # the row generators check their grid when called, before any row
+    for bad in (lambda: ps.psi_rows(0), lambda: ps.fluctuation_rows(5, 1)):
+        with pytest.raises(DomainError):
+            bad()
     with pytest.raises(DomainError):
         ps.fluctuation_at(1.5)
     for bad in (math.nan, math.inf, -math.inf):
@@ -209,29 +217,34 @@ def test_psi_within_3_ulp_at_1e7():
     assert worst <= 3 * np.spacing(got[-1])
 
 
-def test_grid_segments_tile_the_grid(small_segments):
+def test_rows_tile_the_grid(small_segments):
     n, x_start = 3 * SMALL_SEGMENT + 77, 5000
     base = ps.prime_series._base_primes(x_start + n - 1)
-    for fluctuation in (False, True):
-        starts, sizes = [], []
-        for x0, lam, values in ps.grid_segments(n, x_start, fluctuation):
-            assert lam.size == values.size <= ps._kernels._PREFIX_CHUNK
-            support = ps._kernels.mangoldt_segment(x0, x0 + lam.size, *base)
-            want = ps._kernels.densify(*support, lam.size)
-            assert lam.tobytes() == want.tobytes()
-            starts.append(x0)
-            sizes.append(values.size)
+    psi_rows = list(ps.psi_rows(n, x_start))
+    for x0, lam, values in psi_rows:
+        assert lam.size == values.size <= ps._kernels.ROW_LEN
+        support = ps._kernels.mangoldt_segment(x0, x0 + lam.size, *base)
+        want = ps._kernels.densify(*support, lam.size)
+        assert lam.tobytes() == want.tobytes()
+    fluc_rows = []
+    for x, psi, smooth, fluc in ps.fluctuation_rows(n, x_start):
+        assert x.size == psi.size == smooth.size == fluc.size <= ps._kernels.ROW_LEN
+        assert np.array_equal(x, x[0] + np.arange(x.size))
+        fluc_rows.append((int(x[0]), fluc))
+    for rows in ([(x0, psi) for x0, _, psi in psi_rows], fluc_rows):
+        starts = [x0 for x0, _ in rows]
+        sizes = [values.size for _, values in rows]
         assert starts[0] == x_start
-        # every later row starts on a prefix chunk, counted from 2
-        assert all(x0 % ps._kernels._PREFIX_CHUNK == 2 for x0 in starts[1:])
+        # every later row starts on a row edge, counted from 2
+        assert all(x0 % ps._kernels.ROW_LEN == 2 for x0 in starts[1:])
         assert np.array_equal(np.diff(starts), sizes[:-1])
         assert sum(sizes) == n
 
 
-def test_grid_segments_hold_no_dense_lambda():
+def test_psi_rows_hold_no_dense_lambda():
     tracemalloc.start()
     try:
-        for _ in ps.grid_segments(3 * 2**20):
+        for _ in ps.psi_rows(3 * 2**20):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -243,8 +256,12 @@ def test_grid_segments_hold_no_dense_lambda():
 
 
 def test_windows_are_bit_identical_to_full_prefix(small_segments):
-    full = ps.psi_series(4 * SMALL_SEGMENT, x_start=1)
-    for x_start, n in ((1, 10), (2, 4096), (4097, 3), (4098, 5000), (9000, 7000)):
+    full = ps.psi_series(10**6 + 20_000, x_start=1)
+    # the rows below a window move the carry by their sums alone; below
+    # 999999, 244 of them, a sum of their support alone would move bits
+    windows = ((1, 10), (2, 4096), (4097, 3), (4098, 5000), (9000, 7000),
+               (999_999, 20_000))
+    for x_start, n in windows:
         window = ps.psi_series(n, x_start=x_start)
         assert np.array_equal(window, full[x_start - 1 : x_start - 1 + n])
 
@@ -329,7 +346,7 @@ def traced_peak(function, *args):
 
 def test_burg_fit_over_the_sieve_holds_one_segment():
     n = 3 * 2**20
-    series = ps.BlockSeries(blocks=(f for _, _, f in ps.grid_segments(n)), n=n)
+    series = ps.BlockSeries(blocks=(f for *_, f in ps.fluctuation_rows(n)), n=n)
     # 0.6 MiB: a segment's strike flags and support and a few rows; 2.9
     # MiB with a segment of Lambda laid out whole; 4.8 MiB while the block
     # a consumer held kept the segment before alive through the sieve

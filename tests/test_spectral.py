@@ -268,8 +268,8 @@ def test_remove_mean_properties(xs):
 
 
 def _fluctuation_blocks(n, x_start=2):
-    segments = ps.grid_segments(n, x_start)
-    return ps.BlockSeries(blocks=(fluc for _, _, fluc in segments), n=n)
+    rows = ps.fluctuation_rows(n, x_start)
+    return ps.BlockSeries(blocks=(fluc for *_, fluc in rows), n=n)
 
 
 def _split(values, sizes):
@@ -311,7 +311,7 @@ def test_irregular_blocks_match_one_array():
 
 
 #: A series of a little over two rows and one 8192-sample Welch segment.
-PARTITIONED = ar1_sample(21, 2 * _kernels._PREFIX_CHUNK + 1500, coeff=0.97) - 25.0
+PARTITIONED = ar1_sample(21, 2 * _kernels.ROW_LEN + 1500, coeff=0.97) - 25.0
 WELCH_SEGMENTS = (2, 256, 4096, 8192)
 
 
@@ -344,7 +344,7 @@ def test_burg_sums_do_not_lose_precision_over_many_rows(seed):
     # variance, comes from a difference of the four sums; over 1024 rows,
     # plain running sums put k off the longdouble closed form by 12.5 to
     # 13.5 eps on these seeds, the Kahan pairs by at most 2 eps (seeds 0-9)
-    n, row = 1 << 22, _kernels._PREFIX_CHUNK
+    n, row = 1 << 22, _kernels.ROW_LEN
     x = np.cumsum(np.random.default_rng(seed).standard_normal(n)) + 1e4
     k, noise_var = oracles.burg1_longdouble(x)
     blocks = (x[lo : lo + row].copy() for lo in range(0, n, row))
@@ -505,7 +505,7 @@ def test_reader_refuses_wrong_counts_and_shapes(estimate, series, message):
 def test_no_estimator_writes_into_its_input():
     # three rows and a part, with an offset the reader shifts away; the
     # second block holds the second and third rows whole
-    x = ar1_sample(4, 3 * _kernels._PREFIX_CHUNK + 900, coeff=0.8) + 60.0
+    x = ar1_sample(4, 3 * _kernels.ROW_LEN + 900, coeff=0.8) + 60.0
     before = x.copy()
     sizes = [1000, 12000]
 
