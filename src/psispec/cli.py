@@ -23,12 +23,12 @@ finite.  The reader numbers the lines as it reads them (a canonical chunk
 holds one line per row), so a bad row, or a line that is not UTF-8, is
 named by its line in the file from its own chunk.  An ``--input`` table
 goes to the estimators as it is read, one ``fluc`` block per chunk, and a
-``--synthetic`` signal as it is drawn, ``_CHUNK_ROWS`` samples at a time;
-either is held whole only where the estimator gathers it (Welch without
-``--segment``).  The estimators cut every series into the same rows, so
-neither a source constant (``_CHUNK_BYTES``, ``_CHUNK_ROWS``,
-``prime_series._SEGMENT``) nor a table's line ends change a byte of
-output.
+``--synthetic`` signal, seeded white noise or its random walk, as it is
+drawn, ``_CHUNK_ROWS`` samples at a time; either is held whole only where
+the estimator gathers it (Welch without ``--segment``).  The estimators
+cut every series into the same rows, so neither a source constant
+(``_CHUNK_BYTES``, ``_CHUNK_ROWS``, ``prime_series._SEGMENT``) nor a
+table's line ends change a byte of output.
 
 ``--n`` and ``--x-start`` take any decimal spelling of an integer, such as
 ``1e7``.
@@ -40,7 +40,6 @@ stderr, when standard output is a pipe whose reader has closed it.
 
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -88,7 +87,6 @@ class RunConfig:
     output_path: str = "-"
     seed: int = 0
     synthetic: str | None = None
-    ar_coeff: float = 0.9
     input_csv: Path | None = None
     spectrum_csv: Path | None = None
 
@@ -376,7 +374,7 @@ def _sample_flucs(path):
 
 
 def read_spectrum_csv(path) -> PowerSpectrum:
-    """Re-ingest a ``spectrum`` CSV (test hook for ``fit``)."""
+    """Re-ingest a ``spectrum`` CSV, as ``fit --spectrum-csv`` does."""
     chunks = list(_read_rows(path, "f,P", (0, 1)))
     freqs, power = (np.concatenate(column) for column in zip(*chunks))
     if np.any(np.diff(freqs) <= 0):
@@ -393,31 +391,23 @@ def read_spectrum_csv(path) -> PowerSpectrum:
 # ---------------------------------------------------------------------------
 
 
-def _synthetic_series(kind: str, n: int, seed: int | None,
-                      ar_coeff: float) -> BlockSeries:
-    """``n`` samples of seeded white noise, or of the AR(1) recursion
-    y_t = ar_coeff * y_{t-1} + eps_t from y_0 = 0 over that noise, in
-    blocks of ``_CHUNK_ROWS`` drawn from one generator, so that they hold
-    the numbers of one draw of ``n``."""
-    if kind not in ("white", "ar1"):
-        raise DomainError(f"unknown synthetic signal {kind!r} (use white or ar1)")
+def _synthetic_series(kind: str, n: int, seed: int | None) -> BlockSeries:
+    """``n`` samples of seeded white noise, or of the random walk of its
+    partial sums from 0, in blocks of ``_CHUNK_ROWS`` drawn from one
+    generator, so that they hold the numbers of one draw of ``n``.  Each
+    block of the walk is summed in place from the last value of the one
+    before, which gives the bits of ``np.cumsum`` of the whole draw."""
+    if kind not in ("white", "walk"):
+        raise DomainError(f"unknown synthetic signal {kind!r} (use white or walk)")
     rng = np.random.default_rng(seed)
 
     def blocks():
         last = 0.0
         for lo in range(0, n, _CHUNK_ROWS):
             block = rng.standard_normal(min(_CHUNK_ROWS, n - lo))
-            if kind == "ar1":
-                steps = itertools.accumulate(
-                    block.tolist(), lambda prev, e: ar_coeff * prev + e,
-                    initial=last,
-                )
-                block = np.fromiter(steps, np.float64, count=block.size + 1)[1:]
-                if not np.all(np.isfinite(block)):
-                    raise DomainError(
-                        f"ar1 signal with coefficient {ar_coeff} is not finite "
-                        f"over {n} samples"
-                    )
+            if kind == "walk":
+                block[0] += last
+                np.cumsum(block, out=block)
                 last = float(block[-1])
             yield block
 
@@ -438,9 +428,7 @@ def _pipeline_series(config: RunConfig) -> BlockSeries:
             f"spectral estimation needs at least 2 samples, got {config.n_samples}"
         )
     if config.synthetic is not None:
-        return _synthetic_series(
-            config.synthetic, config.n_samples, config.seed, config.ar_coeff
-        )
+        return _synthetic_series(config.synthetic, config.n_samples, config.seed)
     rows = fluctuation_rows(config.n_samples, config.x_start)
     return BlockSeries(blocks=(fluc for *_, fluc in rows), n=config.n_samples)
 
@@ -598,12 +586,10 @@ _ESTIMATOR_OPTIONS = (
                  help="Frequency points for the mem log grid."),
     click.option("--f-lo", type=float, default=1e-4, show_default=True,
                  help="Lowest frequency of the mem log grid."),
-    click.option("--synthetic", type=click.Choice(["white", "ar1"]),
+    click.option("--synthetic", type=click.Choice(["white", "walk"]),
                  default=None,
-                 help="Replace the fluctuation series with a seeded test "
-                      "signal."),
-    click.option("--ar-coeff", type=float, default=0.9, show_default=True,
-                 help="Coefficient of the ar1 synthetic signal."),
+                 help="Replace the fluctuation series with seeded white "
+                      "noise or its random walk."),
     click.option("--seed", type=click.IntRange(min=0), default=0,
                  show_default=True,
                  help="Seed for synthetic signals."),
@@ -637,7 +623,6 @@ def _refuse_with(option: str, others) -> None:
 #: (option, the option it needs, that option's value, or None for any).
 _NEEDS = (
     ("seed", "synthetic", None),
-    ("ar_coeff", "synthetic", "ar1"),
     ("welch_segment", "method", "welch"),
     ("n_freq", "method", "mem"),
     ("f_lo", "method", "mem"),
@@ -683,8 +668,7 @@ def sample(**params):
 @_translate_errors
 def spectrum(**params):
     """Emit the one-sided power spectral density of the fluctuation."""
-    _refuse_with("input_csv", ("synthetic", "n_samples", "x_start", "seed",
-                               "ar_coeff"))
+    _refuse_with("input_csv", ("synthetic", "n_samples", "x_start", "seed"))
     _refuse_with("synthetic", ("x_start",))
     _refuse_unapplied(params)
     cmd_spectrum(RunConfig(**params))

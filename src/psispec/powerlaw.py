@@ -25,10 +25,6 @@ class PowerLawFit:
     r_squared: float
     residual_rms: float
 
-    def power_at(self, f):
-        """Fitted density at frequency ``f``."""
-        return self.amplitude * np.asarray(f, dtype=np.float64) ** self.exponent
-
     def as_dict(self) -> dict:
         return {
             "a": self.amplitude,

@@ -3,8 +3,8 @@
 Two estimators under one normalization convention (one-sided density,
 ``sum P * df ~= variance``):
 
-* ``burg_fit`` + ``ar_psd`` - maximum-entropy spectrum of an AR(1)
-  model fitted by Burg's method; and
+* ``burg_fit`` + ``ar_psd`` - maximum-entropy spectrum of the one-pole
+  (AR(1)) model fitted by Burg's method; and
 * ``welch_psd`` - averaged modified periodograms.
 
 Both take a series in one of two forms: a one-dimensional array-like,
@@ -34,9 +34,9 @@ from .errors import DegenerateInputError, DomainError
 
 @dataclass(frozen=True, eq=False)
 class ArModel:
-    """Autoregressive model ``x[t] = -sum_k coeffs[k] x[t-k] + eps[t]``."""
+    """One-pole autoregressive model ``x[t] = -coeff x[t-1] + eps[t]``."""
 
-    coeffs: np.ndarray
+    coeff: float
     noise_var: float
     n_samples: int = 0
 
@@ -176,7 +176,7 @@ def burg_fit(series) -> ArModel:
     k = -2.0 * fb / den if den else 0.0
     e = xx / n
     e *= 1.0 - k * k
-    return ArModel(coeffs=np.array([k]), noise_var=e, n_samples=n)
+    return ArModel(coeff=k, noise_var=e, n_samples=n)
 
 
 def check_psd_grid(n_freq: int, f_min: float) -> None:
@@ -189,9 +189,9 @@ def check_psd_grid(n_freq: int, f_min: float) -> None:
 
 
 def ar_psd(model: ArModel, n_freq: int = 512, f_min: float = 1e-4) -> PowerSpectrum:
-    """Evaluate the AR model's one-sided density on a log frequency grid.
+    """Evaluate the model's one-sided density on a log frequency grid.
 
-    ``P(f) = 2 noise_var / |1 + sum_k a_k exp(-2 pi i k f)|^2`` on
+    ``P(f) = 2 noise_var / |1 + coeff exp(-2 pi i f)|^2`` on
     ``n_freq`` points log-spaced from ``f_min`` to the Nyquist frequency 0.5.
     """
     check_psd_grid(n_freq, f_min)
@@ -199,17 +199,14 @@ def ar_psd(model: ArModel, n_freq: int = 512, f_min: float = 1e-4) -> PowerSpect
     # pin the endpoints: 10**log10(x) can land one ulp off x
     freqs[0] = f_min
     freqs[-1] = 0.5
-    order = model.coeffs.size
-    k = np.arange(1, order + 1)
-    phases = np.exp(-2j * np.pi * np.outer(freqs, k))
-    denom = np.abs(1.0 + phases @ model.coeffs) ** 2
+    denom = np.abs(1.0 + model.coeff * np.exp(-2j * np.pi * freqs)) ** 2
     power = 2.0 * model.noise_var / denom
     return PowerSpectrum(
         freqs=freqs,
         power=power,
         estimator={
             "method": "mem",
-            "order": order,
+            "order": 1,
             "n_samples": model.n_samples,
         },
     )

@@ -1,9 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import psispec as ps
 from psispec import cli, prime_series
-from psispec.cli import _synthetic_series
 
 #: Segment length for tests that need many segments on a small grid.
 SMALL_SEGMENT = 4096
@@ -41,8 +42,13 @@ def fluc_1e4():
 
 
 def ar1_sample(seed: int, n: int, coeff: float = 0.9) -> np.ndarray:
-    """Seeded AR(1) draw y_t = coeff * y_{t-1} + eps_t used across tests."""
-    return np.concatenate(list(_synthetic_series("ar1", n, seed, coeff).blocks))
+    """Seeded AR(1) draw y_t = coeff * y_{t-1} + eps_t from y_0 = 0 over
+    ``default_rng(seed).standard_normal(n)``, used across tests."""
+    noise = np.random.default_rng(seed).standard_normal(n)
+    steps = itertools.accumulate(
+        noise.tolist(), lambda prev, e: coeff * prev + e, initial=0.0
+    )
+    return np.fromiter(steps, np.float64, count=n + 1)[1:]
 
 
 def awkward_floats() -> np.ndarray:

@@ -229,7 +229,7 @@ def burg_scalar(x, order: int):
 
 
 def burg1_array(x):
-    """``(coeffs, noise_var)`` of the order-1 Burg fit of ``x`` as it is,
+    """``(coeff, noise_var)`` of the order-1 Burg fit of ``x`` as it is,
     from dot products over the whole array: f = x[1:], b = x[:-1],
     k = -2 <f,b> / (<f,f> + <b,b>) and noise_var = <x,x> / n (1 - k^2)."""
     x = np.asarray(x, dtype=np.float64)
@@ -238,7 +238,7 @@ def burg1_array(x):
     k = -2.0 * float(np.dot(f, b)) / den if den else 0.0
     e = float(np.dot(x, x)) / x.size
     e *= 1.0 - k * k
-    return np.array([k]), e
+    return k, e
 
 
 def zero_pair_sum_kahan(xs, t_desc) -> np.ndarray:

@@ -1010,29 +1010,39 @@ def test_synthetic_bad_size_or_seed_is_usage_error(args, message):
     assert not isinstance(result.exception, ValueError)
 
 
-@pytest.mark.parametrize("n, coeff", [(100, "nan"), (1000, "1e200"), (100, "inf")])
-def test_synthetic_non_finite_signal_is_domain_error(n, coeff):
-    result = run("spectrum", "--synthetic", "ar1", "--n", n, "--ar-coeff", coeff)
-    assert result.exit_code == 2
-    assert "is not finite" in message_of(result)
-
-
 def test_synthetic_blocks_hold_one_draw():
-    series = cli._synthetic_series("white", 10_000, 5, 0.9)
-    got = np.concatenate(list(series.blocks))
-    assert got.tobytes() == np.random.default_rng(5).standard_normal(10_000).tobytes()
+    # 10 000 samples are four whole blocks and a part of one
+    draw = np.random.default_rng(5).standard_normal(10_000)
+    for kind, want in (("white", draw), ("walk", np.cumsum(draw))):
+        blocks = list(cli._synthetic_series(kind, 10_000, 5).blocks)
+        assert [b.size for b in blocks] == [cli._CHUNK_ROWS] * 4 + [1808]
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["white", "ar1"])
+@pytest.mark.parametrize("kind", ["white", "walk"])
 def test_synthetic_signal_is_generated_in_blocks(kind):
     config = cli.RunConfig(synthetic=kind, n_samples=200_000, output_path=os.devnull)
-    # 1.0 and 0.22 MiB in blocks of 2048 samples (0.38 MiB for ar1 in
-    # blocks of 4096); 2.5 and 9.4 MiB when the signal was generated whole
+    # 1.0 and 0.13 MiB in blocks of 2048 samples; white noise generated
+    # whole took 2.5 MiB
     assert traced_peak(cli.cmd_spectrum, config) < 2 * 2**20
 
 
+@pytest.mark.parametrize(
+    "args, words",
+    [
+        (["--synthetic", "ar1"], ("--synthetic", "'ar1' is not one of")),
+        (["--synthetic", "walk", "--ar-coeff", 1], ("No such option", "--ar-coeff")),
+    ],
+)
+def test_removed_autoregressive_signal_is_usage_error(args, words):
+    for command in ("spectrum", "fit"):
+        result = run(command, *args, "--n", 4096)
+        assert result.exit_code == 2
+        assert all(word in message_of(result) for word in words)
+
+
 def test_synthetic_random_walk_is_accepted():
-    result = run("fit", "--synthetic", "ar1", "--n", 4096, "--ar-coeff", 1)
+    result = run("fit", "--synthetic", "walk", "--n", 4096)
     assert result.exit_code == 0
     assert json.loads(result.output)["b"] < -1.5
 
@@ -1068,30 +1078,30 @@ def test_run_config_seeds_synthetic_signals_like_the_cli(tmp_path):
          "--input cannot be combined with --x-start"),
         (["spectrum", "--synthetic", "white", "--n", 100, "--x-start", 77],
          "--synthetic cannot be combined with --x-start"),
-        (["fit", "--synthetic", "ar1", "--n", 100, "--x-start", 77],
+        (["fit", "--synthetic", "walk", "--n", 100, "--x-start", 77],
          "--synthetic cannot be combined with --x-start"),
-        (["fit", "--spectrum-csv", "{csv}", "--n", 100, "--synthetic", "ar1",
+        (["fit", "--spectrum-csv", "{csv}", "--n", 100, "--synthetic", "walk",
           "--method", "welch"], "--spectrum-csv cannot be combined with --n"),
         (["fit", "--spectrum-csv", "{csv}", "--x-start", 3],
          "--spectrum-csv cannot be combined with --x-start"),
-        (["fit", "--spectrum-csv", "{csv}", "--synthetic", "ar1"],
+        (["fit", "--spectrum-csv", "{csv}", "--synthetic", "walk"],
          "--spectrum-csv cannot be combined with --synthetic"),
         (["spectrum", "--input", "{csv}", "--seed", 3],
          "--input cannot be combined with --seed"),
-        (["spectrum", "--input", "{csv}", "--ar-coeff", 0.2],
-         "--input cannot be combined with --ar-coeff"),
+        (["spectrum", "--input", "{csv}", "--synthetic", "walk"],
+         "--input cannot be combined with --synthetic"),
         (["fit", "--spectrum-csv", "{csv}", "--method", "welch", "--segment", 8192],
          "--spectrum-csv cannot be combined with --method"),
         (["fit", "--spectrum-csv", "{csv}", "--segment", 8192],
          "--spectrum-csv cannot be combined with --segment"),
-        (["fit", "--spectrum-csv", "{csv}", "--n-freq", 7, "--seed", 3,
-          "--ar-coeff", 0.2], "--spectrum-csv cannot be combined with --n-freq"),
+        (["fit", "--spectrum-csv", "{csv}", "--n-freq", 7, "--seed", 3],
+         "--spectrum-csv cannot be combined with --n-freq"),
         (["fit", "--spectrum-csv", "{csv}", "--n-freq", 64],
          "--spectrum-csv cannot be combined with --n-freq"),
         (["fit", "--spectrum-csv", "{csv}", "--f-lo", 1e-3],
          "--spectrum-csv cannot be combined with --f-lo"),
-        (["fit", "--spectrum-csv", "{csv}", "--ar-coeff", 0.2],
-         "--spectrum-csv cannot be combined with --ar-coeff"),
+        (["fit", "--spectrum-csv", "{csv}", "--method", "mem"],
+         "--spectrum-csv cannot be combined with --method"),
         (["fit", "--spectrum-csv", "{csv}", "--seed", 3],
          "--spectrum-csv cannot be combined with --seed"),
     ],
@@ -1108,10 +1118,10 @@ def test_options_of_another_source_are_refused(tmp_path, args, message):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["--n", 1000, "--seed", 3, "--ar-coeff", 0.1], "--seed needs --synthetic"),
-        (["--n", 1000, "--ar-coeff", 0.5], "--ar-coeff needs --synthetic ar1"),
-        (["--synthetic", "white", "--n", 1000, "--ar-coeff", 0.5],
-         "--ar-coeff needs --synthetic ar1"),
+        (["--n", 1000, "--seed", 3], "--seed needs --synthetic"),
+        (["--n", 1000, "--seed", 0], "--seed needs --synthetic"),
+        (["--n", 1000, "--method", "mem", "--segment", 64],
+         "--segment needs --method welch"),
         (["--n", 1000, "--segment", 64], "--segment needs --method welch"),
         (["--n", 1000, "--method", "welch", "--segment", 64, "--n-freq", 9,
           "--f-lo", 0.01], "--n-freq needs --method mem"),
@@ -1380,7 +1390,7 @@ def test_readme_random_walk_fits_match_runs():
     )
     assert [args for args, _, _ in quoted] == [
         "fit --n 1000000",
-        "fit --synthetic ar1 --ar-coeff 1 --seed 0 --n 1000000",
+        "fit --synthetic walk --seed 0 --n 1000000",
     ]
     amplitudes = []
     for args, b, a in quoted:

@@ -82,12 +82,6 @@ def test_fit_fields_and_report_keys(noisy_spectrum):
     assert report["a"] == fit.amplitude and report["b"] == fit.exponent
 
 
-def test_power_at_evaluates_fitted_line():
-    freqs = np.logspace(-3, -1, 32)
-    fit = ps.fit_power_law(_spectrum(freqs, 4.0 * freqs**-2.0))
-    assert float(fit.power_at(1e-2)) == pytest.approx(4.0 * 1e4, rel=1e-9)
-
-
 def test_validation():
     freqs = np.logspace(-3, -1, 16)
     spec = _spectrum(freqs, 3.0 * freqs**-2.0)

@@ -23,8 +23,8 @@ def test_burg_ar1_against_yule_walker():
     y = ps.remove_mean(ar1_sample(1234, 10**4))
     model = ps.burg_fit(y)
     a_yw = oracles.yule_walker(y, order=1)[0]
-    assert -0.93 <= model.coeffs[0] <= -0.87
-    assert abs(model.coeffs[0] - a_yw) < 0.01
+    assert -0.93 <= model.coeff <= -0.87
+    assert abs(model.coeff - a_yw) < 0.01
     assert model.noise_var >= 0.0
     assert model.n_samples == 10**4
 
@@ -33,7 +33,7 @@ def test_burg_white_noise_has_no_memory():
     rng = np.random.default_rng(77)
     w = ps.remove_mean(rng.standard_normal(10**4))
     model = ps.burg_fit(w)
-    assert abs(model.coeffs[0]) < 0.05
+    assert abs(model.coeff) < 0.05
     assert model.noise_var == pytest.approx(w.var(), rel=0.05)
 
 
@@ -44,12 +44,12 @@ def test_burg_reflection_coefficients_bounded():
     walk = np.cumsum(rng.standard_normal(4096))
     alternating = np.where(np.arange(4096) % 2, 1.0, -1.0) + 0.01 * walk
     for y in (ar1_sample(5, 4096, coeff=0.7), walk, alternating):
-        assert abs(ps.burg_fit(y).coeffs[0]) <= 1.0
+        assert abs(ps.burg_fit(y).coeff) <= 1.0
 
 
 def test_burg_accepts_fluc_series(fluc_1e4):
     model = ps.burg_fit(fluc_1e4)
-    assert abs(model.coeffs[0]) <= 1.0
+    assert abs(model.coeff) <= 1.0
 
 
 def test_burg_validation():
@@ -67,7 +67,7 @@ def test_burg_validation():
 
 
 def test_ar_psd_flat_for_memoryless_model():
-    model = ps.ArModel(coeffs=np.zeros(1), noise_var=2.5)
+    model = ps.ArModel(coeff=0.0, noise_var=2.5)
     spec = ps.ar_psd(model)
     assert np.allclose(spec.power, 2.0 * 2.5 * 1.0, rtol=1e-14)
     assert spec.freqs[0] == 1e-4 and spec.freqs[-1] == 0.5
@@ -77,15 +77,26 @@ def test_ar_psd_flat_for_memoryless_model():
 
 
 def test_ar_psd_low_to_nyquist_ratio():
-    model = ps.ArModel(coeffs=np.array([-0.9]), noise_var=1.0)
+    model = ps.ArModel(coeff=-0.9, noise_var=1.0)
     spec = ps.ar_psd(model, n_freq=2, f_min=1e-9)
     assert spec.power[0] / spec.power[-1] == pytest.approx(361.0, rel=1e-6)
     dense = ps.ar_psd(model)
     assert np.all(np.diff(dense.power) < 0)
 
 
+@pytest.mark.parametrize("coeff", [-0.9, -0.5, 0.0, 0.5, 0.9])
+def test_ar_psd_is_the_one_pole_density(coeff):
+    model = ps.ArModel(coeff=coeff, noise_var=1.7)
+    spec = ps.ar_psd(model, n_freq=257, f_min=1e-5)
+    want = 2.0 * 1.7 / (
+        1.0 + 2.0 * coeff * np.cos(2.0 * np.pi * spec.freqs) + coeff * coeff
+    )
+    assert np.allclose(spec.power, want, rtol=1e-12, atol=0.0)
+    assert spec.estimator["order"] == 1
+
+
 def test_ar_psd_validation():
-    model = ps.ArModel(coeffs=np.zeros(1), noise_var=1.0)
+    model = ps.ArModel(coeff=0.0, noise_var=1.0)
     with pytest.raises(DomainError):
         ps.ar_psd(model, n_freq=1)
     with pytest.raises(DomainError):
@@ -285,7 +296,7 @@ def test_streamed_estimators_match_materialised(small_segments, n, x_start):
     y = ps.fluctuation_series(n, x_start)
     got = ps.burg_fit(_fluctuation_blocks(n, x_start))
     want = ps.burg_fit(y)
-    assert np.array_equal(got.coeffs, want.coeffs)
+    assert got.coeff == want.coeff
     assert got.noise_var == want.noise_var
     assert got.n_samples == want.n_samples == n
     got = ps.welch_psd(_fluctuation_blocks(n, x_start), 512)
@@ -301,7 +312,7 @@ def test_irregular_blocks_match_one_array():
     sizes = [1, 700, 0, 300, 17, 2500]
     got = ps.burg_fit(_split(x, sizes))
     want = ps.burg_fit(x)
-    assert np.array_equal(got.coeffs, want.coeffs)
+    assert got.coeff == want.coeff
     assert got.noise_var == want.noise_var
     for segment_len in (256, 512):
         got = ps.welch_psd(_split(x, sizes), segment_len)
@@ -332,7 +343,7 @@ def test_any_partition_gives_the_bits_of_one_array(sizes):
     x = PARTITIONED
     want, welch = _one_array_estimates()
     got = ps.burg_fit(_split(x, sizes))
-    assert np.array_equal(got.coeffs, want.coeffs)
+    assert got.coeff == want.coeff
     assert got.noise_var == want.noise_var
     for segment_len, power in zip(WELCH_SEGMENTS, welch):
         assert np.array_equal(ps.welch_psd(_split(x, sizes), segment_len).power, power)
@@ -350,7 +361,7 @@ def test_burg_sums_do_not_lose_precision_over_many_rows(seed):
     blocks = (x[lo : lo + row].copy() for lo in range(0, n, row))
     got = ps.burg_fit(ps.BlockSeries(blocks=blocks, n=n))
     eps = np.spacing(1.0)
-    assert abs(got.coeffs[0] - k) <= 3 * eps
+    assert abs(got.coeff - k) <= 3 * eps
     assert abs(got.noise_var - noise_var) <= 3 * eps / (1.0 + k) * noise_var
 
 
@@ -358,8 +369,8 @@ def test_demean_of_one_array_keeps_the_bits():
     x = ar1_sample(8, 3000) + 7.0
     before = x.copy()
     got = ps.burg_fit(x)
-    coeffs, noise_var = oracles.burg1_array(ps.remove_mean(x))
-    assert np.array_equal(got.coeffs, coeffs)
+    coeff, noise_var = oracles.burg1_array(ps.remove_mean(x))
+    assert got.coeff == coeff
     assert got.noise_var == noise_var
     assert np.array_equal(x, before)  # the caller's array is left as it was
 
@@ -387,7 +398,7 @@ def test_unknown_length_is_counted():
     sizes = [1, 700, 0, 300, 17, 2500]
     got = ps.burg_fit(_stream(x, sizes))
     want = ps.burg_fit(_split(x, sizes))
-    assert np.array_equal(got.coeffs, want.coeffs)
+    assert got.coeff == want.coeff
     assert got.noise_var == want.noise_var
     assert got.n_samples == want.n_samples == x.size
     for segment_len in (256, None):
