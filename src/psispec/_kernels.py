@@ -79,7 +79,7 @@ def mangoldt_segment(lo, hi, base_primes, powers, power_logs):
 def densify(support, values, n):
     """The ``n`` values at offsets 0 ... n - 1 of which ``values`` are
     those at the offsets ``support`` and the rest are zero: Lambda on a
-    segment from ``mangoldt_segment``'s support."""
+    row from its share of ``mangoldt_segment``'s support."""
     out = np.zeros(n)
     out[support] = values
     return out

@@ -12,15 +12,16 @@ read as float64 samples, or a ``BlockSeries``.  Every series is at unit
 spacing, so both report frequency in cycles per sample, and the axis ends
 at the Nyquist frequency 0.5, a spectrum's ``freqs[-1]``.
 
-Both estimate the series minus its mean through one reader, ``_Shifted``.
-It cuts every series into rows of ``_kernels.ROW_LEN`` samples counted
-from its first sample, so an estimate depends on the samples, not on
-where blocks end, and shifts each row by the first row's mean into one
-reused row, so that no input is written; the rest of the mean is taken out
-at the end.  A ``BlockSeries`` is estimated in O(block) memory: Burg
-keeps running sums, Welch a buffer of one window.  One of unknown length
-is counted as it is read, and the checks on its length run at the end of
-the pass.
+Every window an estimator reads, a row of ``_kernels.ROW_LEN`` samples
+or a Welch segment, comes from one loop, ``_windows``, which copies it as
+float64 into one reused buffer: so an estimate depends on the samples, not
+on where blocks end or on their dtype, and no input is written.  Both
+estimate the series minus its mean through one reader, ``_Shifted``: it
+takes the rows counted from the first sample and shifts each in place by
+the first row's mean; the rest of the mean is taken out at the end.  A
+``BlockSeries`` is estimated in O(block) memory: Burg keeps running sums,
+Welch a buffer of one window.  One of unknown length is counted as it is
+read, and the checks on its length run at the end of the pass.
 """
 
 from collections.abc import Iterable
@@ -53,9 +54,9 @@ class PowerSpectrum:
 @dataclass(frozen=True, eq=False)
 class BlockSeries:
     """A series of ``n`` samples that arrives as consecutive
-    one-dimensional float64 blocks; ``n`` is None when the length is not
-    known before the blocks are read, and the estimators then count the
-    samples as they read them.
+    one-dimensional blocks of any real dtype, read as float64; ``n`` is
+    None when the length is not known before the blocks are read, and the
+    estimators then count the samples as they read them.
 
     ``blocks`` is read once.
     """
@@ -66,28 +67,25 @@ class BlockSeries:
 
 def _as_blocks(series):
     """``(blocks, n)`` of a BlockSeries, or of any other series, read as a
-    float64 array, as a single block, in place when it is one already."""
+    float64 array, as a single block."""
     if isinstance(series, BlockSeries):
         n = None if series.n is None else int(series.n)
         return series.blocks, n
     arr = np.asarray(series, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DomainError("expected a one-dimensional real series")
     return [arr], arr.size
 
 
 class _Shifted:
     """The one reader of a series: its rows (``_rows``) minus a provisional
-    shift ``c``, the first row's mean, each written into one reused row.
+    shift ``c``, the first row's mean, each shifted in place.
 
-    Every block must be one-dimensional.  ``check_length(count)`` raises if
-    the series is too short: before the first block when ``n`` is known,
-    and the blocks must then hold ``n`` samples, else on the count at the
-    end of the pass.  After the pass, ``n`` is the number of samples and
-    ``offset`` is ``d = mean - c``, built from the later rows only: the
-    first row's deviations from its own mean sum to 0, so ``d`` is exactly
-    0 for a series of one row and the estimates keep the bits of
-    estimating ``remove_mean(series)``.
+    ``check_length(count)`` raises if the series is too short: before the
+    first block when ``n`` is known, and the blocks must then hold ``n``
+    samples, else on the count at the end of the pass.  After the pass,
+    ``n`` is the number of samples and ``offset`` is ``d = mean - c``,
+    built from the later rows only: the first row's deviations from its
+    own mean sum to 0, so ``d`` is exactly 0 for a series of one row and
+    the estimates keep the bits of estimating ``remove_mean(series)``.
     """
 
     def __init__(self, blocks, n: int | None, check_length):
@@ -99,29 +97,23 @@ class _Shifted:
     def __iter__(self):
         if self.n is not None:
             self._check_length(self.n)
-        out = np.empty(_kernels.ROW_LEN)
         shift = None
         later = 0.0
         count = 0
-        for row in _rows(self._one_dimensional()):
+        for row in _rows(self._blocks):
             if shift is None:
                 shift = row.mean()
-            y = np.subtract(row, shift, out=out[: row.size])
-            later += float(y.sum()) if count else 0.0
-            count += y.size
-            yield y
+            # the row is _windows' buffer, which keeps none of it for the next
+            row -= shift
+            later += float(row.sum()) if count else 0.0
+            count += row.size
+            yield row
         if self.n is None:
             self._check_length(count)
         elif count != self.n:
             raise DomainError(f"series blocks hold {count} samples, expected {self.n}")
         self.n = count
         self.offset = later / count
-
-    def _one_dimensional(self):
-        for block in self._blocks:
-            if block.ndim != 1:
-                raise DomainError("expected a one-dimensional real series")
-            yield block
 
 
 def remove_mean(series) -> np.ndarray:
@@ -218,55 +210,41 @@ def default_segment_len(n_samples: int) -> int:
     return 1 << (target.bit_length() - 1)
 
 
-def _segments(blocks, segment_len: int, step: int):
-    """The segments of ``segment_len`` samples, ``step`` apart, of the series
-    that ``blocks`` deliver, in order; returns the samples held of the first
-    segment that did not come whole.
-
-    A segment inside one block is a view of it.  One that straddles blocks
-    is assembled in a buffer of one segment, which the next segment
-    overwrites.  The buffer starts a row long (``_rows``), not to fragment
-    the heap, and doubles until a whole segment has come, so that a series
-    shorter than its segment allocates no more than a row or itself.
+def _windows(blocks, size: int, step: int):
+    """The windows of ``size`` samples, ``step`` apart, of the series of
+    one-dimensional real ``blocks``, each copied as float64 into one buffer
+    that the next overwrites; returns the samples held of the first window
+    that did not come whole.  The buffer starts a row long, not to fragment
+    the heap, and doubles until a whole window has come, so a series
+    shorter than its window allocates no more than a row or itself.
     """
-    buf = np.empty(min(segment_len, _kernels.ROW_LEN))
-    held = 0  # samples of the next segment in buf[:held], from earlier blocks
+    buf = np.empty(min(size, _kernels.ROW_LEN))
+    held = 0  # samples of the next window in buf[:held]
     for block in blocks:
-        start = -held  # where the next segment starts, relative to the block
-        while start + segment_len <= block.size:
-            if start >= 0:
-                yield block[start : start + segment_len]
-            else:
-                buf = _room(buf, held, segment_len, segment_len)
-                buf[held:] = block[: start + segment_len]
+        if block.ndim != 1 or block.dtype.kind not in "biuf":
+            raise DomainError("expected a one-dimensional real series")
+        start = 0
+        while start < block.size:
+            end = min(block.size, start + size - held)
+            full = held + end - start
+            if full > buf.size:
+                grown = np.empty(min(size, max(full, 2 * buf.size)))
+                grown[:held] = buf[:held]
+                buf = grown
+            buf[held:full] = block[start:end]
+            held, start = full, end
+            if held == size:
                 yield buf
-                held = max(held - step, 0)
-                buf[:held] = buf[step : step + held]
-            start += step
-        rest = block[max(start, 0) :]
-        end = held + rest.size
-        buf = _room(buf, held, end, segment_len)
-        buf[held:end] = rest
-        held = end
+                held = size - step
+                buf[:held] = buf[step:]
     return buf[:held]
 
 
 def _rows(blocks):
-    """``_segments`` one row long and one row apart, then the shorter rest."""
-    rest = yield from _segments(blocks, _kernels.ROW_LEN, _kernels.ROW_LEN)
+    """``_windows`` one row long and one row apart, then the shorter rest."""
+    rest = yield from _windows(blocks, _kernels.ROW_LEN, _kernels.ROW_LEN)
     if rest.size:
         yield rest
-
-
-def _room(buf, held: int, size: int, limit: int):
-    """``buf`` if it has room for ``size`` samples; else a new buffer that
-    starts with ``buf[:held]``, twice as large, but at least ``size`` and at
-    most ``limit`` samples."""
-    if size <= buf.size:
-        return buf
-    grown = np.empty(min(limit, max(size, 2 * buf.size)))
-    grown[:held] = buf[:held]
-    return grown
 
 
 def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
@@ -278,8 +256,9 @@ def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
     periodic Hann window, transformed, and the squared magnitudes are
     averaged and scaled by ``1 / sum w^2`` so the result is a density;
     interior bins are doubled to fold negative frequencies in.  The series
-    is read in one pass that holds one segment beyond the current row
-    (``_segments``); only the default segment of a series of unknown length
+    is read in one pass: each segment is copied from the shifted rows into
+    one buffer (``_windows``), so the pass holds one segment beyond the
+    current row; only the default segment of a series of unknown length
     needs the blocks held, as they are, to count them first.
     """
     blocks, n = _as_blocks(series)
@@ -302,7 +281,7 @@ def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
     step = segment_len // 2
     shifted = _Shifted(blocks, n, check_length)
     taper = None
-    for segment in _segments(shifted, segment_len, step):
+    for segment in _windows(shifted, segment_len, step):
         if taper is None:
             # made once a whole segment has come, so that a segment longer
             # than a series of unknown length allocates nothing

@@ -412,29 +412,39 @@ def test_unknown_length_is_counted():
 @pytest.mark.parametrize(
     "sizes", [[5000], [1, 700, 0, 300, 17, 3982], [255, 2, 256, 1, 4486], [100] * 50]
 )
-def test_segments_are_views_or_one_buffer(sizes):
+def test_windows_are_one_buffer(sizes):
     x = np.arange(5000.0)
-    segment_len, step = 256, 128
+    size, step = 256, 128
     blocks = [b.copy() for b in np.split(x, np.cumsum(sizes)[:-1])]
     buffers = set()
     got = []
 
     def leftover():
-        rest = yield from spectral._segments(iter(blocks), segment_len, step)
+        rest = yield from spectral._windows(iter(blocks), size, step)
         got.append(rest.copy())
 
-    for segment in leftover():
-        if not any(np.shares_memory(segment, b) for b in blocks):
-            buffers.add(id(segment))
-            assert segment.size == segment_len
-        got.append(segment.copy())
-    starts = range(0, x.size - segment_len + 1, step)
-    want = [x[i : i + segment_len] for i in starts]
+    for window in leftover():
+        assert not any(np.shares_memory(window, b) for b in blocks)
+        buffers.add(id(window))
+        got.append(window.copy())
+    starts = range(0, x.size - size + 1, step)
+    want = [x[i : i + size] for i in starts]
     assert np.array_equal(got[:-1], want)
-    # segments that straddle blocks all come in one buffer
-    assert len(buffers) == (len(blocks) > 1)
-    # the samples from the start of the first segment that did not come whole
+    # every window, whatever the blocks, comes in the one buffer
+    assert len(buffers) == 1
+    # the samples from the start of the first window that did not come whole
     assert np.array_equal(got[-1], x[starts[-1] + step :])
+
+
+def test_float32_blocks_do_not_depend_on_where_they_end():
+    # every window is copied as float64, so a row inside one float32 block
+    # and a row across two are read alike, and as the float64 array is
+    x = np.random.default_rng(12).standard_normal(20_000).astype(np.float32) + 3
+    want = ps.burg_fit(x), ps.welch_psd(x, 256).power
+    for sizes in ([4096, 8192], [100, 9000]):
+        got = ps.burg_fit(_split(x, sizes))
+        assert (got.coeff, got.noise_var) == (want[0].coeff, want[0].noise_var)
+        assert np.array_equal(ps.welch_psd(_split(x, sizes), 256).power, want[1])
 
 
 def test_welch_short_blocks_hold_a_few_segments():
@@ -456,6 +466,26 @@ def test_welch_short_blocks_hold_a_few_segments():
     assert spec.estimator["n_segments"] == 15
     # taper, the two sums, the buffer and the temporaries of one transform
     assert peak < 12 * 8 * segment_len
+
+
+def test_welch_buffer_grows_only_as_the_series_comes():
+    # a segment of 8 MiB on 5000 samples of unknown length: the buffer
+    # doubles from one row to hold what has come, never to a segment
+    def blocks():
+        for lo in range(0, 5000, 1000):
+            yield np.arange(lo, lo + 1000.0)
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            DomainError, match="segment length 1048576 exceeds series length 5000"
+        ):
+            ps.welch_psd(ps.BlockSeries(blocks=blocks()), 2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two rows and a buffer of 5000 samples trace about 130 kB
+    assert peak < 8 * 2**20 // 16  # a sixteenth of one segment
 
 
 @pytest.mark.parametrize(
@@ -504,9 +534,14 @@ ESTIMATORS = {
          "expected a one-dimensional real series"),
         (lambda: ps.BlockSeries(blocks=[np.arange(64.0).reshape(8, 8)]),
          "expected a one-dimensional real series"),
+        (lambda: ps.BlockSeries(blocks=[np.arange(64.0) + 1j], n=64),
+         "expected a one-dimensional real series"),
+        (lambda: ps.BlockSeries(blocks=[np.arange(2.0 * _kernels.ROW_LEN) + 1j]),
+         "expected a one-dimensional real series"),
     ],
     ids=["short blocks", "long blocks", "2-D array", "2-D block",
-         "2-D block of unknown length"],
+         "2-D block of unknown length", "complex block shorter than a row",
+         "complex block of whole rows"],
 )
 def test_reader_refuses_wrong_counts_and_shapes(estimate, series, message):
     with pytest.raises(DomainError, match=message):
@@ -515,15 +550,20 @@ def test_reader_refuses_wrong_counts_and_shapes(estimate, series, message):
 
 def test_no_estimator_writes_into_its_input():
     # three rows and a part, with an offset the reader shifts away; the
-    # second block holds the second and third rows whole
+    # second block holds the second and third rows whole.  The read-only
+    # copies make a write fail at once
     x = ar1_sample(4, 3 * _kernels.ROW_LEN + 900, coeff=0.8) + 60.0
     before = x.copy()
+    frozen = x.copy()
+    frozen.setflags(write=False)
     sizes = [1000, 12000]
 
-    def views():
-        return ps.BlockSeries(blocks=np.split(x, np.cumsum(sizes)), n=x.size)
+    def inputs():
+        for arr in (x, frozen):
+            yield arr
+            yield ps.BlockSeries(blocks=np.split(arr, np.cumsum(sizes)), n=x.size)
 
     for estimate in (lambda s: ps.burg_fit(s), lambda s: ps.welch_psd(s, 256)):
-        for series in (lambda: x, views):
-            estimate(series())
+        for series in inputs():
+            estimate(series)
             assert np.array_equal(x, before)
