@@ -47,7 +47,6 @@ from .spectral import (
     welch_psd,
 )
 from .zeta import (
-    ZetaZeros,
     analytic_psd,
     analytic_spectrum,
     bundled_zeros_path,
@@ -80,7 +79,6 @@ __all__ = [
     "PowerLawFit",
     "DEFAULT_BAND",
     "fit_power_law",
-    "ZetaZeros",
     "load_zeros",
     "bundled_zeros_path",
     "psi_fluc_from_zeros",

@@ -67,8 +67,8 @@ from .powerlaw import DEFAULT_BAND, fit_power_law
 from .prime_series import fluctuation_at, fluctuation_rows
 from .spectral import (BlockSeries, PowerSpectrum, ar_psd, burg_fit,
                        check_psd_grid, welch_psd)
-from .zeta import (analytic_spectrum, bundled_zeros_path, check_zero_count,
-                   load_zeros, psi_fluc_from_zeros)
+from .zeta import (analytic_spectrum, bundled_zeros_path, load_zeros,
+                   psi_fluc_from_zeros)
 
 
 @dataclass
@@ -518,12 +518,17 @@ def cmd_reconstruct(config: RunConfig) -> None:
     else:
         zeros_path = source = config.zeros_path
     zeros = load_zeros(zeros_path)
-    n_zeros = zeros.count if config.n_zeros is None else config.n_zeros
-    check_zero_count(zeros, n_zeros)  # before the sieve of fluctuation_at
+    n_zeros = zeros.size if config.n_zeros is None else config.n_zeros
+    if n_zeros < 0:  # checked before the sieve of fluctuation_at
+        raise DomainError(f"zero count must be nonnegative, got {n_zeros}")
+    if n_zeros > zeros.size:
+        raise DomainError(
+            f"requested {n_zeros} zeros but the table holds {zeros.size}"
+        )
     # half-integer points strictly inside [x_start, x_start + n - 1]
     points = config.x_start + 0.5 + np.arange(config.n_samples - 1)
     direct = fluctuation_at(points)
-    recon = psi_fluc_from_zeros(points, zeros, n_zeros)
+    recon = psi_fluc_from_zeros(points, zeros[:n_zeros])
     head = [
         "# psispec reconstruct",
         f"# zeros={source} K={n_zeros}",

@@ -27,13 +27,14 @@ class ResourceError(PsispecError, RuntimeError):
 def open_input(path, kind: str):
     """The input file at ``path``, opened for reading in universal-newline
     text mode, so that lines end at "\\n", "\\r\\n" or a lone "\\r" and
-    are read with "\\n" ends.  A byte that is not UTF-8 is decoded to a
-    lone surrogate, which encodes back to itself ("surrogateescape"), for
+    are read with "\\n" ends, after any leading UTF-8 byte-order mark
+    ("utf-8-sig").  A byte that is not UTF-8 is decoded to a lone
+    surrogate, which encodes back to itself ("surrogateescape"), for
     ``content_lines`` to name its line.  A missing file raises a
     DataFormatError, "``kind`` not found: ``path``".
     """
     try:
-        return open(path, encoding="utf-8", errors="surrogateescape", newline=None)
+        return open(path, encoding="utf-8-sig", errors="surrogateescape", newline=None)
     except FileNotFoundError as exc:
         raise DataFormatError(f"{kind} not found: {path}") from exc
 

@@ -7,8 +7,8 @@ Two estimators under one normalization convention (one-sided density,
   (AR(1)) model fitted by Burg's method; and
 * ``welch_psd`` - averaged modified periodograms.
 
-Both take a series in one of two forms: a one-dimensional array-like,
-read as float64 samples, or a ``BlockSeries``.  Every series is at unit
+Both take a series as a ``BlockSeries`` or as an array-like, one block;
+each block must be one-dimensional and real.  Every series is at unit
 spacing, so both report frequency in cycles per sample, and the axis ends
 at the Nyquist frequency 0.5, a spectrum's ``freqs[-1]``.
 
@@ -56,7 +56,8 @@ class BlockSeries:
     """A series of ``n`` samples that arrives as consecutive
     one-dimensional blocks of any real dtype, read as float64; ``n`` is
     None when the length is not known before the blocks are read, and the
-    estimators then count the samples as they read them.
+    estimators then count the samples as they read them.  Any other series
+    is read as one block of uncounted length.
 
     ``blocks`` is read once.
     """
@@ -66,13 +67,13 @@ class BlockSeries:
 
 
 def _as_blocks(series):
-    """``(blocks, n)`` of a BlockSeries, or of any other series, read as a
-    float64 array, as a single block."""
+    """``(blocks, n)`` of a BlockSeries, or of any other series, as an
+    array, one block of uncounted length: ``_windows`` checks its shape and
+    dtype as it checks every block's, before its length is checked."""
     if isinstance(series, BlockSeries):
         n = None if series.n is None else int(series.n)
         return series.blocks, n
-    arr = np.asarray(series, dtype=np.float64)
-    return [arr], arr.size
+    return [np.asarray(series)], None
 
 
 class _Shifted:
@@ -265,9 +266,14 @@ def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
     if segment_len is None:
         if n is None:
             blocks = list(blocks)
-            n = sum(block.size for block in blocks)
-        segment_len = default_segment_len(n)
-    if segment_len < 2 or segment_len & (segment_len - 1):
+        # a length counted here is not passed on, so that the reader checks
+        # the blocks' shapes before their length
+        segment_len = default_segment_len(
+            sum(block.size for block in blocks) if n is None else n
+        )
+    if not isinstance(segment_len, (int, np.integer)) or (
+        segment_len < 2 or segment_len & (segment_len - 1)
+    ):
         raise DomainError(
             f"segment length must be a power of two >= 2, got {segment_len}"
         )

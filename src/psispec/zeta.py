@@ -6,13 +6,13 @@ representation (conjugate zero pairs combined into a real form)
     psi_fluc(x) = -2 sqrt(x) sum_k [cos(t_k ln x)/2 + t_k sin(t_k ln x)]
                                    / (1/4 + t_k^2),
 
-with t_k the ordinates of the nontrivial zeros.  Truncations of this sum,
-together with the asymptotic spectrum ``P(f) = 2 ln^2(f/(2 pi)) / f^2`` of
-the fluctuation, provide an independent check on the prime-side pipeline.
+with t_k the ordinates of the nontrivial zeros.  Truncations of this sum
+give an independent check on the prime-side pipeline.  The asymptotic
+spectrum ``P(f) = 2 ln^2(f/(2 pi)) / f^2`` holds only for f >= 2 pi, in the
+angular variable conjugate to ln x, as ``analytic --help`` says.
 """
 
 import math
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -27,25 +27,14 @@ from .spectral import PowerSpectrum
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True, eq=False)
-class ZetaZeros:
-    """Ascending positive ordinates of nontrivial zeros, with provenance."""
-
-    ordinates: np.ndarray
-    source: str
-
-    @property
-    def count(self) -> int:
-        return int(self.ordinates.size)
-
-
 def bundled_zeros_path() -> Path:
     """Path of the zero table shipped with the package."""
     return Path(resources.files(__package__) / "data" / "zeta_zeros_2000.txt")
 
 
-def load_zeros(path) -> ZetaZeros:
-    """Parse a zero table: one decimal ordinate per line, ascending.
+def load_zeros(path) -> np.ndarray:
+    """The ordinates of a zero table, one decimal per line, as an ascending
+    float64 array.
 
     Its lines are walked by ``errors.content_lines``, like every input
     file's, so blank lines and ``#`` comments, after an ordinate too, are
@@ -83,39 +72,38 @@ def load_zeros(path) -> ZetaZeros:
         prev = t
     if not ordinates:
         raise DataFormatError(f"{path}: no ordinates found")
-    return ZetaZeros(
-        ordinates=np.asarray(ordinates, dtype=np.float64), source=str(path)
-    )
+    return np.asarray(ordinates, dtype=np.float64)
 
 
-def check_zero_count(zeros: ZetaZeros, n_zeros: int) -> None:
-    if n_zeros < 0:
-        raise DomainError(f"zero count must be nonnegative, got {n_zeros}")
-    if n_zeros > zeros.count:
-        raise DomainError(
-            f"requested {n_zeros} zeros but the table holds {zeros.count}"
-        )
+def psi_fluc_from_zeros(x, ordinates):
+    """Zero-sum reconstruction of the fluctuation at ``x`` over every one
+    of ``ordinates``; truncate by passing the first K, ``zeros[:K]``.
 
-
-def psi_fluc_from_zeros(x, zeros: ZetaZeros, n_zeros: int):
-    """Truncated zero-sum reconstruction of the fluctuation at ``x``.
-
-    Uses the first ``n_zeros`` ordinates; accepts a scalar or an array of
-    any shape of finite points ``x >= 2``, and returns the same shape.  The
-    terms of each point decay only like ``1/t_k`` and are totalled by
-    pairwise summation, whose error grows like ``log K``.  Where more than
-    80 points crowd into a window of half-width 8 / t_K in ln x, the sum is
-    taken only at 40 Chebyshev points of that window and interpolated
-    (``_kernels.zero_pair_sum``).  Either way the error is set by the
-    rounding of t_k ln x in each term: against a 30-digit sum at points
-    among 5000 near 10^6 with all 2000 zeros, both routes err by at most
-    2.4e-13 of the largest |value|.
+    ``ordinates`` must be one-dimensional and real, finite, positive and
+    strictly ascending, as ``load_zeros`` returns them, or a DomainError
+    is raised: the kernel takes the last as the largest, t_K, to size its
+    windows.  Accepts a scalar or an array of any shape of finite points
+    ``x >= 2``, and returns the same shape.  The terms of each point decay
+    only like ``1/t_k`` and are totalled by pairwise summation, whose error
+    grows like ``log K``.  Where more than 80 points crowd into a window of
+    half-width 8 / t_K in ln x, the sum is taken only at 40 Chebyshev
+    points of that window and interpolated (``_kernels.zero_pair_sum``).
+    Either way the error is set by the rounding of t_k ln x in each term:
+    against a 30-digit sum at points among 5000 near 10^6 with all 2000
+    zeros, both routes err by at most 2.4e-13 of the largest |value|.
     """
-    check_zero_count(zeros, n_zeros)
+    t = np.asarray(ordinates)
+    if t.ndim != 1 or t.dtype.kind not in "biuf" or not (
+        np.all(np.isfinite(t) & (t > 0)) and np.all(t[1:] > t[:-1])
+    ):
+        raise DomainError(
+            "ordinates must be one-dimensional, real, finite, positive and "
+            "strictly ascending"
+        )
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if not np.all(np.isfinite(arr) & (arr >= 2.0)):
         raise DomainError("reconstruction is defined for finite x >= 2 only")
-    t_desc = zeros.ordinates[:n_zeros][::-1].copy()
+    t_desc = t[::-1].astype(np.float64)
     out = _kernels.zero_pair_sum(arr.ravel(), t_desc).reshape(arr.shape)
     return _scalar_or_array(x, out)
 

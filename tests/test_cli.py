@@ -129,7 +129,7 @@ def test_spectrum_reconstruct_analytic_bytes(zeros):
     recon = run("reconstruct", "--n", 6, "--K", 10)
     x = 2.5 + np.arange(5)
     direct = ps.fluctuation_at(x)
-    from_zeros = ps.psi_fluc_from_zeros(x, zeros, 10)
+    from_zeros = ps.psi_fluc_from_zeros(x, zeros[:10])
     assert body_of(recon.output) == "x,fluc_direct,fluc_zeros,abs_err\n" + csv_rows(
         x, direct, from_zeros, np.abs(direct - from_zeros)
     )
@@ -966,6 +966,24 @@ def test_spectrum_round_trip_through_sample_csv(tmp_path):
     assert data_rows(direct.output) == data_rows(reread.output)
 
 
+@pytest.mark.parametrize(
+    "make, command",
+    [
+        (("sample", "--n", 2000), ("spectrum", "--method", "welch", "--segment", 256, "--input")),
+        (("sample", "--n", 2000), ("spectrum", "--input")),
+        (("spectrum", "--n", 2000), ("fit", "--spectrum-csv")),
+    ],
+    ids=["spectrum --input welch", "spectrum --input mem", "fit --spectrum-csv"],
+)
+def test_every_reader_skips_a_byte_order_mark(tmp_path, make, command):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    assert run(*make, "--out", plain).exit_code == 0
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outs = [run(*command, path) for path in (plain, bom)]
+    assert [result.exit_code for result in outs] == [0, 0], message_of(outs[1])
+    assert outs[0].output == outs[1].output
+
+
 def test_spectrum_rejects_malformed_input_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,psi,smooth,fluc\n2,1,2\n")
@@ -1439,7 +1457,7 @@ def test_reconstruct_against_library(zeros):
     table = np.array([[float(v) for v in r.split(",")] for r in rows])
     assert np.array_equal(table[:, 0], 2.5 + np.arange(19))
     direct = ps.fluctuation_at(table[:, 0])
-    recon = ps.psi_fluc_from_zeros(table[:, 0], zeros, 50)
+    recon = ps.psi_fluc_from_zeros(table[:, 0], zeros[:50])
     assert np.array_equal(table[:, 1], direct)
     assert np.array_equal(table[:, 2], recon)
     assert np.allclose(table[:, 3], np.abs(direct - recon), rtol=0, atol=0)
@@ -1500,14 +1518,24 @@ def test_reconstruct_zeros_file_not_utf8(tmp_path):
     assert f"{bad}: line 3: not UTF-8 text" in message_of(result)
 
 
+def test_reconstruct_zeros_file_skips_a_byte_order_mark(tmp_path, zeros):
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_text("# first 25 zeros\n" + "".join(f"{t:.17g}\n" for t in zeros[:25]))
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert np.array_equal(ps.load_zeros(bom), zeros[:25])
+    outs = [run("reconstruct", "--n", 8, "--zeros", path) for path in (plain, bom)]
+    assert [result.exit_code for result in outs] == [0, 0]
+    assert data_rows(outs[0].output) == data_rows(outs[1].output)
+
+
 def test_reconstruct_custom_zeros_table(tmp_path, zeros):
     table = tmp_path / "small.txt"
-    lines = [format(t, ".17g") for t in zeros.ordinates[:25]]
+    lines = [format(t, ".17g") for t in zeros[:25]]
     table.write_text("\n".join(lines) + "\n")
     result = run("reconstruct", "--n", 8, "--zeros", table)
     assert result.exit_code == 0  # K defaults to the table size
     _, rows = data_rows(result.output)
-    recon = ps.psi_fluc_from_zeros(2.5 + np.arange(7), zeros, 25)
+    recon = ps.psi_fluc_from_zeros(2.5 + np.arange(7), zeros[:25])
     emitted = np.array([float(r.split(",")[2]) for r in rows])
     assert np.allclose(emitted, recon, rtol=0, atol=1e-12)
 

@@ -218,7 +218,7 @@ def test_burg_matches_scalar_recursion_small():
 
 def test_zero_pair_sum_matches_kahan_loop(zeros):
     xs = 5.5 + 26.0 * np.arange(20)
-    t_desc = zeros.ordinates[::-1].copy()
+    t_desc = zeros[::-1].copy()
     got = kern.zero_pair_sum(xs, t_desc)
     expected = zero_pair_sum_kahan(xs, t_desc)
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
@@ -235,7 +235,7 @@ def test_zero_pair_sum_bits_independent_of_tiles(
     zeros, monkeypatch, tile_rows
 ):
     xs = _pair_sum_points()
-    t_desc = zeros.ordinates[::-1].copy()
+    t_desc = zeros[::-1].copy()
     with monkeypatch.context() as m:
         m.setattr(kern, "_TILE_TERMS", xs.size * t_desc.size)
         whole = kern.zero_pair_sum(xs, t_desc)
@@ -246,7 +246,7 @@ def test_zero_pair_sum_bits_independent_of_tiles(
 
 
 def test_zero_pair_sum_empty_and_single_point(zeros):
-    t_desc = zeros.ordinates[::-1].copy()
+    t_desc = zeros[::-1].copy()
     assert kern.zero_pair_sum(np.empty(0), t_desc).shape == (0,)
     one = kern.zero_pair_sum(np.array([10.5]), t_desc)
     assert one.shape == (1,)
@@ -256,7 +256,7 @@ def test_zero_pair_sum_empty_and_single_point(zeros):
 
 def test_zero_pair_sum_matches_kahan_loop_near_1e6(zeros):
     xs = 1_000_000.5 + np.arange(200)
-    t_desc = zeros.ordinates[::-1].copy()
+    t_desc = zeros[::-1].copy()
     got = kern.zero_pair_sum(xs, t_desc)
     expected = zero_pair_sum_kahan(xs, t_desc)
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
@@ -279,7 +279,7 @@ def test_zero_sum_routes_match_a_30_digit_sum(zeros, monkeypatch):
     pytest.importorskip("mpmath")
     grid = 1_000_000.5 + np.arange(5000)
     at = np.array([0, 1, 613, 1777, 2500, 3331, 4096, 4999])
-    t_desc = zeros.ordinates[::-1].copy()
+    t_desc = zeros[::-1].copy()
     rows = _count_direct_rows(monkeypatch)
     interpolated = kern.zero_pair_sum(grid, t_desc)
     # the grid spans one or two windows, each summed at its 40 nodes only
@@ -315,7 +315,7 @@ def _mixed_points():
 @pytest.mark.parametrize("tile_rows", [1, 7, None])
 def test_zero_pair_sum_independent_of_order_and_tiles(zeros, monkeypatch, tile_rows):
     xs = _mixed_points()
-    t_desc = zeros.ordinates[::-1].copy()
+    t_desc = zeros[::-1].copy()
     whole = kern.zero_pair_sum(xs, t_desc)
     if tile_rows is not None:
         # 7 rows per barycentric tile; 1 row per tile of the direct route
@@ -327,7 +327,7 @@ def test_zero_pair_sum_independent_of_order_and_tiles(zeros, monkeypatch, tile_r
 
 
 def test_sparse_points_keep_the_direct_bits(zeros):
-    t_desc = zeros.ordinates[::-1].copy()
+    t_desc = zeros[::-1].copy()
     xs = _mixed_points()
     got = kern.zero_pair_sum(xs, t_desc)
     # beside dense windows, the sparse points, the repeated ones and the
@@ -345,7 +345,7 @@ def test_a_window_of_more_than_2m_points_is_interpolated(
 ):
     xs = np.concatenate([5.5 + 26.0 * np.arange(20), _run(n_run)])
     counted = _count_direct_rows(monkeypatch)
-    kern.zero_pair_sum(xs, zeros.ordinates[::-1].copy())
+    kern.zero_pair_sum(xs, zeros[::-1].copy())
     assert counted == rows
 
 
@@ -353,7 +353,7 @@ def test_zero_pair_sum_of_no_zeros_or_no_points(zeros):
     no_zeros = np.empty(0)
     grid = 1_000_000.5 + np.arange(500)
     assert np.array_equal(kern.zero_pair_sum(grid, no_zeros), np.zeros(grid.size))
-    for t_desc in (no_zeros, zeros.ordinates[::-1].copy()):
+    for t_desc in (no_zeros, zeros[::-1].copy()):
         out = kern.zero_pair_sum(np.empty(0), t_desc)
         assert out.shape == (0,) and out.dtype == np.float64
 

@@ -361,7 +361,7 @@ def test_fluctuation_at_over_the_whole_grid_holds_one_segment():
 
 
 def test_empty_points_give_empty_arrays(zeros):
-    for out in (ps.fluctuation_at([]), ps.psi_fluc_from_zeros([], zeros, 10)):
+    for out in (ps.fluctuation_at([]), ps.psi_fluc_from_zeros([], zeros[:10])):
         assert isinstance(out, np.ndarray)
         assert out.dtype == np.float64 and out.shape == (0,)
 

@@ -210,6 +210,21 @@ def test_welch_validation():
         ps.welch_psd(y, segment_len=48)  # not a power of two
 
 
+@pytest.mark.parametrize(
+    "segment_len", [32.0, "32", np.float64(32.0), True],
+    ids=["float", "str", "numpy float", "bool"],
+)
+def test_welch_refuses_a_segment_length_that_is_not_an_integer(segment_len):
+    with pytest.raises(DomainError, match="segment length must be a power of two >= 2"):
+        ps.welch_psd(np.arange(64.0), segment_len)
+
+
+def test_welch_takes_a_numpy_integer_segment_length():
+    y = np.arange(64.0) % 7
+    a, b = ps.welch_psd(y, 32), ps.welch_psd(y, np.int64(32))
+    assert np.array_equal(a.power, b.power) and a.estimator == b.estimator
+
+
 # ---------------------------------------------------------------------------
 # Cross-estimator consistency
 # ---------------------------------------------------------------------------
@@ -538,14 +553,24 @@ ESTIMATORS = {
          "expected a one-dimensional real series"),
         (lambda: ps.BlockSeries(blocks=[np.arange(2.0 * _kernels.ROW_LEN) + 1j]),
          "expected a one-dimensional real series"),
+        (lambda: np.arange(10) + 1j, "expected a one-dimensional real series"),
+        (lambda: np.asarray(5.0), "expected a one-dimensional real series"),
     ],
     ids=["short blocks", "long blocks", "2-D array", "2-D block",
          "2-D block of unknown length", "complex block shorter than a row",
-         "complex block of whole rows"],
+         "complex block of whole rows", "complex array", "0-d array"],
 )
+@pytest.mark.filterwarnings("error")
 def test_reader_refuses_wrong_counts_and_shapes(estimate, series, message):
     with pytest.raises(DomainError, match=message):
         estimate(series())
+
+
+@pytest.mark.parametrize("segment_len", [64, None])
+def test_welch_checks_an_arrays_shape_before_its_length(segment_len):
+    for series in (np.zeros((4, 4)), np.asarray(5.0), np.zeros((1, 1))):
+        with pytest.raises(DomainError, match="expected a one-dimensional real series"):
+            ps.welch_psd(series, segment_len)
 
 
 def test_no_estimator_writes_into_its_input():
