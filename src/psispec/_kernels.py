@@ -237,6 +237,7 @@ def zero_pair_sum(xs, t_desc):
         rest = _interpolate_windows(lx, t_desc, out)
     out[rest] = _direct_sums(lx[rest], t_desc)
     out *= -2.0 * np.sqrt(xs)
+    out += 0.0  # an empty sum, -2 sqrt(x) * 0.0, is +0.0, not -0.0
     return out
 
 

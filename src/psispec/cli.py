@@ -601,54 +601,50 @@ _ESTIMATOR_OPTIONS = (
 )
 
 
-def _given(ctx, name: str) -> bool:
-    return ctx.get_parameter_source(name) is not ParameterSource.DEFAULT
-
-
-def _flags(ctx) -> dict:
-    return {param.name: param.opts[0] for param in ctx.command.params}
-
-
-def _refuse_with(option: str, others) -> None:
-    """Exit 2 if ``option`` and any of ``others``, which it overrides or
-    which do not apply to it, were both given (names of click parameters
-    of the current command)."""
-    ctx = click.get_current_context()
-    if not _given(ctx, option):
-        return
-    for other in others:
-        if _given(ctx, other):
-            flags = _flags(ctx)
-            raise click.UsageError(
-                f"{flags[option]} cannot be combined with {flags[other]}", ctx
-            )
-
-
-#: Estimator options that apply only with a value of another option:
-#: (option, the option it needs, that option's value, or None for any).
-_NEEDS = (
-    ("seed", "synthetic", None),
-    ("welch_segment", "method", "welch"),
-    ("n_freq", "method", "mem"),
-    ("f_lo", "method", "mem"),
+#: Which options of ``spectrum`` and ``fit`` go together, checked in this
+#: order by ``_check_options``, which skips a row whose option the command
+#: lacks: each option, when given, cannot be combined with the options it
+#: overrides or that do not apply to it, and needs an option with a value
+#: (None for any value).
+_RULES = (
+    ("input_csv", ("synthetic", "n_samples", "x_start", "seed"), None),
+    # a table is fitted as it is: no estimator option applies to it
+    ("spectrum_csv", ("n_samples", "x_start", "method", "welch_segment",
+                      "n_freq", "f_lo", "synthetic", "seed"), None),
+    ("synthetic", ("x_start",), None),
+    ("seed", (), ("synthetic", None)),
+    ("welch_segment", (), ("method", "welch")),
+    ("n_freq", (), ("method", "mem")),
+    ("f_lo", (), ("method", "mem")),
 )
 
 
-def _refuse_unapplied(params: dict) -> None:
-    """Exit 2 if an option of ``_NEEDS`` was given, though the option it
-    needs does not have the value with which it applies."""
+def _check_options() -> None:
+    """Exit 2 at the first rule of ``_RULES`` that the options given to the
+    current command break; an option is given unless it took its default."""
     ctx = click.get_current_context()
-    for option, needed, value in _NEEDS:
-        have = params[needed]
-        applies = have is not None if value is None else have == value
-        if _given(ctx, option) and not applies:
-            flags = _flags(ctx)
-            need = flags[needed] if value is None else f"{flags[needed]} {value}"
-            raise click.UsageError(f"{flags[option]} needs {need}", ctx)
+    flags = {param.name: param.opts[0] for param in ctx.command.params}
+    given = {name for name in flags
+             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT}
+    for option, excluded, needs in _RULES:
+        if option not in given:
+            continue
+        clash = [flags[other] for other in excluded if other in given]
+        if clash:
+            raise click.UsageError(
+                f"{flags[option]} cannot be combined with {clash[0]}", ctx
+            )
+        if needs is not None:
+            needed, value = needs
+            have = ctx.params[needed]
+            if have is None if value is None else have != value:
+                need = flags[needed] if value is None else f"{flags[needed]} {value}"
+                raise click.UsageError(f"{flags[option]} needs {need}", ctx)
 
 
 def _estimator_options(command):
-    """Declare ``_ESTIMATOR_OPTIONS`` on ``command``, in the listed order."""
+    """Declare ``_ESTIMATOR_OPTIONS`` on ``command``; their order is the
+    order of ``--help``."""
     for option in reversed(_ESTIMATOR_OPTIONS):
         command = option(command)
     return command
@@ -673,9 +669,7 @@ def sample(**params):
 @_translate_errors
 def spectrum(**params):
     """Emit the one-sided power spectral density of the fluctuation."""
-    _refuse_with("input_csv", ("synthetic", "n_samples", "x_start", "seed"))
-    _refuse_with("synthetic", ("x_start",))
-    _refuse_unapplied(params)
+    _check_options()
     cmd_spectrum(RunConfig(**params))
 
 
@@ -689,12 +683,7 @@ def spectrum(**params):
 @_translate_errors
 def fit(**params):
     """Fit P(f) = a*f^b over a band; emit the JSON report."""
-    # a table is fitted as it is: no estimator option applies to it, and
-    # _estimator_options declares them first
-    declared = click.get_current_context().command.params[: len(_ESTIMATOR_OPTIONS)]
-    _refuse_with("spectrum_csv", [option.name for option in declared])
-    _refuse_with("synthetic", ("x_start",))
-    _refuse_unapplied(params)
+    _check_options()
     cmd_fit(RunConfig(**params))
 
 

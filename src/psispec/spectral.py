@@ -118,8 +118,9 @@ class _Shifted:
 
 
 def remove_mean(series) -> np.ndarray:
-    """Return the array-like ``series`` with its arithmetic mean subtracted."""
-    arr = np.asarray(series, dtype=np.float64)
+    """Return the one-dimensional real array-like ``series`` as float64 with
+    its arithmetic mean subtracted."""
+    arr = _real_series(np.asarray(series)).astype(np.float64, copy=False)
     if arr.size == 0:
         raise DomainError("cannot demean an empty series")
     return arr - arr.mean()
@@ -211,6 +212,13 @@ def default_segment_len(n_samples: int) -> int:
     return 1 << (target.bit_length() - 1)
 
 
+def _real_series(block: np.ndarray) -> np.ndarray:
+    """``block``, refused unless it is one-dimensional and real."""
+    if block.ndim != 1 or block.dtype.kind not in "biuf":
+        raise DomainError("expected a one-dimensional real series")
+    return block
+
+
 def _windows(blocks, size: int, step: int):
     """The windows of ``size`` samples, ``step`` apart, of the series of
     one-dimensional real ``blocks``, each copied as float64 into one buffer
@@ -221,9 +229,7 @@ def _windows(blocks, size: int, step: int):
     """
     buf = np.empty(min(size, _kernels.ROW_LEN))
     held = 0  # samples of the next window in buf[:held]
-    for block in blocks:
-        if block.ndim != 1 or block.dtype.kind not in "biuf":
-            raise DomainError("expected a one-dimensional real series")
+    for block in map(_real_series, blocks):
         start = 0
         while start < block.size:
             end = min(block.size, start + size - held)

@@ -13,6 +13,7 @@ import warnings
 import zlib
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -1155,6 +1156,37 @@ def test_options_that_apply_to_nothing_are_refused(command, args, message):
     assert message in message_of(result)
 
 
+@pytest.mark.parametrize(
+    "option",
+    [p for p in cli.spectrum.params if p.name not in ("input_csv", "output_path")],
+    ids=lambda option: option.opts[0],
+)
+def test_spectrum_csv_refuses_every_estimator_option(tmp_path, option):
+    # every option of the pipeline, as spectrum declares it: one that is
+    # added there but not to --spectrum-csv's rule in cli._RULES fails here
+    table = tmp_path / "spectrum.csv"
+    table.write_text("f,P\n0.1,1\n0.5,2\n")
+    value = option.type.choices[0] if isinstance(option.type, click.Choice) else 3
+    result = run("fit", "--spectrum-csv", table, option.opts[0], value)
+    assert result.exit_code == 2
+    assert (f"--spectrum-csv cannot be combined with {option.opts[0]}"
+            in message_of(result))
+
+
+def test_every_name_in_the_option_rules_is_a_parameter():
+    # a misspelt name, or a value its option cannot take, checks nothing
+    commands = [{p.name: p for p in command.params} for command in (cli.spectrum, cli.fit)]
+    for option, excluded, needs in cli._RULES:
+        owners = [params for params in commands if option in params]
+        assert owners, option
+        for params in owners:
+            assert set(excluded) <= params.keys(), (option, excluded)
+            if needs is not None:
+                needed, value = needs
+                assert needed in params, (option, needed)
+                assert value is None or value in params[needed].type.choices
+
+
 def test_autoregressive_order_is_one():
     # orders above 1 are gone: the option is unknown, and so is the argument
     for args in (["fit", "--n", 1000, "--order", 3],
@@ -1493,7 +1525,7 @@ def test_reconstruct_k_zero_gives_zero_column():
     result = run("reconstruct", "--n", 6, "--K", 0)
     assert result.exit_code == 0
     _, rows = data_rows(result.output)
-    assert all(float(r.split(",")[2]) == 0.0 for r in rows)
+    assert rows and all(r.split(",")[2] == "0" for r in rows)  # not "-0"
 
 
 def test_reconstruct_k_beyond_table():

@@ -288,6 +288,23 @@ def test_remove_mean_properties(xs):
     assert np.allclose(out + arr.mean(), arr, rtol=0, atol=1e-9 * scale)
 
 
+@pytest.mark.parametrize(
+    "series, message",
+    [
+        (np.arange(3) + 1j, "expected a one-dimensional real series"),
+        (np.zeros((2, 2)), "expected a one-dimensional real series"),
+        (np.asarray(5.0), "expected a one-dimensional real series"),
+        ([], "cannot demean an empty series"),
+    ],
+    ids=["complex", "2-D", "0-d", "empty"],
+)
+@pytest.mark.filterwarnings("error")
+def test_remove_mean_refuses_what_the_estimators_refuse(series, message):
+    # the check of the estimators' reader: a ComplexWarning is no refusal
+    with pytest.raises(DomainError, match=message):
+        ps.remove_mean(series)
+
+
 # ---------------------------------------------------------------------------
 # One-pass estimation of a series given in blocks
 # ---------------------------------------------------------------------------

@@ -149,8 +149,10 @@ def test_density_count_consistency_to_table_top(zeros):
 
 
 def test_reconstruction_empty_sum(zeros):
+    # +0.0, which a table writes as "0", not -0.0
     for x in (2.0, 10.0, 499.5):
-        assert ps.psi_fluc_from_zeros(x, zeros[:0]) == 0.0
+        value = ps.psi_fluc_from_zeros(x, zeros[:0])
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_reconstruction_at_half_jump_point(zeros):
@@ -210,7 +212,8 @@ def test_reconstruction_refuses_ordinates_the_kernel_cannot_sum(zeros, ordinates
 
 
 def test_reconstruction_sums_every_ordinate_given(zeros):
-    assert ps.psi_fluc_from_zeros(10.5, np.array([])) == 0.0
+    empty = ps.psi_fluc_from_zeros(10.5, np.array([]))
+    assert empty == 0.0 and math.copysign(1.0, empty) == 1.0
     # a list, or integers, read as the same float64 ordinates
     assert ps.psi_fluc_from_zeros(10.5, zeros[:3].tolist()) == ps.psi_fluc_from_zeros(
         10.5, zeros[:3]
