@@ -48,7 +48,6 @@ from .spectral import (
 )
 from .zeta import (
     analytic_psd,
-    analytic_spectrum,
     bundled_zeros_path,
     load_zeros,
     psi_fluc_from_zeros,
@@ -83,6 +82,5 @@ __all__ = [
     "bundled_zeros_path",
     "psi_fluc_from_zeros",
     "analytic_psd",
-    "analytic_spectrum",
     "__version__",
 ]

@@ -65,9 +65,9 @@ from .errors import (
 )
 from .powerlaw import DEFAULT_BAND, fit_power_law
 from .prime_series import fluctuation_at, fluctuation_rows
-from .spectral import (BlockSeries, PowerSpectrum, ar_psd, burg_fit,
-                       check_psd_grid, welch_psd)
-from .zeta import (analytic_spectrum, bundled_zeros_path, load_zeros,
+from .spectral import (BlockSeries, PowerSpectrum, ar_psd, burg_fit, log_grid,
+                       welch_psd)
+from .zeta import (analytic_psd, bundled_zeros_path, load_zeros,
                    psi_fluc_from_zeros)
 
 
@@ -435,7 +435,7 @@ def _pipeline_series(config: RunConfig) -> BlockSeries:
 
 def _estimate_spectrum(config: RunConfig, series) -> PowerSpectrum:
     if config.method == "mem":
-        check_psd_grid(config.n_freq, config.f_lo)  # before any sieving
+        log_grid(config.f_lo, 0.5, config.n_freq)  # checked before any sieving
         model = burg_fit(series)
         return ar_psd(model, n_freq=config.n_freq, f_min=config.f_lo)
     if config.method == "welch":
@@ -541,13 +541,13 @@ def cmd_reconstruct(config: RunConfig) -> None:
 
 def cmd_analytic(config: RunConfig) -> None:
     f_min, f_max = config.band
-    spectrum = analytic_spectrum(f_min, f_max, n_freq=config.n_freq)
+    freqs = log_grid(f_min, f_max, config.n_freq)
     head = [
         "# psispec analytic",
         f"# band=[{_fmt(f_min)},{_fmt(f_max)}] n_freq={config.n_freq}",
         "f,P_analytic",
     ]
-    _write_table(config.output_path, head, [[spectrum.freqs, spectrum.power]])
+    _write_table(config.output_path, head, [[freqs, analytic_psd(freqs)]])
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +586,7 @@ _ESTIMATOR_OPTIONS = (
                  default="mem", show_default=True),
     click.option("--segment", "welch_segment", type=int, default=None,
                  help="Welch segment length (power of two; default: largest "
-                      "power of two <= n/8)."),
+                      "power of two <= n/8, at most 2**20)."),
     click.option("--n-freq", type=int, default=512, show_default=True,
                  help="Frequency points for the mem log grid."),
     click.option("--f-lo", type=float, default=1e-4, show_default=True,

@@ -45,7 +45,8 @@ def fit_power_law(
     """Ordinary least squares on ``log10 P`` versus ``log10 f`` in a band.
 
     Grid points with nonpositive power are excluded from the regression and
-    reported via ``n_excluded``.  Requires at least two usable points.
+    reported via ``n_excluded``.  Requires at least two usable points, and
+    refuses a spectrum with any non-finite frequency or power.
     """
     if not 0.0 < f_min < f_max:
         raise DomainError(
@@ -53,6 +54,8 @@ def fit_power_law(
         )
     freqs = np.asarray(spectrum.freqs, dtype=np.float64)
     power = np.asarray(spectrum.power, dtype=np.float64)
+    if not (np.all(np.isfinite(freqs)) and np.all(np.isfinite(power))):
+        raise DomainError("spectrum holds a non-finite frequency or power")
     in_band = (freqs >= f_min) & (freqs <= f_max)
     usable = in_band & (power > 0.0)
     n_excluded = int(in_band.sum() - usable.sum())

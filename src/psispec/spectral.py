@@ -4,13 +4,15 @@ Two estimators under one normalization convention (one-sided density,
 ``sum P * df ~= variance``):
 
 * ``burg_fit`` + ``ar_psd`` - maximum-entropy spectrum of the one-pole
-  (AR(1)) model fitted by Burg's method; and
+  (AR(1)) model fitted by Burg's method, on the log frequency axis of
+  ``log_grid``, which ``analytic`` prints on too; and
 * ``welch_psd`` - averaged modified periodograms.
 
 Both take a series as a ``BlockSeries`` or as an array-like, one block;
-each block must be one-dimensional and real.  Every series is at unit
-spacing, so both report frequency in cycles per sample, and the axis ends
-at the Nyquist frequency 0.5, a spectrum's ``freqs[-1]``.
+each block must be one-dimensional and real, and every sample finite.
+Every series is at unit spacing, so both report frequency in cycles per
+sample, and the axis ends at the Nyquist frequency 0.5, a spectrum's
+``freqs[-1]``.
 
 Every window an estimator reads, a row of ``_kernels.ROW_LEN`` samples
 or a Welch segment, comes from one loop, ``_windows``, which copies it as
@@ -24,6 +26,7 @@ Welch a buffer of one window.  One of unknown length is counted as it is
 read, and the checks on its length run at the end of the pass.
 """
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -87,6 +90,8 @@ class _Shifted:
     built from the later rows only: the first row's deviations from its
     own mean sum to 0, so ``d`` is exactly 0 for a series of one row and
     the estimates keep the bits of estimating ``remove_mean(series)``.
+    A series is refused once the first row's mean or a later row's sum is
+    not finite, which a NaN or an infinite sample makes it.
     """
 
     def __init__(self, blocks, n: int | None, check_length):
@@ -102,11 +107,17 @@ class _Shifted:
         later = 0.0
         count = 0
         for row in _rows(self._blocks):
-            if shift is None:
-                shift = row.mean()
             # the row is _windows' buffer, which keeps none of it for the next
-            row -= shift
-            later += float(row.sum()) if count else 0.0
+            if shift is None:
+                shift = total = row.mean()
+                if math.isfinite(shift):  # else refused below; inf - inf warns
+                    row -= shift
+            else:
+                row -= shift
+                total = float(row.sum())
+                later += total
+            if not math.isfinite(total):
+                raise DomainError("series holds a non-finite sample")
             count += row.size
             yield row
         if self.n is None:
@@ -173,13 +184,20 @@ def burg_fit(series) -> ArModel:
     return ArModel(coeff=k, noise_var=e, n_samples=n)
 
 
-def check_psd_grid(n_freq: int, f_min: float) -> None:
+def log_grid(f_min: float, f_max: float, n_freq: int) -> np.ndarray:
+    """``n_freq`` frequencies log-spaced from ``f_min`` to ``f_max``, both
+    ends exact: the one frequency axis of MEM(1) and of ``analytic``."""
     if n_freq < 2:
         raise DomainError(f"need at least two frequency points, got {n_freq}")
-    if not 0.0 < f_min < 0.5:
-        raise DomainError(
-            f"f_min must lie in (0, 0.5) cycles per sample unit, got {f_min}"
-        )
+    if not 0.0 < f_min < f_max:
+        raise DomainError(f"need 0 < f_min < f_max, got [{f_min}, {f_max}]")
+    if not math.isfinite(f_max):
+        raise DomainError(f"f_max must be finite, got {f_max}")
+    freqs = np.logspace(np.log10(f_min), np.log10(f_max), n_freq)
+    # pin the endpoints: 10**log10(x) can land one ulp off x
+    freqs[0] = f_min
+    freqs[-1] = f_max
+    return freqs
 
 
 def ar_psd(model: ArModel, n_freq: int = 512, f_min: float = 1e-4) -> PowerSpectrum:
@@ -188,11 +206,7 @@ def ar_psd(model: ArModel, n_freq: int = 512, f_min: float = 1e-4) -> PowerSpect
     ``P(f) = 2 noise_var / |1 + coeff exp(-2 pi i f)|^2`` on
     ``n_freq`` points log-spaced from ``f_min`` to the Nyquist frequency 0.5.
     """
-    check_psd_grid(n_freq, f_min)
-    freqs = np.logspace(np.log10(f_min), np.log10(0.5), n_freq)
-    # pin the endpoints: 10**log10(x) can land one ulp off x
-    freqs[0] = f_min
-    freqs[-1] = 0.5
+    freqs = log_grid(f_min, 0.5, n_freq)
     denom = np.abs(1.0 + model.coeff * np.exp(-2j * np.pi * freqs)) ** 2
     power = 2.0 * model.noise_var / denom
     return PowerSpectrum(
@@ -207,8 +221,10 @@ def ar_psd(model: ArModel, n_freq: int = 512, f_min: float = 1e-4) -> PowerSpect
 
 
 def default_segment_len(n_samples: int) -> int:
-    """Largest power of two not exceeding n_samples / 8 (at least 8)."""
-    target = max(n_samples // 8, 8)
+    """Largest power of two not exceeding n_samples / 8, at least 8 and at
+    most 2**20, so that default Welch's memory stops growing with the
+    series at 2**23 samples (about 104 MB RSS from there on)."""
+    target = min(max(n_samples // 8, 8), 1 << 20)
     return 1 << (target.bit_length() - 1)
 
 
@@ -259,13 +275,13 @@ def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
     the series minus its mean.
 
     Segments of ``segment_len`` samples (a power of two; default the largest
-    power of two <= n/8) advance by half a segment.  Each is tapered by a
-    periodic Hann window, transformed, and the squared magnitudes are
-    averaged and scaled by ``1 / sum w^2`` so the result is a density;
-    interior bins are doubled to fold negative frequencies in.  The series
-    is read in one pass: each segment is copied from the shifted rows into
-    one buffer (``_windows``), so the pass holds one segment beyond the
-    current row; only the default segment of a series of unknown length
+    power of two <= n/8, at most 2**20) advance by half a segment.  Each is
+    tapered by a periodic Hann window, transformed, and the squared
+    magnitudes are averaged and scaled by ``1 / sum w^2`` so the result is
+    a density; interior bins are doubled to fold negative frequencies in.
+    The series is read in one pass: each segment is copied from the shifted
+    rows into one buffer (``_windows``), so the pass holds one segment
+    beyond the current row; only the default segment of a series of unknown length
     needs the blocks held, as they are, to count them first.
     """
     blocks, n = _as_blocks(series)
@@ -302,9 +318,19 @@ def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
             acc = np.zeros(segment_len // 2 + 1)
             # sum of the segment transforms, for removing the offset d
             total = np.zeros(segment_len // 2 + 1, dtype=np.complex128)
-        spec = np.fft.rfft(segment * taper)
-        acc += np.abs(spec) ** 2
+            # one buffer per step, reused for every segment, so that the
+            # peak does not hang on where the allocator puts fresh blocks
+            # (it moved by 8 MB with the command line at a segment of 2**20)
+            tapered = np.empty(segment_len)
+            spec = np.empty_like(total)
+            mag = np.empty_like(acc)
+        np.multiply(segment, taper, out=tapered)
+        np.fft.rfft(tapered, out=spec)
+        np.abs(spec, out=mag)
+        mag *= mag
+        acc += mag
         total += spec
+    del tapered, spec, mag  # before the temporaries below
     n = shifted.n
     n_segments = (n - segment_len) // step + 1
     # |S - d W|^2 summed over segments, with W the transform of the taper

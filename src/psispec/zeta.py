@@ -22,7 +22,6 @@ from . import _kernels
 from .errors import (DataFormatError, DomainError, ascii_floats, content_lines,
                      open_input)
 from .prime_series import _scalar_or_array
-from .spectral import PowerSpectrum
 
 TWO_PI = 2.0 * math.pi
 
@@ -117,31 +116,3 @@ def analytic_psd(f):
     lg = np.log(arr / TWO_PI)
     out = 2.0 * lg * lg / (arr * arr)
     return _scalar_or_array(f, out)
-
-
-def analytic_spectrum(
-    f_min: float, f_max: float, n_freq: int = 512
-) -> PowerSpectrum:
-    """The asymptotic density ``2 ln^2(f/(2 pi)) / f^2`` sampled on a log
-    grid over [f_min, f_max].
-
-    The grid ends at ``f_max``, its ``freqs[-1]``, where an estimate's ends
-    at the Nyquist frequency.
-    """
-    if not 0.0 < f_min < f_max:
-        raise DomainError(
-            f"need 0 < f_min < f_max, got [{f_min}, {f_max}]"
-        )
-    if not math.isfinite(f_max):
-        raise DomainError(f"f_max must be finite, got {f_max}")
-    if n_freq < 2:
-        raise DomainError(f"need at least two frequency points, got {n_freq}")
-    freqs = np.logspace(math.log10(f_min), math.log10(f_max), n_freq)
-    # pin the endpoints: 10**log10(x) can land one ulp off x
-    freqs[0] = f_min
-    freqs[-1] = f_max
-    return PowerSpectrum(
-        freqs=freqs,
-        power=analytic_psd(freqs),
-        estimator={"method": "analytic"},
-    )

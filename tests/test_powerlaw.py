@@ -96,6 +96,23 @@ def test_validation():
         ps.fit_power_law(dead)  # nothing usable
 
 
+@pytest.mark.parametrize("column", ["freqs", "power"])
+def test_non_finite_points_are_refused(column):
+    # a NaN frequency fell out of the band uncounted, and a NaN power was
+    # counted as nonpositive
+    columns = {"freqs": np.array([1e-3, 1e-2, 1e-1])}
+    columns["power"] = 3.0 * columns["freqs"] ** -2.0
+    columns[column][1] = np.nan
+    with pytest.raises(DomainError, match="non-finite frequency or power"):
+        ps.fit_power_law(_spectrum(columns["freqs"], columns["power"]))
+
+
+def test_usable_points_at_one_frequency_are_refused():
+    spec = _spectrum(np.full(3, 1e-2), [1.0, 2.0, 3.0])
+    with pytest.raises(DomainError, match="all usable points share one frequency"):
+        ps.fit_power_law(spec)
+
+
 @given(c=st.floats(min_value=1e-3, max_value=1e3))
 @settings(max_examples=50, deadline=None)
 def test_scale_equivariance(c):

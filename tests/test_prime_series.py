@@ -188,6 +188,12 @@ def test_resource_guard_on_huge_grid():
         ps.psi_series(10, x_start=2**53)
 
 
+def test_a_grid_too_large_to_allocate_is_a_resource_error():
+    # numpy refuses 8 PiB of float64 at once, before any sieving
+    with pytest.raises(ResourceError, match="cannot allocate grid of 1125899906842624 points"):
+        ps.psi_series(2**50)
+
+
 @given(
     x_start=st.integers(min_value=2, max_value=5000),
     n=st.integers(min_value=1, max_value=200),

@@ -186,6 +186,8 @@ def test_welch_default_segment_rule():
     assert ps.default_segment_len(10**5) == 2**13
     assert ps.default_segment_len(2**17) == 2**14
     assert ps.default_segment_len(100) == 8
+    assert ps.default_segment_len(2**23) == 2**20
+    assert ps.default_segment_len(2**26) == 2**20
     spec = ps.welch_psd(np.random.default_rng(0).standard_normal(10**5))
     assert spec.estimator["segment_len"] == 2**13
 
@@ -580,6 +582,36 @@ ESTIMATORS = {
 @pytest.mark.filterwarnings("error")
 def test_reader_refuses_wrong_counts_and_shapes(estimate, series, message):
     with pytest.raises(DomainError, match=message):
+        estimate(series())
+
+
+def _white_with(value, at, n=3 * _kernels.ROW_LEN):
+    """White noise of ``n`` samples with ``value`` at index ``at``."""
+    y = np.random.default_rng(8).standard_normal(n)
+    y[at] = value
+    return y
+
+
+@pytest.mark.parametrize(
+    "estimate", [ps.burg_fit, ps.welch_psd], ids=["burg", "welch default"]
+)
+@pytest.mark.parametrize(
+    "series",
+    [
+        lambda: _white_with(np.nan, 7),
+        lambda: _white_with(np.inf, _kernels.ROW_LEN + 9),
+        lambda: _white_with(-np.inf, 2 * _kernels.ROW_LEN + 1),
+        lambda: ps.BlockSeries(
+            blocks=np.split(_white_with(np.nan, 5100), [5000]),
+            n=3 * _kernels.ROW_LEN,
+        ),
+    ],
+    ids=["NaN in the first row", "+inf in a later row", "-inf in a later row",
+         "NaN in the second block"],
+)
+@pytest.mark.filterwarnings("error")
+def test_reader_refuses_a_non_finite_sample(estimate, series):
+    with pytest.raises(DomainError, match="series holds a non-finite sample"):
         estimate(series())
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import psispec as ps
 from psispec.errors import DataFormatError, DomainError
+from psispec.spectral import log_grid
 from psispec.zeta import TWO_PI
 
 import oracles
@@ -311,25 +312,26 @@ def test_psd_local_slope_approaches_minus_two_from_above():
     assert gaps[2] < gaps[1] < gaps[0]
 
 
-def test_analytic_spectrum_grid():
-    spec = ps.analytic_spectrum(TWO_PI, 100.0, n_freq=64)
-    assert spec.freqs[0] == TWO_PI and spec.freqs[-1] == 100.0
-    assert spec.power[0] == 0.0
-    assert np.all(spec.power >= 0.0)
-    assert np.all(np.diff(spec.freqs) > 0)
+def test_log_grid_of_the_analytic_band():
+    freqs = log_grid(TWO_PI, 100.0, 64)
+    assert freqs[0] == TWO_PI and freqs[-1] == 100.0
+    power = ps.analytic_psd(freqs)
+    assert power[0] == 0.0
+    assert np.all(power >= 0.0)
+    assert np.all(np.diff(freqs) > 0)
     with pytest.raises(DomainError):
-        ps.analytic_spectrum(0.0, 1.0)
+        log_grid(0.0, 1.0, 512)
     with pytest.raises(DomainError):
-        ps.analytic_spectrum(0.5, 0.1)
+        log_grid(0.5, 0.1, 512)
     with pytest.raises(DomainError):
-        ps.analytic_spectrum(1e-3, 1e-1, n_freq=1)
+        log_grid(1e-3, 1e-1, 1)
 
 
-def test_analytic_spectrum_needs_a_finite_band():
+def test_log_grid_needs_a_finite_band():
     with pytest.raises(DomainError, match="f_max must be finite"):
-        ps.analytic_spectrum(1.0, math.inf)
+        log_grid(1.0, math.inf, 512)
     with pytest.raises(DomainError):
-        ps.analytic_spectrum(math.nan, 1.0)
+        log_grid(math.nan, 1.0, 512)
 
 
 def test_scalar_inputs_give_floats_and_sequences_give_arrays(zeros):
