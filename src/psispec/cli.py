@@ -435,7 +435,8 @@ def _pipeline_series(config: RunConfig) -> BlockSeries:
 
 def _estimate_spectrum(config: RunConfig, series) -> PowerSpectrum:
     if config.method == "mem":
-        log_grid(config.f_lo, 0.5, config.n_freq)  # checked before any sieving
+        # checked before any sieving; ar_psd builds these n_freq floats again
+        log_grid(config.f_lo, 0.5, config.n_freq)
         model = burg_fit(series)
         return ar_psd(model, n_freq=config.n_freq, f_min=config.f_lo)
     if config.method == "welch":

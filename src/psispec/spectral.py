@@ -91,7 +91,7 @@ class _Shifted:
     own mean sum to 0, so ``d`` is exactly 0 for a series of one row and
     the estimates keep the bits of estimating ``remove_mean(series)``.
     A series is refused once the first row's mean or a later row's sum is
-    not finite, which a NaN or an infinite sample makes it.
+    not finite: a NaN, an infinity or a sum past float64's range does it.
     """
 
     def __init__(self, blocks, n: int | None, check_length):
@@ -117,7 +117,7 @@ class _Shifted:
                 total = float(row.sum())
                 later += total
             if not math.isfinite(total):
-                raise DomainError("series holds a non-finite sample")
+                raise DomainError("series holds a non-finite sample or overflows")
             count += row.size
             yield row
         if self.n is None:
@@ -318,9 +318,9 @@ def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
             acc = np.zeros(segment_len // 2 + 1)
             # sum of the segment transforms, for removing the offset d
             total = np.zeros(segment_len // 2 + 1, dtype=np.complex128)
-            # one buffer per step, reused for every segment, so that the
-            # peak does not hang on where the allocator puts fresh blocks
-            # (it moved by 8 MB with the command line at a segment of 2**20)
+            # one buffer per step, reused for every segment (numpy.fft takes
+            # out= from numpy 2.0), so that the peak does not hang on where
+            # the allocator puts fresh blocks (8 MB at a 2**20 segment)
             tapered = np.empty(segment_len)
             spec = np.empty_like(total)
             mag = np.empty_like(acc)

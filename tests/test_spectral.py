@@ -615,6 +615,13 @@ def test_reader_refuses_a_non_finite_sample(estimate, series):
         estimate(series())
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_reader_names_a_sum_past_float64s_range():
+    # every sample is finite; the first row's sum is not
+    with pytest.raises(DomainError, match="non-finite sample or overflows"):
+        ps.burg_fit(np.full(5000, 1e308))
+
+
 @pytest.mark.parametrize("segment_len", [64, None])
 def test_welch_checks_an_arrays_shape_before_its_length(segment_len):
     for series in (np.zeros((4, 4)), np.asarray(5.0), np.zeros((1, 1))):
