@@ -155,14 +155,16 @@ def burg_recursion(y, sums, last):
 
     ``last`` is the sample before ``y``, whose products with ``y[0]`` join
     the row's <b,b> and <f,b>, or None when ``y`` is the first row, which
-    then has one term fewer in <f,f>."""
-    yy = float(np.dot(y, y))
-    bb = float(np.dot(y[:-1], y[:-1]))
-    fb = float(np.dot(y[1:], y[:-1]))
-    if last is None:
-        parts = (yy, float(np.dot(y[1:], y[1:])), bb, fb)
-    else:
-        parts = (yy, yy, last * last + bb, last * float(y[0]) + fb)
+    then has one term fewer in <f,f>.  A part that overflows is left
+    non-finite, unwarned, for the caller to refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        yy = float(np.dot(y, y))
+        bb = float(np.dot(y[:-1], y[:-1]))
+        fb = float(np.dot(y[1:], y[:-1]))
+        if last is None:
+            parts = (yy, float(np.dot(y[1:], y[1:])), bb, fb)
+        else:
+            parts = (yy, yy, last * last + bb, last * float(y[0]) + fb)
     return [kahan_add(*sc, part) for sc, part in zip(sums, parts)]
 
 

@@ -17,11 +17,12 @@ every command writes them, is checked and converted by
 ``float`` gives; only the columns the command uses are converted.  Any
 other chunk is walked by ``errors.content_lines``, the one walker of input
 lines, which checks UTF-8 and drops comments and blanks, and goes to the
-kernel again; if it is still refused (spaces, exponents, ``nan``), every
-field is read by ``float``, in ASCII without "_".  Every number must be
-finite.  The reader numbers the lines as it reads them (a canonical chunk
-holds one line per row), so a bad row, or a line that is not UTF-8, is
-named by its line in the file from its own chunk.  An ``--input`` table
+kernel again; if it is still refused (spaces, exponents, ``nan``), its
+lines go to ``errors.numeric_lines``, the one reader of input numbers:
+``float`` of every field, which must be finite, in ASCII without "_".
+The reader numbers the lines as it reads them (a canonical chunk holds one
+line per row), so a bad row, or a line that is not UTF-8, is named by its
+line in the file from its own chunk.  An ``--input`` table
 goes to the estimators as it is read, one ``fluc`` block per chunk, and a
 ``--synthetic`` signal, seeded white noise or its random walk, as it is
 drawn, ``_CHUNK_ROWS`` samples at a time; either is held whole only where
@@ -59,8 +60,8 @@ from .errors import (
     DegenerateInputError,
     DomainError,
     ResourceError,
-    ascii_floats,
     content_lines,
+    numeric_lines,
     open_input,
 )
 from .powerlaw import DEFAULT_BAND, fit_power_law
@@ -313,7 +314,7 @@ def _chunks(fh):
 def _parse_lines(path, chunk: bytes, n_cols: int, usecols, first_line: int):
     """Columns ``usecols`` of ``chunk``, line ``first_line`` of ``path`` on,
     which ``parse_rows`` refused: by the kernel again without comments and
-    blank lines, else by ``ascii_floats`` of every line, naming the first
+    blank lines, else by ``errors.numeric_lines``, which names the first
     line with the wrong field count, a non-number or a non-finite one."""
     lines = list(content_lines(path, chunk, first_line))
     text = "".join(content + "\n" for _, content in lines)
@@ -321,22 +322,7 @@ def _parse_lines(path, chunk: bytes, n_cols: int, usecols, first_line: int):
     if columns is not None:
         return columns
     values = []
-    for lineno, content in lines:
-        fields = content.count(",") + 1
-        if fields != n_cols:
-            raise DataFormatError(
-                f"{path}: line {lineno}: expected {n_cols} fields, got {fields}"
-            )
-        try:
-            row = ascii_floats(content)
-        except ValueError as exc:
-            raise DataFormatError(
-                f"{path}: line {lineno}: non-numeric field in {content!r}"
-            ) from exc
-        if not all(map(math.isfinite, row)):
-            raise DataFormatError(
-                f"{path}: line {lineno}: non-finite number in {content!r}"
-            )
+    for _, row in numeric_lines(path, lines, n_cols):
         values += row  # numpy converts one flat list faster than a list per row
     table = np.array(values).reshape(-1, n_cols)
     return [table[:, c].copy() for c in usecols]
@@ -397,8 +383,6 @@ def _synthetic_series(kind: str, n: int, seed: int | None) -> BlockSeries:
     generator, so that they hold the numbers of one draw of ``n``.  Each
     block of the walk is summed in place from the last value of the one
     before, which gives the bits of ``np.cumsum`` of the whole draw."""
-    if kind not in ("white", "walk"):
-        raise DomainError(f"unknown synthetic signal {kind!r} (use white or walk)")
     rng = np.random.default_rng(seed)
 
     def blocks():
@@ -418,15 +402,11 @@ def _pipeline_series(config: RunConfig) -> BlockSeries:
     """The series the estimators run on, before its mean is removed: the
     fluctuation as blocks straight from the sieve or from the chunks of
     the ``--input`` table, whose length the estimators count, or from the
-    ``--synthetic`` generator."""
+    ``--synthetic`` generator; they refuse a series too short for them."""
     if config.input_csv is not None:
         # built here, not by read_sample_csv: psibench's trace of that
         # function adds up the n of its result, which a stream leaves None
         return BlockSeries(blocks=_sample_flucs(config.input_csv))
-    if config.n_samples < 2:
-        raise DomainError(
-            f"spectral estimation needs at least 2 samples, got {config.n_samples}"
-        )
     if config.synthetic is not None:
         return _synthetic_series(config.synthetic, config.n_samples, config.seed)
     rows = fluctuation_rows(config.n_samples, config.x_start)
@@ -439,9 +419,7 @@ def _estimate_spectrum(config: RunConfig, series) -> PowerSpectrum:
         log_grid(config.f_lo, 0.5, config.n_freq)
         model = burg_fit(series)
         return ar_psd(model, n_freq=config.n_freq, f_min=config.f_lo)
-    if config.method == "welch":
-        return welch_psd(series, segment_len=config.welch_segment)
-    raise DomainError(f"unknown method {config.method!r} (use mem or welch)")
+    return welch_psd(series, segment_len=config.welch_segment)
 
 
 def _spectrum_head(config: RunConfig, spectrum: PowerSpectrum) -> list[str]:

@@ -1,6 +1,8 @@
 """Exception types shared across the package, the one opener of input
 files, ``open_input``, the one walker of their lines, ``content_lines``,
-and ``ascii_floats`` for their numbers."""
+and the one reader of their numbers, ``numeric_lines``."""
+
+import math
 
 
 class PsispecError(Exception):
@@ -60,13 +62,25 @@ def content_lines(path, data: bytes, first_line: int):
             yield lineno, content
 
 
-def ascii_floats(text: str) -> list[float]:
-    """``float`` of each comma-separated field of ``text``, a line of an
-    input file, which must be ASCII and hold no "_": ``float`` alone also
-    reads digit separators, as in ``1_000``, and the digits of other
-    scripts, as in ``١٢``.  Raises ValueError for those, and wherever
-    ``float`` would.
-    """
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"not ASCII decimals: {text!r}")
-    return list(map(float, text.split(",")))
+def numeric_lines(path, lines, n_cols: int):
+    """``(line number, values)`` of each ``(line number, content)`` pair of
+    ``lines`` of the file at ``path``, as ``content_lines`` yields them: the
+    ``float`` of each field.  A DataFormatError names the first line that is
+    not ``n_cols`` comma-separated finite numbers in ASCII without "_"
+    (``float`` alone reads ``1_000`` and the digits of other scripts)."""
+    for lineno, content in lines:
+        fields = content.count(",") + 1
+        try:
+            values = list(map(float, content.split(",")))
+        except ValueError:
+            values = None
+        if fields != n_cols:
+            problem = f"expected {n_cols} fields, got {fields}"
+        elif values is None or not content.isascii() or "_" in content:
+            problem = f"non-numeric field in {content!r}"
+        elif not all(map(math.isfinite, values)):
+            problem = f"non-finite number in {content!r}"
+        else:
+            yield lineno, values
+            continue
+        raise DataFormatError(f"{path}: line {lineno}: {problem}")

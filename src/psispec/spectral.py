@@ -90,8 +90,8 @@ class _Shifted:
     built from the later rows only: the first row's deviations from its
     own mean sum to 0, so ``d`` is exactly 0 for a series of one row and
     the estimates keep the bits of estimating ``remove_mean(series)``.
-    A series is refused once the first row's mean or a later row's sum is
-    not finite: a NaN, an infinity or a sum past float64's range does it.
+    A NaN, an infinity or a sum past float64's range makes the estimate
+    non-finite, which each estimator refuses at the end (``_check_finite``).
     """
 
     def __init__(self, blocks, n: int | None, check_length):
@@ -108,16 +108,13 @@ class _Shifted:
         count = 0
         for row in _rows(self._blocks):
             # the row is _windows' buffer, which keeps none of it for the next
-            if shift is None:
-                shift = total = row.mean()
-                if math.isfinite(shift):  # else refused below; inf - inf warns
+            with np.errstate(over="ignore", invalid="ignore"):
+                if shift is None:
+                    shift = row.mean()
                     row -= shift
-            else:
-                row -= shift
-                total = float(row.sum())
-                later += total
-            if not math.isfinite(total):
-                raise DomainError("series holds a non-finite sample or overflows")
+                else:
+                    row -= shift
+                    later += float(row.sum())
             count += row.size
             yield row
         if self.n is None:
@@ -128,10 +125,17 @@ class _Shifted:
         self.offset = later / count
 
 
+def _check_finite(estimate) -> None:
+    """Refuse a series whose estimate is not finite, once the pass is over:
+    the estimators' arithmetic runs under ``np.errstate``, not to warn."""
+    if not np.all(np.isfinite(estimate)):
+        raise DomainError("series holds a non-finite sample or overflows")
+
+
 def remove_mean(series) -> np.ndarray:
     """Return the one-dimensional real array-like ``series`` as float64 with
     its arithmetic mean subtracted."""
-    arr = _real_series(np.asarray(series)).astype(np.float64, copy=False)
+    arr = _real_series(series).astype(np.float64, copy=False)
     if arr.size == 0:
         raise DomainError("cannot demean an empty series")
     return arr - arr.mean()
@@ -165,10 +169,6 @@ def burg_fit(series) -> ArModel:
             first = float(y[0])
         constant = constant and bool(np.all(y == first))
         last = float(y[-1])
-    if constant:
-        raise DegenerateInputError(
-            "series is constant; an autoregressive model is undetermined"
-        )
     xx, ff, bb, fb = (s - c for s, c in sums)
     n = shifted.n
     d = shifted.offset
@@ -178,6 +178,11 @@ def burg_fit(series) -> ArModel:
     bb = bb - (n + 1) * d * d + 2.0 * d * last
     fb = fb - (n + 1) * d * d + d * (first + last)
     den = ff + bb
+    _check_finite((xx, fb, den))  # overflow can pass the constant test
+    if constant:
+        raise DegenerateInputError(
+            "series is constant; an autoregressive model is undetermined"
+        )
     k = -2.0 * fb / den if den else 0.0
     e = xx / n
     e *= 1.0 - k * k
@@ -223,13 +228,14 @@ def ar_psd(model: ArModel, n_freq: int = 512, f_min: float = 1e-4) -> PowerSpect
 def default_segment_len(n_samples: int) -> int:
     """Largest power of two not exceeding n_samples / 8, at least 8 and at
     most 2**20, so that default Welch's memory stops growing with the
-    series at 2**23 samples (about 104 MB RSS from there on)."""
+    series at 2**23 samples (about 100 MB RSS from there on)."""
     target = min(max(n_samples // 8, 8), 1 << 20)
     return 1 << (target.bit_length() - 1)
 
 
-def _real_series(block: np.ndarray) -> np.ndarray:
-    """``block``, refused unless it is one-dimensional and real."""
+def _real_series(block) -> np.ndarray:
+    """``block`` as an array, refused unless one-dimensional and real."""
+    block = np.asarray(block)
     if block.ndim != 1 or block.dtype.kind not in "biuf":
         raise DomainError("expected a one-dimensional real series")
     return block
@@ -291,7 +297,7 @@ def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
         # a length counted here is not passed on, so that the reader checks
         # the blocks' shapes before their length
         segment_len = default_segment_len(
-            sum(block.size for block in blocks) if n is None else n
+            sum(map(np.size, blocks)) if n is None else n
         )
     if not isinstance(segment_len, (int, np.integer)) or (
         segment_len < 2 or segment_len & (segment_len - 1)
@@ -313,8 +319,8 @@ def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
         if taper is None:
             # made once a whole segment has come, so that a segment longer
             # than a series of unknown length allocates nothing
-            idx = np.arange(segment_len)
-            taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * idx / segment_len)
+            taper = np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
+            taper = 0.5 - 0.5 * taper  # periodic Hann
             acc = np.zeros(segment_len // 2 + 1)
             # sum of the segment transforms, for removing the offset d
             total = np.zeros(segment_len // 2 + 1, dtype=np.complex128)
@@ -324,27 +330,27 @@ def welch_psd(series, segment_len: int | None = None) -> PowerSpectrum:
             tapered = np.empty(segment_len)
             spec = np.empty_like(total)
             mag = np.empty_like(acc)
-        np.multiply(segment, taper, out=tapered)
-        np.fft.rfft(tapered, out=spec)
-        np.abs(spec, out=mag)
-        mag *= mag
-        acc += mag
-        total += spec
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(segment, taper, out=tapered)
+            np.fft.rfft(tapered, out=spec)
+            np.abs(spec, out=mag)
+            mag *= mag
+            acc += mag
+            total += spec
     del tapered, spec, mag  # before the temporaries below
     n = shifted.n
     n_segments = (n - segment_len) // step + 1
     # |S - d W|^2 summed over segments, with W the transform of the taper
     d = shifted.offset
     w = np.fft.rfft(taper)
-    acc = (
-        acc
-        - 2.0 * d * (total * np.conj(w)).real
-        + n_segments * d * d * np.abs(w) ** 2
-    )
-    acc /= n_segments
-    power = acc / np.sum(taper * taper)
-    power[1:-1] *= 2.0
-    freqs = idx[: segment_len // 2 + 1] / segment_len
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc -= 2.0 * d * (total * np.conj(w)).real
+        acc += n_segments * d * d * np.abs(w) ** 2
+        acc /= n_segments
+        power = acc / np.sum(taper * taper)
+        power[1:-1] *= 2.0
+    _check_finite(power)
+    freqs = np.arange(segment_len // 2 + 1) / segment_len
     return PowerSpectrum(
         freqs=freqs,
         power=power,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import (DataFormatError, DomainError, ascii_floats, content_lines,
+from .errors import (DataFormatError, DomainError, content_lines, numeric_lines,
                      open_input)
 from .prime_series import _scalar_or_array
 
@@ -35,26 +35,21 @@ def load_zeros(path) -> np.ndarray:
     """The ordinates of a zero table, one decimal per line, as an ascending
     float64 array.
 
-    Its lines are walked by ``errors.content_lines``, like every input
-    file's, so blank lines and ``#`` comments, after an ordinate too, are
-    skipped.  Violations (text that is not UTF-8, a line that is not one
-    number in ASCII without "_", as ``errors.ascii_floats`` reads it,
-    nonpositive, non-ascending, or a first ordinate at or below 14) raise
-    :class:`DataFormatError` naming the offending line.
+    Its lines are walked by ``errors.content_lines`` and read by
+    ``errors.numeric_lines``, like every input file's: blank lines and
+    ``#`` comments, after an ordinate too, are skipped, and a line that is
+    not one finite number is refused in the CSV reader's words.  So is an
+    ordinate that is nonpositive, not above the one before, or a first one
+    at or below 14, each by a :class:`DataFormatError` naming its line.
     """
     path = Path(path)
     with open_input(path, "zeros file") as fh:
         data = fh.read().encode("utf-8", "surrogateescape")
     ordinates = []
     prev = None
-    for lineno, line in content_lines(path, data, 1):
-        try:
-            (t,) = ascii_floats(line)  # a second field fails to unpack
-        except ValueError as exc:
-            raise DataFormatError(
-                f"{path}: line {lineno}: not a decimal ordinate: {line!r}"
-            ) from exc
-        if not math.isfinite(t) or t <= 0.0:
+    lines = list(content_lines(path, data, 1))
+    for (lineno, line), (_, (t,)) in zip(lines, numeric_lines(path, lines, 1)):
+        if t <= 0.0:
             raise DataFormatError(
                 f"{path}: line {lineno}: ordinate must be positive, got {line}"
             )

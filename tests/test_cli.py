@@ -1006,6 +1006,21 @@ def test_missing_input_file_exits_3_and_leaves_no_file(tmp_path, option):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("options", [[], ["--method", "welch", "--segment", 256]])
+def test_spectrum_refuses_a_finite_input_that_overflows(tmp_path, options):
+    # every fluc is finite, but the estimators' squares pass float64's range
+    fluc = np.random.default_rng(0).standard_normal(5000) * 1e200
+    table = tmp_path / "sample.csv"
+    table.write_text("x,psi,smooth,fluc\n" + "".join(
+        f"{x},0,0,{v!r}\n" for x, v in enumerate(fluc.tolist(), 2)
+    ))
+    out = tmp_path / "out.csv"
+    result = run("spectrum", "--input", table, "--out", out, *options)
+    assert result.exit_code == 2
+    assert "error: series holds a non-finite sample or overflows\n" in message_of(result)
+    assert not out.exists()
+
+
 def test_ar1_sample_bits_unchanged():
     # digest of the draw when the tests carried their own AR(1) recursion
     y = ar1_sample(1234, 10**4)
@@ -1019,8 +1034,8 @@ def test_ar1_sample_bits_unchanged():
     "args, message",
     [
         (["--n", 100, "--seed", -1], "--seed"),
-        (["--n", -5], "at least 2 samples, got -5"),
-        (["--n", 1], "at least 2 samples, got 1"),
+        (["--n", -5], "need more than 1 samples to fit order 1, got -5"),
+        (["--n", 1], "need more than 1 samples to fit order 1, got 1"),
     ],
 )
 def test_synthetic_bad_size_or_seed_is_usage_error(args, message):
@@ -1271,6 +1286,11 @@ def test_input_gives_the_bytes_of_n(tmp_path, small_segments, small_chunks,
          "requested 5000 zeros but the table holds 2000"),
         (["reconstruct", "--n", 10, "--x-start", 10**6, "--K", -1],
          "zero count must be nonnegative, got -1"),
+        # the estimators refuse a series of known length that is too short
+        (["spectrum", "--n", 1], "need more than 1 samples to fit order 1, got 1"),
+        (["spectrum", "--n", 1, "--method", "welch"],
+         "segment length 8 exceeds series length 1"),
+        (["fit", "--n", 1], "need more than 1 samples to fit order 1, got 1"),
     ],
 )
 def test_bad_options_are_refused_before_sieving(monkeypatch, args, message):
@@ -1549,6 +1569,22 @@ def test_reconstruct_zeros_file_not_utf8(tmp_path):
     result = run("reconstruct", "--n", 6, "--zeros", bad)
     assert result.exit_code == 3
     assert f"{bad}: line 3: not UTF-8 text" in message_of(result)
+
+
+def test_every_input_file_names_a_non_numeric_field_alike(tmp_path):
+    # a zero table, and a sample table whose chunk the kernel refuses
+    zeros = tmp_path / "zeros.txt"
+    zeros.write_text("# zeros\n14.134725141734693\n21.0x # second\n")
+    lines = replace_field(sample_lines(20), 12, 3, "0.5x")
+    table = write_sample(tmp_path, lines)
+    for args, path, line, content in (
+        (["reconstruct", "--n", 6, "--zeros", zeros], zeros, 3, "21.0x"),
+        (["spectrum", "--input", table], table, 13, lines[12].rstrip("\n")),
+    ):
+        result = run(*args)
+        assert result.exit_code == 3
+        message = f"error: {path}: line {line}: non-numeric field in {content!r}\n"
+        assert message in message_of(result)
 
 
 def test_reconstruct_zeros_file_skips_a_byte_order_mark(tmp_path, zeros):

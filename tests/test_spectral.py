@@ -574,10 +574,13 @@ ESTIMATORS = {
          "expected a one-dimensional real series"),
         (lambda: np.arange(10) + 1j, "expected a one-dimensional real series"),
         (lambda: np.asarray(5.0), "expected a one-dimensional real series"),
+        (lambda: ps.BlockSeries(blocks=[np.arange(64.0).reshape(8, 8).tolist()]),
+         "expected a one-dimensional real series"),
     ],
     ids=["short blocks", "long blocks", "2-D array", "2-D block",
          "2-D block of unknown length", "complex block shorter than a row",
-         "complex block of whole rows", "complex array", "0-d array"],
+         "complex block of whole rows", "complex array", "0-d array",
+         "nested-list block"],
 )
 @pytest.mark.filterwarnings("error")
 def test_reader_refuses_wrong_counts_and_shapes(estimate, series, message):
@@ -615,11 +618,42 @@ def test_reader_refuses_a_non_finite_sample(estimate, series):
         estimate(series())
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_reader_names_a_sum_past_float64s_range():
     # every sample is finite; the first row's sum is not
     with pytest.raises(DomainError, match="non-finite sample or overflows"):
         ps.burg_fit(np.full(5000, 1e308))
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [ps.burg_fit, ps.welch_psd, functools.partial(ps.welch_psd, segment_len=256)],
+    ids=["burg", "welch default", "welch 256"],
+)
+@pytest.mark.filterwarnings("error")
+def test_estimators_refuse_a_finite_series_whose_products_overflow(estimate):
+    # every sample and every row sum is finite; the squares are not
+    y = np.random.default_rng(0).standard_normal(5000) * 1e200
+    with pytest.raises(DomainError, match="non-finite sample or overflows"):
+        estimate(y)
+
+
+def _list_blocks(y, kind):
+    """``y`` as a BlockSeries of blocks of ``kind``, cut where no row ends."""
+    return ps.BlockSeries(blocks=[kind(b.tolist()) for b in np.split(y, [700, 5000])])
+
+
+@pytest.mark.parametrize("kind", [list, tuple])
+def test_estimators_read_list_blocks_as_arrays(kind):
+    y = ar1_sample(9, 3 * _kernels.ROW_LEN + 900, coeff=0.6) + 4.0
+    want, got = ps.burg_fit(y), ps.burg_fit(_list_blocks(y, kind))
+    assert (got.coeff, got.noise_var, got.n_samples) == (
+        want.coeff, want.noise_var, want.n_samples
+    )
+    for segment_len in (None, 512):
+        want = ps.welch_psd(y, segment_len)
+        got = ps.welch_psd(_list_blocks(y, kind), segment_len)
+        assert got.estimator == want.estimator
+        assert got.power.tobytes() == want.power.tobytes()
 
 
 @pytest.mark.parametrize("segment_len", [64, None])
